@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import mc
-from .estimators import McResult, _bumped, _ess, anchored_libor_pair
+from .estimators import McResult, _bumped, _one_shot, _weight_fields, anchored_libor_pair
 from .lmm import ModelConfig, evolve_log_euler
 from .payoffs import SwaptionSpec, bond_ratios, report_scale, swaption_payoff
 
@@ -426,21 +426,18 @@ def bermudan_price(
     wacc = mc.MomentAccumulator()
     for bi, lo, hi in mc.batch_slices(m):
         z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, cfg.n))
-        zeta = pair.draw(z)
-        w = np.exp(pair.log_weight(zeta))
+        zeta, w, _ = _one_shot(pair, z)
         rng_c = mc.rng_for(seed, bi, mc.STREAM_CONT)
         (pay,), _, _ = _run_policy(cfg, policy, [zeta], rng_c, cfg.t1)
         vals.add(bi, w * pay)
         wacc.add(bi, w)
     mean, sd, count, _ = vals.finalize()
-    w_mean, w_sd, _, w_max = wacc.finalize()
     return McResult(
         value=s * mean,
         sd=s * sd,
         m=count,
         seed=seed,
-        max_weight=w_max,
-        ess=_ess(count, w_mean, w_sd),
+        **_weight_fields(count, wacc),
     )
 
 
@@ -468,10 +465,8 @@ def bermudan_delta_fd(
     wacc = mc.MomentAccumulator()
     for bi, lo, hi in mc.batch_slices(m):
         z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, cfg.n))
-        zeta_up = pair_up.draw(z)
-        zeta_dn = pair_dn.draw(z)
-        w_up = np.exp(pair_up.log_weight(zeta_up))
-        w_dn = np.exp(pair_dn.log_weight(zeta_dn))
+        zeta_up, w_up, _ = _one_shot(pair_up, z)
+        zeta_dn, w_dn, _ = _one_shot(pair_dn, z)
         rng_c = mc.rng_for(seed, bi, mc.STREAM_CONT)
         (pay_up, pay_dn), _, _ = _run_policy(
             cfg, policy, [zeta_up, zeta_dn], rng_c, cfg.t1
@@ -479,14 +474,12 @@ def bermudan_delta_fd(
         vals.add(bi, (s_up * w_up * pay_up - s_dn * w_dn * pay_dn) / (2.0 * h))
         wacc.add(bi, np.concatenate([w_up, w_dn]))
     mean, sd, count, _ = vals.finalize()
-    w_mean, w_sd, w_count, w_max = wacc.finalize()
     return McResult(
         value=mean,
         sd=sd,
         m=count,
         seed=seed,
-        max_weight=w_max,
-        ess=_ess(count, w_mean, w_sd),
+        **_weight_fields(count, wacc),
     )
 
 
@@ -517,7 +510,7 @@ def stopping_disagreement(
         _, stop_idx, stop_alt = _run_policy(
             cfg,
             policy,
-            [pair_up.draw(z), pair_dn.draw(z)],
+            [_one_shot(pair_up, z)[0], _one_shot(pair_dn, z)[0]],
             rng_c,
             cfg.t1,
             audit=True,
@@ -542,7 +535,8 @@ def exercise_frequencies(
     for bi, lo, hi in mc.batch_slices(m):
         z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, cfg.n))
         rng_c = mc.rng_for(seed, bi, mc.STREAM_CONT)
-        _, stop_idx, _ = _run_policy(cfg, policy, [pair.draw(z)], rng_c, cfg.t1)
+        zeta = _one_shot(pair, z)[0]
+        _, stop_idx, _ = _run_policy(cfg, policy, [zeta], rng_c, cfg.t1)
         counts[:K] += np.bincount(stop_idx[stop_idx >= 0], minlength=K)
         counts[K] += int(np.sum(stop_idx < 0))
     return counts / m

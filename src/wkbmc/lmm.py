@@ -97,10 +97,6 @@ class VolStructure:
     y_drift : ndarray, shape (n,)
         State-independent part of the drift of Y = Gamma^{-1} log L,
         equal to -Gamma^{-1} diag(a) / 2.
-    c0_chain : ndarray, shape (n, n)
-        Precomputed Gamma^T * (Gamma^{-1} a_upper) elementwise, used by
-        the closed-form second derivatives of the leading kernel
-        coefficient.
     """
 
     vol: np.ndarray
@@ -111,7 +107,6 @@ class VolStructure:
     a_diag: np.ndarray
     a_upper: np.ndarray
     y_drift: np.ndarray
-    c0_chain: np.ndarray
 
     @property
     def n(self) -> int:
@@ -143,7 +138,6 @@ def build_vol_structure(vol: np.ndarray, corr: np.ndarray) -> VolStructure:
     a_upper = np.triu(a, k=1)
     a_diag = np.diag(a).copy()
     y_drift = -0.5 * gamma_inv @ a_diag
-    c0_chain = gamma.T * (gamma_inv @ a_upper)
     return VolStructure(
         vol=vol,
         corr=corr,
@@ -153,7 +147,6 @@ def build_vol_structure(vol: np.ndarray, corr: np.ndarray) -> VolStructure:
         a_diag=a_diag,
         a_upper=a_upper,
         y_drift=y_drift,
-        c0_chain=c0_chain,
     )
 
 
@@ -360,8 +353,13 @@ _SCALAR_FLOAT_KEYS = ("rho_inf", "strike", "dt_euro", "dt_berm")
 
 
 def load_config(path) -> dict:
-    """Read raw settings from a config file into a dict."""
+    """Read raw settings from a config file into a dict.
+
+    A key given twice, or a vector whose length is neither one nor
+    ``n``, raises ValueError naming the offending ``path:line``.
+    """
     raw: dict = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -369,6 +367,11 @@ def load_config(path) -> dict:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate key {key!r}, first set at {path}:{seen[key]}"
+            )
+        seen[key] = lineno
         if key == "n":
             raw[key] = int(value)
         elif key in _SCALAR_FLOAT_KEYS:
@@ -382,6 +385,12 @@ def load_config(path) -> dict:
             raw[key] = value
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+    for key in _VECTOR_KEYS:
+        value = raw.get(key)
+        if "n" in raw and isinstance(value, np.ndarray) and value.shape[0] != raw["n"]:
+            raise ValueError(
+                f"{path}:{seen[key]}: {key} has {value.shape[0]} entries, but n = {raw['n']}"
+            )
     return raw
 
 

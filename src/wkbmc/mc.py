@@ -3,9 +3,9 @@
 Random numbers come from counter-based Philox streams keyed on
 (seed, stream, batch index), so every batch of every estimator draws
 an independent, reproducible stream regardless of execution order.
-Reductions accumulate per-batch partial sums and combine them in batch
-order, which makes totals bit-identical no matter how the batches were
-scheduled.
+Reductions accumulate per-batch partial moments and combine them in
+batch order, which makes totals bit-identical no matter how the batches
+were scheduled.
 """
 from __future__ import annotations
 
@@ -56,21 +56,27 @@ def batch_slices(m: int, batch: int = BATCH) -> list[tuple[int, int, int]]:
 class MomentAccumulator:
     """First and second moments accumulated batch by batch.
 
-    Each batch contributes one partial (count, sum, sum of squares,
-    max absolute value).  ``finalize`` combines the partials in batch
-    order, so the result does not depend on which order the batches
-    were computed in.
+    Each batch contributes one partial (count, mean, sum of squared
+    deviations from that mean, max absolute value).  ``finalize`` merges
+    the partials in batch order with the pairwise update of Chan, Golub
+    and LeVeque, so the result neither depends on the order the batches
+    were computed in nor loses the variance of values far from zero.
     """
 
     def __init__(self) -> None:
-        self._parts: dict[int, tuple[float, float, float, float]] = {}
+        self._parts: dict[int, tuple[int, float, float, float]] = {}
 
     def add(self, batch_index: int, values: np.ndarray) -> None:
         v = np.asarray(values, dtype=np.float64)
+        # moments about the first value: a constant batch gives its value
+        # and a zero spread exactly
+        shift = float(v.flat[0]) if v.size else 0.0
+        d = v - shift
+        d_mean = float(np.mean(d)) if v.size else 0.0
         self._parts[batch_index] = (
-            float(v.size),
-            float(np.sum(v)),
-            float(np.sum(v * v)),
+            v.size,
+            shift + d_mean,
+            float(np.sum((d - d_mean) ** 2)),
             float(np.max(np.abs(v))) if v.size else 0.0,
         )
 
@@ -78,15 +84,17 @@ class MomentAccumulator:
         """Return (mean, standard error of the mean, count, max abs)."""
         if not self._parts:
             raise RuntimeError("no batches accumulated")
-        rows = np.array([self._parts[bi] for bi in sorted(self._parts)])
-        m = float(np.sum(rows[:, 0]))
-        s1 = float(np.sum(rows[:, 1]))
-        s2 = float(np.sum(rows[:, 2]))
-        vmax = float(np.max(rows[:, 3]))
-        mean = s1 / m
-        var = max(s2 / m - mean * mean, 0.0)
-        sd_mean = np.sqrt(var / m)
-        return mean, float(sd_mean), int(m), vmax
+        parts = [self._parts[bi] for bi in sorted(self._parts)]
+        m, mean, m2, vmax = parts[0]
+        for mb, mean_b, m2_b, max_b in parts[1:]:
+            total = m + mb
+            gap = mean_b - mean
+            mean += gap * mb / total
+            m2 += m2_b + gap * gap * m * mb / total
+            m = total
+            vmax = max(vmax, max_b)
+        sd_mean = np.sqrt(m2 / m / m)
+        return mean, float(sd_mean), m, vmax
 
 
 __all__ = [

@@ -314,6 +314,21 @@ class TestBermudanDelta:
                                          m=10_000, seed=3)
         assert abs(d.value - de.value) < combined_gate(d, de)
 
+    def test_ess_pools_both_clouds(self):
+        # ESS per row pair is m mean(w)^2 / mean(w^2) over all 2m weights
+        cfg = case_cfg()
+        m, seed, h, i = 3000, 6, 3.5e-5, 18
+        z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+        w = np.concatenate([
+            np.exp(pair.log_weight(pair.draw(z)))
+            for pair in (est.anchored_libor_pair(cfg, cfg.t1, 1, x)
+                         for x in est._bumped(cfg.l0, i, h))
+        ])
+        want = m * np.mean(w) ** 2 / np.mean(w * w)
+        got = brm.bermudan_delta_fd(cfg, case_policy(), i=i, h=h, level=1, m=m, seed=seed).ess
+        assert abs(got / want - 1.0) < 1e-9
+        assert got <= m
+
     def test_shared_stopping_keeps_disagreement_rare(self):
         # the bump pair reuses the up branch's stopping decision; the pairs
         # that would genuinely decide differently at h = 3.5e-5 are a

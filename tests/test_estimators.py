@@ -93,11 +93,50 @@ class TestPrice:
         assert a.value != c.value
 
 
+class TestOneShot:
+    def test_chunked_matches_whole_batch(self):
+        # a row count that is not a multiple of the chunk
+        cfg = case_cfg()
+        inp = est.european_inputs(cfg, 1, m=1000, seed=0)
+        pair = inp.anchored(cfg.l0)
+        z = np.random.default_rng(8).standard_normal((mc.BATCH - 3, cfg.n))
+        zeta, w, wf = est._one_shot(pair, z, inp.payoff)
+        whole = pair.draw(z)
+        w_whole = np.exp(
+            wkb.log_weight_y(pair.kernel, pair.proxy.dt, lmm.to_y(cfg.vs, whole), pair.kappa)
+        )
+        assert_allclose(zeta, whole, rtol=1e-12)
+        assert_allclose(w, w_whole, rtol=1e-12)
+        assert_allclose(wf, w_whole * inp.payoff(whole), rtol=1e-12, atol=0.0)
+        assert est._one_shot(pair, z)[2] is None
+
+    def test_repeats_bit_for_bit_past_one_batch(self):
+        cfg = case_cfg()
+        inp = est.european_inputs(cfg, 1, m=mc.BATCH + 1, seed=4, h=3.5e-5)
+        assert est.price(inp) == est.price(inp)
+        assert est.delta_fd(inp, 18) == est.delta_fd(inp, 18)
+
+
 class TestDeltaFd:
     def test_zero_for_constant_payoff_at_proxy_level(self):
         r = est.delta_fd(toy_inputs("lgn", const_payoff(4.0)), 1)
         assert r.value == 0.0
         assert r.sd == 0.0
+
+    def test_ess_pools_both_clouds(self):
+        # ESS per row pair is m mean(w)^2 / mean(w^2) over all 2m weights
+        cfg = case_cfg()
+        m, seed, h, i = 3000, 6, 3.5e-5, 18
+        inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h, t=2.0)
+        z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+        w = np.concatenate([
+            np.exp(pair.log_weight(pair.draw(z)))
+            for pair in map(inp.anchored, est._bumped(cfg.l0, i, h))
+        ])
+        want = m * np.mean(w) ** 2 / np.mean(w * w)
+        got = est.delta_fd(inp, i).ess
+        assert abs(got / want - 1.0) < 1e-9
+        assert got <= m
 
     def test_needs_h(self):
         inp = toy_inputs("lgn", const_payoff(1.0), h=None)

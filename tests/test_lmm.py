@@ -198,3 +198,15 @@ class TestConfigFile:
         path.write_text("just words\n")
         with pytest.raises(ValueError, match=r":1:"):
             lmm.load_config(path)
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("n = 3\nvol = 0.2\n\nvol = 0.3\n")
+        with pytest.raises(ValueError, match=r"model\.cfg:4: .*'vol'.*model\.cfg:2"):
+            lmm.load_config(path)
+
+    def test_vector_length_mismatch_names_its_line(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("l0 = 0.03, 0.035\nn = 3\n")
+        with pytest.raises(ValueError, match=r"model\.cfg:1: l0 has 2 entries, but n = 3"):
+            lmm.load_config(path)

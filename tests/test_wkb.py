@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 
-from wkbmc import lmm, proxy, wkb
+from wkbmc import harness, lmm, proxy, wkb
 
 
 def case_cfg(n=5, t1=1.0):
@@ -48,6 +48,14 @@ def y_pairs(cfg, count, spread=0.4, seed=0):
     x = y0 + spread * rng.standard_normal((count, cfg.n))
     y = y0 + spread * rng.standard_normal((count, cfg.n))
     return x, y
+
+
+def gl_segment_average(delta, u, v, order=40):
+    """Segment average of q = expit(. + log delta) from v to u, by Gauss-Legendre."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    s = 0.5 * (nodes + 1)
+    ts = v[..., None] + s * (u - v)[..., None] + np.log(delta)[:, None]
+    return np.sum(0.5 * weights * special.expit(ts), axis=-1)
 
 
 class TestGenericCoefficients:
@@ -288,28 +296,38 @@ class TestLiborClosedForms:
             ) / (2 * h)
             assert_allclose(got[:, p], fd, rtol=1e-5, atol=1e-10)
 
-    def test_c0_hess_diag_against_fd(self):
+    def test_c0_lap_against_fd(self):
         cfg = case_cfg(n=4)
         z, y = y_pairs(cfg, 12, seed=7)
-        got = wkb.libor_c0_hess_diag(cfg.vs, cfg.delta, z, y)
+        got = wkb.libor_c0_lap(cfg.vs, cfg.delta, z, y)
         h = 3e-4
         f0 = wkb.libor_c0(cfg.vs, cfg.delta, z, y)
+        fd = np.zeros_like(f0)
         for p in range(4):
             e = np.zeros(4)
             e[p] = h
-            fd = (
+            fd += (
                 wkb.libor_c0(cfg.vs, cfg.delta, z + e, y)
                 - 2 * f0
                 + wkb.libor_c0(cfg.vs, cfg.delta, z - e, y)
             ) / h**2
-            assert_allclose(got[:, p], fd, rtol=1e-3, atol=1e-8)
+        assert_allclose(got, fd, rtol=1e-3, atol=1e-8)
 
-    def test_lap_is_trace_of_hessian(self):
-        cfg = case_cfg(n=7)
-        z, y = y_pairs(cfg, 50, seed=8)
+    def test_r0_single_pass_matches_public_pieces(self):
+        # libor_r0 forms gradient and Laplacian from one evaluation of
+        # the segment averages; the separate public calls must agree,
+        # with separations on both sides of the K series switch
+        cfg = case_cfg(n=5)
+        rng = np.random.default_rng(12)
+        y = lmm.to_y(cfg.vs, cfg.l0) + 0.3 * rng.standard_normal((60, 5))
+        sep = np.repeat([1e-4, 0.9 * wkb._K_SERIES_EPS, 2.0 * wkb._K_SERIES_EPS, 0.5], 15)
+        dirs = rng.standard_normal((60, 5))
+        z = y + sep[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        grad = wkb.libor_c0_grad(cfg.vs, cfg.delta, z, y)
         lap = wkb.libor_c0_lap(cfg.vs, cfg.delta, z, y)
-        tr = np.sum(wkb.libor_c0_hess_diag(cfg.vs, cfg.delta, z, y), axis=-1)
-        assert np.max(np.abs(lap - tr)) < 1e-12
+        b = lmm.drift_mu_y(cfg.vs, cfg.delta, z)
+        want = 0.5 * np.sum(grad * grad, axis=-1) + 0.5 * lap + np.sum(b * grad, axis=-1)
+        assert_allclose(wkb.libor_r0(cfg.vs, cfg.delta, z, y), want, rtol=1e-12)
 
     def test_c1_matches_generic_recursion(self):
         cfg = case_cfg(n=4)
@@ -353,14 +371,18 @@ class TestLiborClosedForms:
         u = cfg.vs.gamma @ lmm.to_y(cfg.vs, cfg.l0)
         v = u + np.array([0.3, -0.5, 0.08])
         f, _, _ = wkb._segment_fgk(cfg.delta, u, v, want_k=False)
-        nodes, weights = np.polynomial.legendre.leggauss(40)
-        s = 0.5 * (nodes + 1)
-        w = 0.5 * weights
-        from scipy.special import expit
+        assert_allclose(f, gl_segment_average(cfg.delta, u, v), rtol=1e-12)
 
-        for i in range(3):
-            ts = v[i] + s * (u[i] - v[i]) + np.log(cfg.delta[i])
-            assert_allclose(f[i], np.sum(w * expit(ts)), rtol=1e-12)
+    @pytest.mark.parametrize("sep", [0.5e-3, 0.99e-3, 1.01e-3, 2e-3, 1.0])
+    def test_f_alone_against_quadrature(self, sep):
+        # the F-only evaluator behind c_0, on the case-study curve, on
+        # both sides of the series switch and for both signs of u - v
+        cfg = harness.build_config(None, 1.0)
+        u = lmm.to_y(cfg.vs, cfg.l0) @ cfg.vs.gamma.T
+        signs = np.where(np.arange(cfg.n) % 2, 1.0, -1.0)
+        v = np.stack([u - sep * signs, u + sep * signs])
+        got = wkb._segment_f(cfg.delta, u, v)
+        assert_allclose(got, gl_segment_average(cfg.delta, u, v), rtol=1e-10)
 
 
 class TestTaylorSurrogate:
