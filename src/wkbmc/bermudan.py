@@ -7,7 +7,11 @@ sweep over pre-simulated paths.  Pricing draws the first-date state in
 one shot from the lognormal proxy (importance-weighted by the truncated
 kernel, exactly as in the European case) and continues with fine-step
 log-Euler paths to the later exercise dates, so only the continuation
-pays the per-step cost.
+pays the per-step cost.  Every estimator here, and the two diagnostics
+(where paths stop, how often a bump pair would stop apart), runs on the
+batch driver of ``estimators``: the exercise-policy continuation
+(``_run_policy``) is its tail, and the diagnostics weight each path by
+its importance weight.
 
 The still-alive European values are deterministic approximations: the
 remaining swap is priced by a frozen-weight lognormal formula for the
@@ -19,22 +23,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import mc
-from .estimators import McResult, _bumped, _one_shot, _weight_fields, anchored_libor_pair
+from .estimators import (
+    McResult,
+    _batches,
+    _delta_stencil,
+    _estimate,
+    _euler_head,
+    _int_steps,
+    _one_shot_head,
+    anchored_libor_pair,
+)
 from .lmm import ModelConfig, evolve_log_euler
 from .payoffs import SwaptionSpec, bond_ratios, report_scale, swaption_payoff
 
 __all__ = [
     "AndersenPolicy",
-    "StoppedPayoff",
     "black76",
     "still_alive_european",
-    "stopping_time",
     "calibrate_policy",
     "save_policy",
     "load_policy",
@@ -161,32 +173,6 @@ class AndersenPolicy:
             raise ValueError("thresholds must be finite")
 
 
-@dataclass(frozen=True)
-class StoppedPayoff:
-    """Outcome of the exercise rule on one trajectory.
-
-    ``stop_index`` is the position in the policy's date list, or -1
-    when the rule never fires (value 0 then).
-    """
-
-    stop_index: int
-    value: float
-
-
-def stopping_time(cfg: ModelConfig, policy: AndersenPolicy, states: np.ndarray) -> StoppedPayoff:
-    """Apply the exercise rule to one path's states at the policy dates."""
-    states = np.asarray(states, dtype=np.float64)
-    if states.shape != (policy.dates.shape[0], cfg.n):
-        raise ValueError(
-            f"need one state per exercise date, shape ({policy.dates.shape[0]}, {cfg.n})"
-        )
-    for k in range(policy.dates.shape[0]):
-        intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, states[k])
-        if trig >= policy.thresholds[k]:
-            return StoppedPayoff(stop_index=k, value=float(intrinsic))
-    return StoppedPayoff(stop_index=-1, value=0.0)
-
-
 def save_policy(policy: AndersenPolicy, path) -> None:
     lines = [
         "# exercise policy: date threshold",
@@ -230,13 +216,6 @@ def load_policy(path) -> AndersenPolicy:
 
 # ---------------------------------------------------------------------------
 # threshold calibration on pre-simulated paths
-
-
-def _int_steps(span: float, dt: float, what: str) -> int:
-    steps = int(round(span / dt))
-    if steps < 0 or abs(steps * dt - span) > 1e-9:
-        raise ValueError(f"{what} ({span}) is not a multiple of dt={dt}")
-    return steps
 
 
 def _optimize_threshold(trig, exercised, continued):
@@ -347,14 +326,6 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
 # policy-driven evaluation
 
 
-def _check_policy(cfg: ModelConfig, policy: AndersenPolicy) -> None:
-    expected = np.array([cfg.tenor_date(i) for i in policy.exercise_indices])
-    if np.max(np.abs(expected - policy.dates)) > 1e-9:
-        raise ValueError("policy dates do not sit on this config's tenor grid")
-    if policy.dates[0] < cfg.t1 - 1e-9:
-        raise ValueError("policy starts before the first tenor date")
-
-
 def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     """Advance a common-increment group through the exercise dates.
 
@@ -368,11 +339,8 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     dt = cfg.dt_berm
     B = group[0].shape[0]
     payoffs_out = [np.zeros(B) for _ in group]
-    alive = np.ones(B, dtype=bool)
     stop_idx = np.full(B, -1, dtype=np.int64)
-    track_alt = audit and len(group) > 1
-    alive_alt = np.ones(B, dtype=bool) if track_alt else None
-    stop_alt = np.full(B, -1, dtype=np.int64) if track_alt else None
+    stop_alt = np.full(B, -1, dtype=np.int64) if audit and len(group) > 1 else None
 
     t_prev = start_time
     for k in range(policy.dates.shape[0]):
@@ -388,27 +356,48 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
             )
         t_prev = policy.dates[k]
 
-        if alive.any():
-            sub = np.flatnonzero(alive)
-            intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, group[0][sub])
-            hit = sub[trig >= policy.thresholds[k]]
+        running = np.flatnonzero(stop_idx < 0)
+        if running.size:
+            intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, group[0][running])
+            fire = trig >= policy.thresholds[k]
+            hit = running[fire]
             if hit.size:
                 stop_idx[hit] = k
-                payoffs_out[0][hit] = intrinsic[trig >= policy.thresholds[k]]
+                payoffs_out[0][hit] = intrinsic[fire]
                 i = policy.exercise_indices[k]
                 spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
                 for b in range(1, len(group)):
                     payoffs_out[b][hit] = swaption_payoff(cfg.delta, group[b][hit], spec)
-                alive[hit] = False
-        if track_alt and alive_alt.any():
-            sub = np.flatnonzero(alive_alt)
-            _, trig_alt = _trigger(cfg, policy.exercise_indices, k, group[-1][sub])
-            hit = sub[trig_alt >= policy.thresholds[k]]
-            stop_alt[hit] = k
-            alive_alt[hit] = False
-        if not alive.any() and not (track_alt and alive_alt.any()):
+        if stop_alt is not None and np.any(stop_alt < 0):
+            running = np.flatnonzero(stop_alt < 0)
+            _, trig_alt = _trigger(cfg, policy.exercise_indices, k, group[-1][running])
+            stop_alt[running[trig_alt >= policy.thresholds[k]]] = k
+        if np.all(stop_idx >= 0) and (stop_alt is None or np.all(stop_alt >= 0)):
             break
     return payoffs_out, stop_idx, stop_alt
+
+
+def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=False):
+    """Driver head and tail: reach the first date, then follow ``policy``.
+
+    The head is the one-shot draw at kernel ``level``, or log-Euler from
+    time zero when ``level`` is "euler".
+    """
+    expected = np.array([cfg.tenor_date(i) for i in policy.exercise_indices])
+    if np.max(np.abs(expected - policy.dates)) > 1e-9:
+        raise ValueError("policy dates do not sit on this config's tenor grid")
+    if policy.dates[0] < cfg.t1 - 1e-9:
+        raise ValueError("policy starts before the first tenor date")
+    if level == "euler":
+        head = _euler_head(cfg, stencil, cfg.t1, cfg.dt_berm)
+    else:
+        head = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil)
+    return head, lambda group, rng: _run_policy(cfg, policy, group, rng, cfg.t1, audit)
+
+
+def _bermudan(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, m: int, seed: int):
+    head, tail = _continued(cfg, policy, level, stencil)
+    return _estimate(stencil, head, m, seed, tail=tail)
 
 
 def bermudan_price(
@@ -419,26 +408,7 @@ def bermudan_price(
     seed: int = 0,
 ) -> McResult:
     """Lower-bound price: one-shot draw to the first date, then continue."""
-    _check_policy(cfg, policy)
-    pair = anchored_libor_pair(cfg, cfg.t1, level)
-    s = report_scale(cfg)
-    vals = mc.MomentAccumulator()
-    wacc = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, cfg.n))
-        zeta, w, _ = _one_shot(pair, z)
-        rng_c = mc.rng_for(seed, bi, mc.STREAM_CONT)
-        (pay,), _, _ = _run_policy(cfg, policy, [zeta], rng_c, cfg.t1)
-        vals.add(bi, w * pay)
-        wacc.add(bi, w)
-    mean, sd, count, _ = vals.finalize()
-    return McResult(
-        value=s * mean,
-        sd=s * sd,
-        m=count,
-        seed=seed,
-        **_weight_fields(count, wacc),
-    )
+    return _bermudan(cfg, policy, level, [(cfg.l0, report_scale(cfg))], m, seed)
 
 
 def bermudan_delta_fd(
@@ -455,32 +425,8 @@ def bermudan_delta_fd(
     The bump pair shares the one-shot normals, the continuation
     increments, and the stopping decision (taken from the up branch).
     """
-    _check_policy(cfg, policy)
-    up, dn = _bumped(cfg.l0, i, h)
-    pair_up = anchored_libor_pair(cfg, cfg.t1, level, up)
-    pair_dn = anchored_libor_pair(cfg, cfg.t1, level, dn)
-    s_up = report_scale(cfg, up)
-    s_dn = report_scale(cfg, dn)
-    vals = mc.MomentAccumulator()
-    wacc = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, cfg.n))
-        zeta_up, w_up, _ = _one_shot(pair_up, z)
-        zeta_dn, w_dn, _ = _one_shot(pair_dn, z)
-        rng_c = mc.rng_for(seed, bi, mc.STREAM_CONT)
-        (pay_up, pay_dn), _, _ = _run_policy(
-            cfg, policy, [zeta_up, zeta_dn], rng_c, cfg.t1
-        )
-        vals.add(bi, (s_up * w_up * pay_up - s_dn * w_dn * pay_dn) / (2.0 * h))
-        wacc.add(bi, np.concatenate([w_up, w_dn]))
-    mean, sd, count, _ = vals.finalize()
-    return McResult(
-        value=mean,
-        sd=sd,
-        m=count,
-        seed=seed,
-        **_weight_fields(count, wacc),
-    )
+    stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
+    return _bermudan(cfg, policy, level, stencil, m, seed)
 
 
 def stopping_disagreement(
@@ -492,31 +438,20 @@ def stopping_disagreement(
     m: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Fraction of bump pairs whose own stopping decisions differ.
+    """Weighted fraction of bump pairs whose own stopping decisions differ.
 
     The delta estimator reuses the up branch's decision for the down
     branch; this diagnostic quantifies how often the down branch,
-    deciding for itself, would have stopped elsewhere.
+    deciding for itself, would have stopped elsewhere.  Each pair counts
+    with the up branch's importance weight, so the fraction is one under
+    the model, not under the proxy.
     """
-    _check_policy(cfg, policy)
-    up, dn = _bumped(cfg.l0, i, h)
-    pair_up = anchored_libor_pair(cfg, cfg.t1, level, up)
-    pair_dn = anchored_libor_pair(cfg, cfg.t1, level, dn)
-    disagree = 0
-    total = 0
-    for bi, lo, hi in mc.batch_slices(m):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, cfg.n))
-        rng_c = mc.rng_for(seed, bi, mc.STREAM_CONT)
-        _, stop_idx, stop_alt = _run_policy(
-            cfg,
-            policy,
-            [_one_shot(pair_up, z)[0], _one_shot(pair_dn, z)[0]],
-            rng_c,
-            cfg.t1,
-            audit=True,
-        )
-        disagree += int(np.sum(stop_idx != stop_alt))
-        total += hi - lo
+    stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
+    head, tail = _continued(cfg, policy, level, stencil, audit=True)
+    disagree = total = 0.0
+    for _, (w_up, _), _, (stop, stop_alt) in _batches(m, seed, head, tail=tail):
+        disagree += float(np.sum(w_up[stop != stop_alt]))
+        total += float(np.sum(w_up))
     return disagree / total
 
 
@@ -527,19 +462,17 @@ def exercise_frequencies(
     m: int = 100_000,
     seed: int = 0,
 ) -> np.ndarray:
-    """Fraction of paths stopping at each date; last entry = never."""
-    _check_policy(cfg, policy)
-    pair = anchored_libor_pair(cfg, cfg.t1, level)
+    """Weighted share of paths stopping at each date; last entry = never.
+
+    Each path counts with its importance weight, so the shares are
+    those of the model, not of the proxy; they sum to one.
+    """
+    head, tail = _continued(cfg, policy, level, [(cfg.l0, 1.0)])
     K = policy.dates.shape[0]
-    counts = np.zeros(K + 1, dtype=np.int64)
-    for bi, lo, hi in mc.batch_slices(m):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, cfg.n))
-        rng_c = mc.rng_for(seed, bi, mc.STREAM_CONT)
-        zeta = _one_shot(pair, z)[0]
-        _, stop_idx, _ = _run_policy(cfg, policy, [zeta], rng_c, cfg.t1)
-        counts[:K] += np.bincount(stop_idx[stop_idx >= 0], minlength=K)
-        counts[K] += int(np.sum(stop_idx < 0))
-    return counts / m
+    hist = np.zeros(K + 1)
+    for _, (w,), _, (stop, _) in _batches(m, seed, head, tail=tail):
+        hist += np.bincount(np.where(stop < 0, K, stop), weights=w, minlength=K + 1)
+    return hist / hist.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +483,7 @@ def euler_bermudan_price(
     cfg: ModelConfig, policy: AndersenPolicy, m: int = 100_000, seed: int = 0
 ) -> McResult:
     """Same policy, but the first-date state comes from Euler paths."""
-    _check_policy(cfg, policy)
-    steps0 = _int_steps(cfg.t1, cfg.dt_berm, "first tenor date")
-    s = report_scale(cfg)
-    vals = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
-        rng = mc.rng_for(seed, bi, mc.STREAM_EULER)
-        start = np.broadcast_to(cfg.l0, (hi - lo, cfg.n))
-        head, _ = evolve_log_euler(
-            cfg,
-            start,
-            n_steps=steps0,
-            dt=cfg.dt_berm,
-            normal_source=lambda _: rng.standard_normal((hi - lo, cfg.n)),
-        )
-        (pay,), _, _ = _run_policy(cfg, policy, [head], rng, cfg.t1)
-        vals.add(bi, pay)
-    mean, sd, count, _ = vals.finalize()
-    return McResult(value=s * mean, sd=s * sd, m=count, seed=seed)
+    return _bermudan(cfg, policy, "euler", [(cfg.l0, report_scale(cfg))], m, seed)
 
 
 def euler_bermudan_delta_fd(
@@ -579,26 +495,5 @@ def euler_bermudan_delta_fd(
     seed: int = 0,
 ) -> McResult:
     """Euler reference delta: bumped starts, shared increments and stop."""
-    _check_policy(cfg, policy)
-    steps0 = _int_steps(cfg.t1, cfg.dt_berm, "first tenor date")
-    up, dn = _bumped(cfg.l0, i, h)
-    s_up = report_scale(cfg, up)
-    s_dn = report_scale(cfg, dn)
-    vals = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
-        rng = mc.rng_for(seed, bi, mc.STREAM_EULER)
-        group = [
-            np.broadcast_to(up, (hi - lo, cfg.n)),
-            np.broadcast_to(dn, (hi - lo, cfg.n)),
-        ]
-        heads, _ = evolve_log_euler(
-            cfg,
-            group,
-            n_steps=steps0,
-            dt=cfg.dt_berm,
-            normal_source=lambda _: rng.standard_normal((hi - lo, cfg.n)),
-        )
-        (pay_up, pay_dn), _, _ = _run_policy(cfg, policy, heads, rng, cfg.t1)
-        vals.add(bi, (s_up * pay_up - s_dn * pay_dn) / (2.0 * h))
-    mean, sd, count, _ = vals.finalize()
-    return McResult(value=mean, sd=sd, m=count, seed=seed)
+    stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
+    return _bermudan(cfg, policy, "euler", stencil, m, seed)

@@ -9,6 +9,18 @@ stay fixed.  That re-anchoring is what keeps the variance bounded as
 the time step shrinks; the fixed-sampler variant (`naive_delta`) is
 kept only to demonstrate the blow-up it suffers.
 
+Every stencil estimator, European and Bermudan, runs on one batch
+driver (``_batches``, reduced by ``_estimate``).  A *stencil* lists
+(anchor, coefficient) pairs, the coefficient holding the outer scale
+and the finite-difference weight (width 1 for price, 2 for Delta, 3-4
+for Gamma).  A *head* takes a batch to each member's first-date state
+on shared normals: the weighted one-shot draw, or log-Euler from time
+zero.  An optional *tail*, the Bermudan exercise policy, continues to
+the payoff.  Four loops compute something else and stay separate:
+`naive_delta` (a sampler that ignores the bump), `variance_audit` (the
+bound's norms), `explosion_demo` (the toy model) and the Bermudan
+`calibrate_policy` (states at every exercise date).
+
 Also here: the second-moment audit that checks the variance bound the
 re-anchored construction satisfies, the iid-lognormal explosion example
 with its closed-form variance, and log-Euler reference estimators used
@@ -69,19 +81,6 @@ class McResult:
     seed: int
     max_weight: float = 1.0
     ess: float = float("nan")
-
-
-def _weight_fields(m: int, wacc: mc.MomentAccumulator) -> dict:
-    """``max_weight`` and ``ess`` of an :class:`McResult` over ``m`` rows.
-
-    ESS is m mean(w)^2 / mean(w^2), with the moments pooled over every
-    weight the accumulator holds (two per row for a bump pair), so it
-    never exceeds m.
-    """
-    w_mean, w_sd_of_mean, w_count, w_max = wacc.finalize()
-    denom = w_sd_of_mean**2 * w_count + w_mean**2
-    ess = m * w_mean**2 / denom if denom > 0.0 else float(m)
-    return {"max_weight": w_max, "ess": ess}
 
 
 @dataclass(frozen=True)
@@ -224,27 +223,112 @@ def _bumped(x: np.ndarray, i: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return up, dn
 
 
+# ---------------------------------------------------------------------------
+# the batch driver (see the module docstring)
+
+
+def _one_shot_head(anchored, stencil):
+    """Head: every member re-anchors the batch's shared STREAM_XI normals.
+
+    Maps (seed, batch index, rows, payoff) to the members' states,
+    weights, weighted payoffs and a maker of the continuation generator.
+    """
+    pairs = [anchored(a) for a, _ in stencil]
+    n = stencil[0][0].shape[-1]
+
+    def head(seed, bi, rows, payoff):
+        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
+        states, w, wv = zip(*(_one_shot(pair, z, payoff) for pair in pairs))
+        return states, w, wv, lambda: mc.rng_for(seed, bi, mc.STREAM_CONT)
+
+    return head
+
+
+def _int_steps(span: float, dt: float, what: str, least: int = 0) -> int:
+    steps = int(round(span / dt))
+    if steps < least or abs(steps * dt - span) > 1e-9:
+        raise ValueError(f"{what} ({span}) is not {least} or more whole steps of dt={dt}")
+    return steps
+
+
+def _euler_head(cfg: ModelConfig, stencil, t: float, dt: float):
+    """Head: unweighted log-Euler from time 0 to ``t`` on shared increments.
+
+    The continuation goes on drawing from the head's own generator.
+    """
+    n_steps = _int_steps(t, dt, "horizon", least=1)
+
+    def head(seed, bi, rows, payoff):
+        rng = mc.rng_for(seed, bi, mc.STREAM_EULER)
+        final, _ = evolve_log_euler(
+            cfg,
+            [np.broadcast_to(a, (rows, cfg.n)) for a, _ in stencil],
+            n_steps=n_steps,
+            dt=dt,
+            normal_source=lambda _: rng.standard_normal((rows, cfg.n)),
+        )
+        wv = None if payoff is None else [payoff(f) for f in final]
+        return final, None, wv, lambda: rng
+
+    return head
+
+
+def _batches(m: int, seed: int, head, payoff=None, tail=None):
+    """Yield (batch index, weights, weighted values, stops) per batch.
+
+    Weights are None for a head without them (its values are then the
+    plain ones).  Without a tail the head applies the payoff; with one,
+    ``tail(states, rng)`` returns (payoffs per member, stop positions,
+    alternative stop positions) and ``stops`` holds the last two.
+    """
+    for bi, lo, hi in mc.batch_slices(m):
+        states, w, wv, tail_rng = head(seed, bi, hi - lo, None if tail else payoff)
+        stops = None
+        if tail is not None:
+            pays, *stops = tail(states, tail_rng())
+            wv = pays if w is None else [wk * pk for wk, pk in zip(w, pays)]
+        # free the members' (rows, n) states before the consumer runs: held
+        # across the yield they tripled a one-shot Delta's page faults
+        del states
+        yield bi, w, wv, stops
+
+
+def _estimate(stencil, head, m: int, seed: int, payoff=None, tail=None) -> McResult:
+    """Row mean of sum_k c_k w_k v_k, with the weight health of all members.
+
+    ESS is m mean(w)^2 / mean(w^2), the moments pooled over every
+    member's weights, so it never exceeds m.
+    """
+    vals = mc.MomentAccumulator()
+    wacc = mc.MomentAccumulator()
+    for bi, w, wv, _ in _batches(m, seed, head, payoff, tail):
+        vals.add(bi, sum(c * v for (_, c), v in zip(stencil, wv)))
+        if w is not None:
+            wacc.add(bi, np.concatenate(w))
+    mean, sd, count, _ = vals.finalize()
+    if w is None:  # the head has no weights (log-Euler)
+        return McResult(value=mean, sd=sd, m=count, seed=seed)
+    w_mean, w_sd_of_mean, w_count, w_max = wacc.finalize()
+    denom = w_sd_of_mean**2 * w_count + w_mean**2
+    ess = count * w_mean**2 / denom if denom > 0.0 else float(count)
+    return McResult(value=mean, sd=sd, m=count, seed=seed, max_weight=w_max, ess=ess)
+
+
+def _delta_stencil(x: np.ndarray, i: int, h: float, scale) -> list:
+    up, dn = _bumped(x, i, h)
+    return [(up, scale(up) / (2.0 * h)), (dn, -scale(dn) / (2.0 * h))]
+
+
+def _one_shot_estimate(inputs: EstimatorInputs, stencil) -> McResult:
+    head = _one_shot_head(inputs.anchored, stencil)
+    return _estimate(stencil, head, inputs.m, inputs.seed, inputs.payoff)
+
+
 def price(inputs: EstimatorInputs) -> McResult:
     if inputs.m < 2:
         raise ValueError(f"need at least two samples, got {inputs.m}")
-    pair = inputs.anchored(inputs.anchor)
-    n = inputs.anchor.shape[-1]
-    vals = mc.MomentAccumulator()
-    wacc = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(inputs.m):
-        z = mc.rng_for(inputs.seed, bi, mc.STREAM_XI).standard_normal((hi - lo, n))
-        _, w, wf = _one_shot(pair, z, inputs.payoff)
-        vals.add(bi, wf)
-        wacc.add(bi, w)
-    mean, sd, count, _ = vals.finalize()
-    s = inputs.outer(inputs.anchor)
-    return McResult(
-        value=s * mean,
-        sd=s * sd,
-        m=count,
-        seed=inputs.seed,
-        **_weight_fields(count, wacc),
-    )
+    x = inputs.anchor
+    return _one_shot_estimate(inputs, [(x, inputs.outer(x))])
 
 
 def delta_fd(inputs: EstimatorInputs, i: int) -> McResult:
@@ -254,28 +338,7 @@ def delta_fd(inputs: EstimatorInputs, i: int) -> McResult:
     and outer scale all move with the bump.
     """
     h = inputs.require_h()
-    up, dn = _bumped(inputs.anchor, i, h)
-    pair_up = inputs.anchored(up)
-    pair_dn = inputs.anchored(dn)
-    s_up = inputs.outer(up)
-    s_dn = inputs.outer(dn)
-    n = inputs.anchor.shape[-1]
-    vals = mc.MomentAccumulator()
-    wacc = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(inputs.m):
-        z = mc.rng_for(inputs.seed, bi, mc.STREAM_XI).standard_normal((hi - lo, n))
-        _, w_up, v_up = _one_shot(pair_up, z, inputs.payoff)
-        _, w_dn, v_dn = _one_shot(pair_dn, z, inputs.payoff)
-        vals.add(bi, (s_up * v_up - s_dn * v_dn) / (2.0 * h))
-        wacc.add(bi, np.concatenate([w_up, w_dn]))
-    mean, sd, count, _ = vals.finalize()
-    return McResult(
-        value=mean,
-        sd=sd,
-        m=count,
-        seed=inputs.seed,
-        **_weight_fields(count, wacc),
-    )
+    return _one_shot_estimate(inputs, _delta_stencil(inputs.anchor, i, h, inputs.outer))
 
 
 def naive_delta(inputs: EstimatorInputs, i: int) -> McResult:
@@ -310,11 +373,11 @@ def gamma_fd(inputs: EstimatorInputs, i: int, j: int) -> McResult:
 
     Diagonal: three-point stencil.  Off-diagonal: four corners.  All
     stencil anchors share the same normals, and every anchor carries its
-    own sampler, kernel and scale, exactly as in :func:`delta_fd`.
+    own sampler, kernel and scale, exactly as in :func:`delta_fd`.  ESS
+    and the largest weight pool the weights of every stencil member.
     """
     h = inputs.require_h()
     x = inputs.anchor
-    n = x.shape[-1]
     if i == j:
         up, dn = _bumped(x, i, h)
         anchors = [up, x, dn]
@@ -325,17 +388,9 @@ def gamma_fd(inputs: EstimatorInputs, i: int, j: int) -> McResult:
         mp, mm = _bumped(dn_i, j, h)
         anchors = [pp, pm, mp, mm]
         coeffs = np.array([1.0, -1.0, -1.0, 1.0]) / (4.0 * h**2)
-    pairs = [inputs.anchored(a) for a in anchors]
-    scales = [inputs.outer(a) for a in anchors]
-    vals = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(inputs.m):
-        z = mc.rng_for(inputs.seed, bi, mc.STREAM_XI).standard_normal((hi - lo, n))
-        acc = np.zeros(hi - lo)
-        for pair, s, c in zip(pairs, scales, coeffs):
-            acc = acc + c * s * _one_shot(pair, z, inputs.payoff)[2]
-        vals.add(bi, acc)
-    mean, sd, count, _ = vals.finalize()
-    return McResult(value=mean, sd=sd, m=count, seed=inputs.seed)
+    return _one_shot_estimate(
+        inputs, [(a, c * inputs.outer(a)) for a, c in zip(anchors, coeffs)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +625,6 @@ def explosion_demo(
 # log-Euler reference estimators (the validation oracle)
 
 
-def _euler_steps(t: float, dt: float) -> int:
-    n_steps = int(round(t / dt))
-    if n_steps < 1 or abs(n_steps * dt - t) > 1e-9:
-        raise ValueError(f"horizon {t} is not a positive multiple of dt={dt}")
-    return n_steps
-
-
 def euler_price(
     cfg: ModelConfig,
     t: float,
@@ -589,23 +637,9 @@ def euler_price(
 ) -> McResult:
     """Fine-grid pathwise reference for the one-date payoff."""
     dt = cfg.dt_euro if dt is None else dt
-    n_steps = _euler_steps(t, dt)
     x = cfg.l0 if x is None else np.asarray(x, dtype=np.float64)
-    s = 1.0 if scale is None else float(scale(x))
-    vals = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
-        rng = mc.rng_for(seed, bi, mc.STREAM_EULER)
-        start = np.broadcast_to(x, (hi - lo, cfg.n))
-        final, _ = evolve_log_euler(
-            cfg,
-            start,
-            n_steps=n_steps,
-            dt=dt,
-            normal_source=lambda _: rng.standard_normal((hi - lo, cfg.n)),
-        )
-        vals.add(bi, s * payoff(final))
-    mean, sd, count, _ = vals.finalize()
-    return McResult(value=mean, sd=sd, m=count, seed=seed)
+    stencil = [(x, 1.0 if scale is None else float(scale(x)))]
+    return _estimate(stencil, _euler_head(cfg, stencil, t, dt), m, seed, payoff)
 
 
 def euler_delta_fd(
@@ -622,25 +656,6 @@ def euler_delta_fd(
 ) -> McResult:
     """Pathwise reference delta: bumped starts, common increments."""
     dt = cfg.dt_euro if dt is None else dt
-    n_steps = _euler_steps(t, dt)
     x = cfg.l0 if x is None else np.asarray(x, dtype=np.float64)
-    up, dn = _bumped(x, i, h)
-    s_up = 1.0 if scale is None else float(scale(up))
-    s_dn = 1.0 if scale is None else float(scale(dn))
-    vals = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
-        rng = mc.rng_for(seed, bi, mc.STREAM_EULER)
-        group = [
-            np.broadcast_to(up, (hi - lo, cfg.n)),
-            np.broadcast_to(dn, (hi - lo, cfg.n)),
-        ]
-        (f_up, f_dn), _ = evolve_log_euler(
-            cfg,
-            group,
-            n_steps=n_steps,
-            dt=dt,
-            normal_source=lambda _: rng.standard_normal((hi - lo, cfg.n)),
-        )
-        vals.add(bi, (s_up * payoff(f_up) - s_dn * payoff(f_dn)) / (2.0 * h))
-    mean, sd, count, _ = vals.finalize()
-    return McResult(value=mean, sd=sd, m=count, seed=seed)
+    stencil = _delta_stencil(x, i, h, lambda a: 1.0 if scale is None else float(scale(a)))
+    return _estimate(stencil, _euler_head(cfg, stencil, t, dt), m, seed, payoff)

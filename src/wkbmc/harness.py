@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -215,15 +216,30 @@ def run_table(
 # cost curves
 
 
-def _timed(fn, repeats, *args, **kw):
-    """Warm call at full size, then min wall time over ``repeats`` calls."""
-    r = fn(*args, **kw)
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        r = fn(*args, **kw)
-        best = min(best, time.perf_counter() - t0)
-    return r, int(round(1000.0 * best))
+#: Seconds of summed wall each bench cell (one estimator at one T1) is
+#: timed for, at least.  An estimator's cells are called round-robin,
+#: one call per T1 per round, so a slow spell of the machine falls on
+#: all of them alike.  With two calls of 0.1-0.3 s per cell, criterion
+#: 9's one-shot T1=10/T1=1 ratio left its [0.8, 1.2] band in three of
+#: twelve runs on a 2-vCPU VM.
+_BENCH_CELL_WALL_S = 1.0
+
+
+def _timed_cells(calls, repeats):
+    """Warm each cell at full size, then time the cells round-robin.
+
+    Rounds go on until every cell has ``repeats`` calls and
+    ``_BENCH_CELL_WALL_S`` of summed wall; returns each cell's last
+    result and fastest wall in ms.
+    """
+    results = [fn() for fn in calls]
+    walls = [[] for _ in calls]
+    while len(walls[0]) < max(1, repeats) or min(map(sum, walls)) < _BENCH_CELL_WALL_S:
+        for k, fn in enumerate(calls):
+            t0 = time.perf_counter()
+            results[k] = fn()
+            walls[k].append(time.perf_counter() - t0)
+    return [(r, int(round(1000.0 * min(w)))) for r, w in zip(results, walls)]
 
 
 def run_bench(
@@ -244,31 +260,33 @@ def run_bench(
     Euler-steps from time zero pays per step and grows linearly.  The
     Bermudan rows keep their continuation legs (first date to last
     exercise) in both variants, so there the gap is the 0-to-T1 head
-    only.  Each cell is warmed up at full size, then reported as the
-    minimum over ``repeats`` timed runs.
+    only.  Each cell is warmed up at full size, then reported as its
+    fastest call (see ``_timed_cells``).
     """
-    lines = [CSV_HEADER]
+    cells = []  # (estimator, T1, level, call), in row order
     for t1 in t1s:
         cfg = build_config(raw, t1)
         inp = est.european_inputs(cfg, 1, m=m, seed=seed)
 
         if "european" in estimators:
-            r, wall = _timed(est.price, repeats, inp)
-            lines.append(_row("bench_european", t1, "1", r.value, r.sd, m, None, seed, wall))
-
-            r, wall = _timed(
-                est.euler_price, repeats, cfg, cfg.t1, inp.payoff,
-                m=m, seed=seed, scale=inp.scale,
-            )
-            lines.append(_row("bench_european", t1, "euler", r.value, r.sd, m, None, seed, wall))
+            cells.append(("bench_european", t1, "1", partial(est.price, inp)))
+            cells.append(("bench_european", t1, "euler", partial(
+                est.euler_price, cfg, cfg.t1, inp.payoff, m=m, seed=seed, scale=inp.scale)))
 
         if "bermudan" in estimators and cfg.exercise_indices:
             policy = brm.calibrate_policy(cfg, n_paths=calib_paths, seed=calib_seed)
-            r, wall = _timed(brm.bermudan_price, repeats, cfg, policy, level=1, m=m, seed=seed)
-            lines.append(_row("bench_bermudan", t1, "1", r.value, r.sd, m, None, seed, wall))
-
-            r, wall = _timed(brm.euler_bermudan_price, repeats, cfg, policy, m=m, seed=seed)
-            lines.append(_row("bench_bermudan", t1, "euler", r.value, r.sd, m, None, seed, wall))
+            cells.append(("bench_bermudan", t1, "1", partial(
+                brm.bermudan_price, cfg, policy, level=1, m=m, seed=seed)))
+            cells.append(("bench_bermudan", t1, "euler", partial(
+                brm.euler_bermudan_price, cfg, policy, m=m, seed=seed)))
+    timed = [None] * len(cells)
+    for kind in dict.fromkeys((name, level) for name, _, level, _ in cells):
+        picked = [k for k, c in enumerate(cells) if (c[0], c[2]) == kind]
+        for k, res in zip(picked, _timed_cells([cells[k][3] for k in picked], repeats)):
+            timed[k] = res
+    lines = [CSV_HEADER]
+    for (name, t1, level, _), (r, wall) in zip(cells, timed):
+        lines.append(_row(name, t1, level, r.value, r.sd, m, None, seed, wall))
     return _finish(lines, out)
 
 

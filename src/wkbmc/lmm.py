@@ -31,11 +31,9 @@ __all__ = [
     "VolStructure",
     "build_vol_structure",
     "ModelConfig",
-    "LiborPath",
     "drift_mu",
     "log_euler_step",
     "evolve_log_euler",
-    "simulate_path",
     "to_y",
     "from_y",
     "drift_mu_y",
@@ -227,15 +225,6 @@ class ModelConfig:
         return np.array([self.tenor_date(i) for i in self.exercise_indices])
 
 
-@dataclass
-class LiborPath:
-    """One simulated trajectory with its driving increments."""
-
-    times: np.ndarray           # (steps + 1,)
-    states: np.ndarray          # (steps + 1, n) forward rates
-    increments: np.ndarray      # (steps, n) standard normal draws
-
-
 def drift_mu(vs: VolStructure, delta: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Terminal-measure percentage drift mu_i(L); non-positive.
 
@@ -303,29 +292,6 @@ def evolve_log_euler(
             recorded[s + 1] = states[0] if single else states
     final = [np.exp(k) for k in ks]
     return (final[0] if single else final), recorded
-
-
-def simulate_path(
-    cfg: ModelConfig,
-    x0: np.ndarray,
-    t_from: float,
-    t_to: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> LiborPath:
-    """Reference single-path simulation, storing states and increments."""
-    n_steps = int(round((t_to - t_from) / dt))
-    if abs(n_steps * dt - (t_to - t_from)) > 1e-9:
-        raise ValueError(f"interval [{t_from}, {t_to}] is not a multiple of dt={dt}")
-    times = t_from + dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, cfg.n))
-    incs = rng.standard_normal((n_steps, cfg.n))
-    states[0] = x0
-    k = np.log(np.asarray(x0, dtype=np.float64))
-    for s in range(n_steps):
-        k = log_euler_step(cfg.vs, cfg.delta, k, dt, incs[s])
-        states[s + 1] = np.exp(k)
-    return LiborPath(times=times, states=states, increments=incs)
 
 
 def to_y(vs: VolStructure, L: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "proxy_moments",
     "make_proxy",
     "sample_g",
-    "proxy_density",
     "log_density",
     "log_density_grad_x",
     "log_density_grad_v",
@@ -156,11 +155,6 @@ def log_density(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
     log_norm = 0.5 * proxy.n * np.log(2.0 * np.pi * proxy.dt)
     log_jac = np.sum(np.log(v), axis=-1) + np.sum(np.log(np.diag(vs.gamma)))
     return -log_norm - quad - log_jac
-
-
-def proxy_density(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
-    """phi(x, v) itself."""
-    return np.exp(log_density(proxy, v))
 
 
 def _dmu_weight(proxy: LognormalProxy) -> np.ndarray:

@@ -58,9 +58,7 @@ __all__ = [
     "WkbKernel",
     "make_libor_kernel",
     "wkb_log_density_y",
-    "wkb_density_y",
     "wkb_log_density_libor",
-    "wkb_density_libor",
     "log_weight_y",
 ]
 
@@ -684,10 +682,6 @@ def wkb_log_density_y(kernel: WkbKernel, s: float, y_from: np.ndarray, t: float,
     return -0.5 * kernel.n * np.log(2.0 * np.pi * dt) - d2 / (2.0 * dt) + phase
 
 
-def wkb_density_y(kernel: WkbKernel, s: float, y_from: np.ndarray, t: float, y_to: np.ndarray) -> np.ndarray:
-    return np.exp(wkb_log_density_y(kernel, s, y_from, t, y_to))
-
-
 def wkb_log_density_libor(kernel: WkbKernel, s: float, u: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     """log p^L over rate vectors: the flat density plus the chart Jacobian.
 
@@ -700,10 +694,6 @@ def wkb_log_density_libor(kernel: WkbKernel, s: float, u: np.ndarray, t: float, 
     flat = wkb_log_density_y(kernel, s, to_y(kernel.vs, u), t, to_y(kernel.vs, v))
     log_jac = -np.sum(np.log(v), axis=-1) - np.sum(np.log(np.diag(kernel.vs.gamma)))
     return flat + log_jac
-
-
-def wkb_density_libor(kernel: WkbKernel, s: float, u: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
-    return np.exp(wkb_log_density_libor(kernel, s, u, t, v))
 
 
 def log_weight_y(kernel: WkbKernel, dt: float, y_to: np.ndarray, kappa: np.ndarray) -> np.ndarray:

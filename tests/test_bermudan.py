@@ -172,37 +172,36 @@ class TestPolicyObject:
             brm.load_policy(path)
 
 
+def run_rule(cfg, thresholds, rows):
+    """Exercise rule from the first date on a batch of flat curves.
+
+    Row 0 sits far above the 3.5% strike, row 1 far below it.
+    """
+    pol = brm.AndersenPolicy(
+        exercise_indices=cfg.exercise_indices,
+        dates=cfg.exercise_dates,
+        thresholds=thresholds,
+    )
+    rng = mc.rng_for(0, 0, mc.STREAM_CONT)
+    (pay,), stop, _ = brm._run_policy(cfg, pol, [rows], rng, cfg.t1)
+    return pay, stop
+
+
 class TestStoppingTime:
+    rows = np.repeat([[0.10], [0.001]], 19, axis=1)
+
     def test_deep_itm_stops_immediately(self):
         cfg = case_cfg()
-        pol = brm.AndersenPolicy(
-            exercise_indices=cfg.exercise_indices,
-            dates=cfg.exercise_dates,
-            thresholds=np.zeros(10),
-        )
-        states = np.full((10, 19), 0.10)  # far above the 3.5% strike
-        out = brm.stopping_time(cfg, pol, states)
-        assert out.stop_index == 0
+        pay, stop = run_rule(cfg, np.zeros(10), self.rows)
+        assert stop[0] == 0
         spec = SwaptionSpec(strike=cfg.strike, first_leg=1, style=cfg.payoff_style)
-        assert out.value == float(swaption_payoff(cfg.delta, states[0], spec))
+        assert pay[0] == swaption_payoff(cfg.delta, self.rows[0], spec)
 
     def test_worthless_path_never_stops(self):
         cfg = case_cfg()
-        pol = brm.AndersenPolicy(
-            exercise_indices=cfg.exercise_indices,
-            dates=cfg.exercise_dates,
-            thresholds=np.full(10, 1e-3),
-        )
-        states = np.full((10, 19), 0.001)  # deep out of the money everywhere
-        out = brm.stopping_time(cfg, pol, states)
-        assert out.stop_index == -1
-        assert out.value == 0.0
-
-    def test_shape_checked(self):
-        cfg = case_cfg()
-        pol = case_policy()
-        with pytest.raises(ValueError, match="one state per exercise date"):
-            brm.stopping_time(cfg, pol, np.zeros((3, 19)))
+        pay, stop = run_rule(cfg, np.full(10, 1e-3), self.rows)
+        assert stop[1] == -1
+        assert pay[1] == 0.0
 
 
 class TestCalibration:
@@ -337,3 +336,47 @@ class TestBermudanDelta:
         frac = brm.stopping_disagreement(cfg, case_policy(), i=18, h=3.5e-5,
                                          level=1, m=10_000, seed=7)
         assert 0.0 <= frac < 0.02
+
+
+def rebuilt_stops(cfg, policy, level, anchors, m, seed):
+    """Up-branch weights and both stop arrays of one batch, from the tableau."""
+    z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+    pairs = [est.anchored_libor_pair(cfg, cfg.t1, level, x) for x in anchors]
+    zetas = [pair.draw(z) for pair in pairs]
+    w = np.exp(pairs[0].log_weight(zetas[0]))
+    rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
+    _, stop, alt = brm._run_policy(cfg, policy, zetas, rng, cfg.t1, audit=True)
+    return w, stop, alt
+
+
+class TestWeightedDiagnostics:
+    m, seed, i, h = 2048, 7, 18, 3e-4
+
+    def rebuilt(self, level):
+        cfg = case_cfg()
+        pol = case_policy()
+        freq = brm.exercise_frequencies(cfg, pol, level=level, m=self.m, seed=self.seed)
+        frac = brm.stopping_disagreement(cfg, pol, i=self.i, h=self.h, level=level,
+                                         m=self.m, seed=self.seed)
+        w, stop, _ = rebuilt_stops(cfg, pol, level, [cfg.l0], self.m, self.seed)
+        bucket = np.where(stop < 0, len(pol.dates), stop)
+        w_up, stop_up, stop_dn = rebuilt_stops(
+            cfg, pol, level, est._bumped(cfg.l0, self.i, self.h), self.m, self.seed)
+        return freq, frac, (w, bucket), (w_up, stop_up != stop_dn)
+
+    def test_proxy_level_gives_plain_counts(self):
+        freq, frac, (w, bucket), (_, differ) = self.rebuilt("lgn")
+        assert np.all(w == 1.0)
+        counts = np.bincount(bucket, minlength=freq.shape[0])
+        assert_allclose(freq, counts / self.m, rtol=1e-15, atol=0.0)
+        assert_allclose(frac, np.mean(differ), rtol=1e-15, atol=0.0)
+        assert frac > 0.0
+
+    def test_level1_weights_each_path(self):
+        freq, frac, (w, bucket), (w_up, differ) = self.rebuilt(1)
+        want = np.bincount(bucket, weights=w, minlength=freq.shape[0]) / np.sum(w)
+        assert_allclose(freq, want, rtol=1e-12, atol=1e-15)
+        assert_allclose(frac, np.sum(w_up[differ]) / np.sum(w_up), rtol=1e-12)
+        assert frac > 0.0
+        # the weights do move the shares off the plain counts
+        assert np.max(np.abs(freq - np.bincount(bucket, minlength=freq.shape[0]) / self.m)) > 0.0

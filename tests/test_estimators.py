@@ -3,13 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from wkbmc import bermudan as brm
 from wkbmc import estimators as est
 from wkbmc import lmm, mc, payoffs, proxy, wkb
 
 
-def case_cfg(t1=1.0, strike=0.035, n=19):
+def case_cfg(t1=1.0, strike=0.035, n=19, **kw):
     return lmm.ModelConfig(
-        n=n, t1=t1, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=strike,
+        n=n, t1=t1, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=strike, **kw,
     )
 
 
@@ -28,6 +29,25 @@ def toy_inputs(level, payoff, n=3, t=0.5, m=5000, seed=0, h=1e-4, **kw):
         h=h,
         **kw,
     )
+
+
+def assert_ess_pools_member_clouds(estimator, stencil):
+    # ESS per row is m mean(w)^2 / mean(w^2) over the weights of every
+    # stencil member (two clouds for Delta, three for diagonal Gamma)
+    cfg = case_cfg()
+    m, seed, h, i = 3000, 6, 3.5e-5, 18
+    inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h, t=2.0)
+    up, dn = est._bumped(cfg.l0, i, h)
+    anchors = [up, dn] if stencil == "delta" else [up, cfg.l0, dn]
+    z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+    w = np.concatenate([
+        np.exp(pair.log_weight(pair.draw(z))) for pair in map(inp.anchored, anchors)
+    ])
+    want = m * np.mean(w) ** 2 / np.mean(w * w)
+    got = estimator(inp, i, h)
+    assert abs(got.ess / want - 1.0) < 1e-9
+    assert got.ess <= m
+    assert_allclose(got.max_weight, np.max(w), rtol=1e-12)
 
 
 class TestPrice:
@@ -124,19 +144,7 @@ class TestDeltaFd:
         assert r.sd == 0.0
 
     def test_ess_pools_both_clouds(self):
-        # ESS per row pair is m mean(w)^2 / mean(w^2) over all 2m weights
-        cfg = case_cfg()
-        m, seed, h, i = 3000, 6, 3.5e-5, 18
-        inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h, t=2.0)
-        z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
-        w = np.concatenate([
-            np.exp(pair.log_weight(pair.draw(z)))
-            for pair in map(inp.anchored, est._bumped(cfg.l0, i, h))
-        ])
-        want = m * np.mean(w) ** 2 / np.mean(w * w)
-        got = est.delta_fd(inp, i).ess
-        assert abs(got / want - 1.0) < 1e-9
-        assert got <= m
+        assert_ess_pools_member_clouds(lambda inp, i, h: est.delta_fd(inp, i), "delta")
 
     def test_needs_h(self):
         inp = toy_inputs("lgn", const_payoff(1.0), h=None)
@@ -201,6 +209,9 @@ def bs_exact_gamma(s0, sigma, t):
 
 
 class TestGammaFd:
+    def test_ess_pools_all_clouds(self):
+        assert_ess_pools_member_clouds(lambda inp, i, h: est.gamma_fd(inp, i, i), "gamma")
+
     def test_zero_for_constant_payoff(self):
         r = est.gamma_fd(toy_inputs("lgn", const_payoff(1.0)), 0, 0)
         assert r.value == 0.0
@@ -384,3 +395,60 @@ class TestEulerReference:
         cfg = case_cfg()
         with pytest.raises(ValueError):
             est.euler_price(cfg, 1.03, lambda L: L[..., 0], m=100, seed=0)
+
+
+# (value, sd, m, ess, max_weight) at seed 7 on the 19-rate case study:
+# European estimators at M = BATCH + 5 (level 1, Delta and Gamma on
+# component 18, the cross Gamma on (2, 7)), Bermudan ones at M = 2048
+# under the premium-free policy.  Any change to the random tableau (the
+# sample -> normal mapping, the stream of a draw, the batch split or the
+# reduction order) moves these far beyond 1e-12.
+GOLDEN = {
+    "price": (180.9736786226684, 2.345662738766583, 16389, 16388.76549889684, 1.0134108550112448),
+    "delta_fd": (1769.7382583182452, 15.558036430340419, 16389, 16388.765498885477, 1.0134193317059703),
+    "gamma_fd_diag": (9947.856109236247, 1360.3444069683317, 16389, None, None),
+    "gamma_fd_cross": (15431.104633104715, 1205.9164184825297, 16389, None, None),
+    "euler_price": (177.03375746175894, 2.3311357195849216, 16389, np.nan, 1.0),
+    "euler_delta_fd": (1764.9241269727697, 15.556791992746223, 16389, np.nan, 1.0),
+    "bermudan_price": (336.6736144588873, 8.687680045037967, 2048, 2047.969594154678, 1.008416229625552),
+    "bermudan_delta_fd": (2727.1638381010794, 50.63039391829107, 2048, 2047.9695941532705, 1.0084189644865738),
+    "euler_bermudan_price": (342.6439386985269, 8.694330484326324, 2048, np.nan, 1.0),
+    "euler_bermudan_delta_fd": (2842.0975759785706, 50.30275362889454, 2048, np.nan, 1.0),
+}
+
+
+def golden_run(name):
+    cfg = case_cfg(exercise_indices=tuple(range(1, 20, 2)))
+    m = mc.BATCH + 5
+    inp = est.european_inputs(cfg, 1, m=m, seed=7, h=3.5e-5)
+    ginp = est.european_inputs(cfg, 1, m=m, seed=7, h=1e-3)
+    flat = brm.AndersenPolicy(cfg.exercise_indices, cfg.exercise_dates, np.zeros(10))
+    calls = {
+        "price": lambda: est.price(inp),
+        "delta_fd": lambda: est.delta_fd(inp, 18),
+        "gamma_fd_diag": lambda: est.gamma_fd(ginp, 18, 18),
+        "gamma_fd_cross": lambda: est.gamma_fd(ginp, 2, 7),
+        "euler_price": lambda: est.euler_price(cfg, 1.0, inp.payoff, m, 7, scale=inp.scale),
+        "euler_delta_fd": lambda: est.euler_delta_fd(
+            cfg, 1.0, inp.payoff, 18, 3.5e-5, m, 7, scale=inp.scale),
+        "bermudan_price": lambda: brm.bermudan_price(cfg, flat, level=1, m=2048, seed=7),
+        "bermudan_delta_fd": lambda: brm.bermudan_delta_fd(
+            cfg, flat, i=18, h=3.5e-5, level=1, m=2048, seed=7),
+        "euler_bermudan_price": lambda: brm.euler_bermudan_price(cfg, flat, m=2048, seed=7),
+        "euler_bermudan_delta_fd": lambda: brm.euler_bermudan_delta_fd(
+            cfg, flat, i=18, h=3.5e-5, m=2048, seed=7),
+    }
+    return calls[name]()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_tableau(name):
+    value, sd, m, ess, max_weight = GOLDEN[name]
+    r = golden_run(name)
+    assert_allclose(r.value, value, rtol=1e-12, atol=0.0)
+    assert_allclose(r.sd, sd, rtol=1e-12, atol=0.0)
+    assert r.m == m
+    assert r.seed == 7
+    if ess is not None:
+        assert_allclose(r.ess, ess, rtol=1e-12, atol=0.0)
+        assert_allclose(r.max_weight, max_weight, rtol=1e-12, atol=0.0)

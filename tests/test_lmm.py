@@ -113,20 +113,6 @@ class TestLogEuler:
         assert_allclose(a, b)
         assert 5 in rec and rec[5][0].shape == (100, cfg.n)
 
-    def test_simulate_path_reproducible(self):
-        cfg = case_cfg()
-        p1 = lmm.simulate_path(cfg, cfg.l0, 0.0, 1.0, 0.1, np.random.default_rng(11))
-        p2 = lmm.simulate_path(cfg, cfg.l0, 0.0, 1.0, 0.1, np.random.default_rng(11))
-        assert_allclose(p1.states, p2.states)
-        assert p1.states.shape == (11, cfg.n)
-        assert np.all(p1.states > 0.0)
-        assert_allclose(p1.times[-1], 1.0)
-
-    def test_simulate_path_rejects_ragged_interval(self):
-        cfg = case_cfg()
-        with pytest.raises(ValueError):
-            lmm.simulate_path(cfg, cfg.l0, 0.0, 1.05, 0.1, np.random.default_rng(0))
-
 
 @settings(max_examples=50, deadline=None)
 @given(

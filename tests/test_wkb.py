@@ -436,7 +436,7 @@ class TestKernel:
         cfg = case_cfg(n=4)
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, anchor_rates=cfg.l0, level=0)
         dt = 0.3
-        got = wkb.wkb_density_y(ker, 0.0, ker.anchor_y, dt, ker.anchor_y)
+        got = np.exp(wkb.wkb_log_density_y(ker, 0.0, ker.anchor_y, dt, ker.anchor_y))
         assert_allclose(got, (2 * np.pi * dt) ** -2.0, rtol=1e-13)
 
     def test_level1_at_anchor(self):
