@@ -9,7 +9,11 @@ continuation reach the exercise dates through one date walker
 the lognormal proxy (importance-weighted by the truncated kernel,
 exactly as in the European case) and continues with fine-step log-Euler
 paths to the later exercise dates, so only the continuation pays the
-per-step cost.  Every estimator here, and the two diagnostics
+per-step cost.  The continuation steps only the rows still running: at
+each date the group shrinks to the paths no exercise decision has
+stopped yet, while every step still draws the batch's full block of
+normals, so each path sees the same increments whichever others still
+run.  Every estimator here, and the two diagnostics
 (where paths stop, how often a bump pair would stop apart), runs on the
 batch driver of ``estimators``: the exercise-policy continuation
 (``_run_policy``) is its tail, and the diagnostics weight each path by
@@ -84,12 +88,15 @@ def black76(f, k, v):
     return out if out.ndim else float(out)
 
 
-def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j: int):
+def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j: int, br=None):
     """Deflated value at T_i of the European swaption exercising at T_j.
 
     ``x`` holds the forward rates observed at T_i (leading axes are
     batched paths); ``i`` and ``j`` are 1-based tenor indices with
     j >= i.  At j = i this reduces to the intrinsic value exactly.
+    ``br`` may carry ``bond_ratios(cfg.delta, x)`` when the caller has
+    it: the ratios are suffix products, so their tail from leg j on is
+    exactly what this function would compute.
 
     The approximation freezes the deflated-bond weights at ``x``.  For
     the sum-style payoff the remaining swap rate is treated as
@@ -106,7 +113,7 @@ def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j: int):
     j0 = j - 1
     d = cfg.delta[j0:]
     xs = x[..., j0:]
-    br = bond_ratios(d, xs)
+    br = bond_ratios(d, xs) if br is None else br[..., j0:]
     if cfg.payoff_style == "per_leg":
         vols = cfg.vol[j0:] * math.sqrt(tau)
         return np.sum(d * br * black76(xs, cfg.strike, vols), axis=-1)
@@ -138,23 +145,37 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray):
     spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
     intrinsic = swaption_payoff(cfg.delta, states, spec)
     best = np.zeros_like(intrinsic)
+    br = bond_ratios(cfg.delta, states)
     for j in indices[k + 1:]:
-        best = np.maximum(best, still_alive_european(cfg, states, i, j))
+        best = np.maximum(best, still_alive_european(cfg, states, i, j, br))
     return intrinsic, intrinsic - best
 
 
-def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates):
+def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates, running=None):
     """Yield (k, group) at each date, stepping the group on ``dt_berm``.
 
     The group starts at ``start_time``; every gap between consecutive
     dates must be a whole number of steps, and a date at the start time
     yields the group untouched.
+
+    ``running`` is a boolean mask over the group's rows that the caller
+    may clear between dates.  Each yielded group then holds only the
+    rows still set, in order, and only those rows are stepped; every
+    step still draws the full block, so the rows' normals do not depend
+    on which of them still run.
     """
+    held = None if running is None else running.copy()
     t_prev = start_time
     for k, date in enumerate(dates):
+        if held is not None:
+            keep = running[held]
+            if not keep.all():
+                group = [g[keep] for g in group]
+                held = running.copy()
         steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
         if steps:
-            group = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng)
+            mask = None if held is None or held.all() else held
+            group = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, mask)
         t_prev = date
         yield k, group
 
@@ -340,7 +361,10 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     Exercise decisions come from the first group member only and are
     applied to every member (the bump pair shares one stopping time).
     With ``audit`` set, the last member's own decisions are tracked too
-    so the caller can measure how often they disagree.
+    so the caller can measure how often they disagree.  Only rows
+    still running are stepped on to the next date: rows the first
+    member has not stopped, and under audit also rows the last member
+    has not stopped.
 
     Returns (payoffs per member, stop positions, alt stop positions).
     """
@@ -348,25 +372,33 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     payoffs_out = [np.zeros(B) for _ in group]
     stop_idx = np.full(B, -1, dtype=np.int64)
     stop_alt = np.full(B, -1, dtype=np.int64) if audit and len(group) > 1 else None
+    running = np.ones(B, dtype=bool)
 
-    for k, states in _walk_dates(cfg, group, rng, start_time, policy.dates):
-        running = np.flatnonzero(stop_idx < 0)
-        if running.size:
-            intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, states[0][running])
+    for k, states in _walk_dates(cfg, group, rng, start_time, policy.dates, running):
+        rows = np.flatnonzero(running)  # the batch rows ``states`` hold
+        lead = stop_idx[rows] < 0
+        if lead.any():
+            own = states[0] if lead.all() else states[0][lead]
+            intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, own)
             fire = trig >= policy.thresholds[k]
-            hit = running[fire]
-            if hit.size:
+            at = np.flatnonzero(lead)[fire]
+            if at.size:
+                hit = rows[at]
                 stop_idx[hit] = k
                 payoffs_out[0][hit] = intrinsic[fire]
                 i = policy.exercise_indices[k]
                 spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
                 for b in range(1, len(states)):
-                    payoffs_out[b][hit] = swaption_payoff(cfg.delta, states[b][hit], spec)
-        if stop_alt is not None and np.any(stop_alt < 0):
-            running = np.flatnonzero(stop_alt < 0)
-            _, trig_alt = _trigger(cfg, policy.exercise_indices, k, states[-1][running])
-            stop_alt[running[trig_alt >= policy.thresholds[k]]] = k
-        if np.all(stop_idx >= 0) and (stop_alt is None or np.all(stop_alt >= 0)):
+                    payoffs_out[b][hit] = swaption_payoff(cfg.delta, states[b][at], spec)
+        if stop_alt is not None:
+            alt = stop_alt[rows] < 0
+            if alt.any():
+                _, trig_alt = _trigger(cfg, policy.exercise_indices, k, states[-1][alt])
+                stop_alt[rows[alt][trig_alt >= policy.thresholds[k]]] = k
+        running[:] = stop_idx < 0
+        if stop_alt is not None:
+            running |= stop_alt < 0
+        if not running.any():
             break
     return payoffs_out, stop_idx, stop_alt
 

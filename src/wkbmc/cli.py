@@ -16,20 +16,24 @@ from . import harness, lmm
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _sample_count(least: int):
+    """Argument type: an integer sample count of at least ``least``."""
+    def sample_count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return sample_count
 
 
-def _common() -> argparse.ArgumentParser:
+def _common(least_samples: int) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="model config file (default: built-in case study)")
     p.add_argument("--seed", type=int, default=None, metavar="N",
                    help="evaluation seed (subcommands pick their usual one when omitted)")
-    p.add_argument("--samples", type=_positive_int, default=None, metavar="M",
-                   help="Monte Carlo sample count (default depends on the subcommand)")
+    p.add_argument("--samples", type=_sample_count(least_samples), default=None, metavar="M",
+                   help=f"Monte Carlo sample count, at least {least_samples} "
+                        "(default depends on the subcommand)")
     p.add_argument("--level", choices=("lgn", "0", "1", "euler"), default=None,
                    help="restrict to one estimator variant (default: all)")
     p.add_argument("--out", metavar="PATH", help="also write the output to this file")
@@ -37,7 +41,9 @@ def _common() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common()
+    # an estimate needs two samples for its standard error, a policy fit
+    # its own minimum of paths
+    common = _common(2)
     p = argparse.ArgumentParser(
         prog="wkbmc",
         description="swaption pricing benchmarks for the short-time-density estimators",
@@ -58,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repeats", type=int, default=2,
                    help="timed repetitions per cell (minimum is reported)")
 
-    sub.add_parser("selftest", parents=[common],
+    sub.add_parser("selftest", parents=[_common(1)],
                    help="run every module's cheap invariants; exit 1 on any failure")
 
     sub.add_parser("explosion-demo", parents=[common],
@@ -67,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("calibrate-n", parents=[common],
                    help="fit rate count and payoff style to the benchmark European prices")
 
-    cp = sub.add_parser("calibrate-policy", parents=[common],
+    cp = sub.add_parser("calibrate-policy", parents=[_common(brm._MIN_CALIBRATION_PATHS)],
                         help="fit exercise thresholds on dedicated paths and save them")
     cp.add_argument("--t1", type=float, default=1.0, help="first tenor date in years")
 

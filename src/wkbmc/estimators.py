@@ -183,14 +183,6 @@ def european_inputs(
     )
 
 
-#: Rows evaluated together inside one batch.  A (16384, 19) float64
-#: temporary is 2.5 MB, more than a 2 MiB L2 cache, so elementwise
-#: chains over a whole batch stream from memory.  Per-batch time of
-#: draw, weight and payoff was flat from 512 to 2048 rows per chunk and
-#: twice as high at 4096.
-_CHUNK = 1024
-
-
 def _one_shot(pair, z: np.ndarray, payoff=None):
     """Map a batch of normals to (zeta, w, w * payoff(zeta)), chunk by chunk.
 
@@ -201,8 +193,8 @@ def _one_shot(pair, z: np.ndarray, payoff=None):
     zeta = np.empty(z.shape)
     w = np.empty(rows)
     wf = None if payoff is None else np.empty(rows)
-    for lo in range(0, rows, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
+    for lo in range(0, rows, mc.CHUNK):
+        part = slice(lo, lo + mc.CHUNK)
         zc = pair.draw(z[part])
         wc = np.exp(pair.log_weight(zc))
         zeta[part] = zc
@@ -293,8 +285,11 @@ def _estimate(stencil, head, m: int, seed: int, payoff=None, tail=None) -> McRes
     """Row mean of sum_k c_k w_k v_k, with the weight health of all members.
 
     ESS is m mean(w)^2 / mean(w^2), the moments pooled over every
-    member's weights, so it never exceeds m.
+    member's weights, so it never exceeds m.  One sample has no spread
+    to report, so ``m`` must be at least two.
     """
+    if m < 2:
+        raise ValueError(f"need at least two samples, got {m}")
     vals = mc.MomentAccumulator()
     wacc = mc.MomentAccumulator()
     for bi, w, wv, _ in _batches(m, seed, head, payoff, tail):
@@ -321,8 +316,6 @@ def _one_shot_estimate(inputs: EstimatorInputs, stencil) -> McResult:
 
 
 def price(inputs: EstimatorInputs) -> McResult:
-    if inputs.m < 2:
-        raise ValueError(f"need at least two samples, got {inputs.m}")
     x = inputs.anchor
     return _one_shot_estimate(inputs, [(x, inputs.outer(x))])
 

@@ -15,7 +15,8 @@ a_ij = gamma_i . gamma_j.  The module provides:
   factorisation a = Gamma Gamma^T with Gamma upper triangular,
 * the terminal-measure drift, a log-Euler step, and the one path
   stepper (``evolve_log_euler``) behind the Euler oracle, the Bermudan
-  continuation and the policy fit,
+  continuation and the policy fit; it steps in cache-sized row slices
+  on reused buffers and can step only the rows still running,
 * the unit-diffusion coordinates Y = Gamma^{-1} log L in which the
   transition density expansion is carried out,
 * a plain-text configuration format for experiment settings.
@@ -27,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_triangular
+
+from . import mc
 
 __all__ = [
     "correlation_matrix",
@@ -232,8 +235,10 @@ def drift_mu(vs: VolStructure, delta: np.ndarray, L: np.ndarray) -> np.ndarray:
 
     Broadcasts over leading axes of ``L``.
     """
-    q = delta * L / (1.0 + delta * L)
-    return -q @ vs.a_upper.T
+    q = delta * L
+    q /= q + 1.0
+    np.negative(q, out=q)
+    return q @ vs.a_upper.T
 
 
 def log_euler_step(
@@ -246,11 +251,30 @@ def log_euler_step(
     """One log-Euler update of K = log L.
 
     K_i += (mu_i - a_ii / 2) dt + sqrt(dt) (Gamma z)_i with z a matrix
-    of independent standard normals, broadcast over leading axes.
+    of independent standard normals, broadcast over the leading axes of
+    ``k_state``.
     """
-    L = np.exp(k_state)
-    mu = drift_mu(vs, delta, L)
-    return k_state + (mu - 0.5 * vs.a_diag) * dt + np.sqrt(dt) * (z @ vs.gamma.T)
+    step = drift_mu(vs, delta, np.exp(k_state))
+    step -= 0.5 * vs.a_diag
+    step *= dt
+    step += k_state
+    shock = z @ vs.gamma.T
+    shock *= np.sqrt(dt)
+    step += shock
+    return step
+
+
+def _row_slices(rows: int) -> list[slice]:
+    """``mc.CHUNK``-row slices of ``rows`` rows, none of them a lone row.
+
+    A lone row would go through BLAS's matrix-vector product, whose sums
+    can differ in the last bit from the matrix-matrix product that rows
+    in a block get, so a one-row tail joins the slice before it.
+    """
+    cuts = list(range(0, rows, mc.CHUNK)) + [rows]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def evolve_log_euler(
@@ -259,19 +283,44 @@ def evolve_log_euler(
     n_steps: int,
     dt: float,
     rng: np.random.Generator,
+    _running: np.ndarray | None = None,
 ) -> list:
     """Advance a group of (B, n) rate arrays by ``n_steps`` log-Euler steps.
 
     Every member sees the same increments (bump-and-revalue stencils
     share them): each step draws one (B, n) block of standard normals
-    from ``rng``, whatever the group size.  Returns the final rates,
+    from ``rng`` into one reused buffer, whatever the group size.  The
+    step itself runs in cache-sized slices of ``mc.CHUNK`` rows that
+    update the members' log-rates in place.  Returns the final rates,
     one array per member.
+
+    ``_running`` (the Bermudan date walker's) is a boolean mask over the
+    B rows of the drawn block.  The members then hold only the masked
+    rows, and each step gathers their normals from the full block, so
+    a row's path does not depend on which other rows are stepped.
     """
     ks = [np.log(np.asarray(g, dtype=np.float64)) for g in group]
+    rows = ks[0].shape[0]
+    z = np.empty((rows if _running is None else _running.shape[0], cfg.n))
+    zs = z
+    if _running is not None:
+        take = np.flatnonzero(_running)
+        if take.size == 1 < z.shape[0]:
+            # keep the lone running row out of the matrix-vector product
+            # (see _row_slices) by stepping it twice over
+            take = np.repeat(take, 2)
+            ks = [np.repeat(k, 2, axis=0) for k in ks]
+        zs = np.empty((take.size, cfg.n))
+    parts = _row_slices(ks[0].shape[0])
     for _ in range(n_steps):
-        z = rng.standard_normal(ks[0].shape)
-        ks = [log_euler_step(cfg.vs, cfg.delta, k, dt, z) for k in ks]
-    return [np.exp(k) for k in ks]
+        rng.standard_normal(z.shape, out=z)
+        if zs is not z:
+            np.take(z, take, axis=0, out=zs)
+        for part in parts:
+            zp = zs[part]
+            for k in ks:
+                k[part] = log_euler_step(cfg.vs, cfg.delta, k[part], dt, zp)
+    return [np.exp(k[:rows]) for k in ks]
 
 
 def to_y(vs: VolStructure, L: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -323,12 +324,34 @@ class TestBermudanPricing:
         assert freq[-1] < 0.9
         assert freq[:-1].max() > 0.05
 
+    def test_rejects_a_single_sample(self):
+        # one path has no spread: refused, not reported with sd = 0
+        with pytest.raises(ValueError, match="at least two samples"):
+            brm.bermudan_price(case_cfg(), case_policy(), level=1, m=1, seed=7)
+
     def test_seed_determinism(self):
         a = brm.bermudan_price(case_cfg(), case_policy(), level=1, m=8192, seed=11)
         b = brm.bermudan_price(case_cfg(), case_policy(), level=1, m=8192, seed=11)
         c = brm.bermudan_price(case_cfg(), case_policy(), level=1, m=8192, seed=12)
         assert a == b
         assert a.value != c.value
+
+
+class TestPageFaults:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    def test_continuation_reuses_its_memory(self):
+        # (B, 19) float64 temporaries are 2.5 MB each: made fresh on every
+        # step they land on new pages, about 340k minor faults per call at
+        # M = BATCH.  Cache-sized slices and a reused normals buffer stay
+        # on pages the process already holds.
+        resource = pytest.importorskip("resource")
+        cfg, pol = case_cfg(), case_policy()
+        brm.bermudan_price(cfg, pol, level=1, m=mc.BATCH, seed=7)  # warm the heap
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        brm.bermudan_price(cfg, pol, level=1, m=mc.BATCH, seed=7)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 50_000
 
 
 class TestBermudanDelta:
@@ -363,6 +386,33 @@ class TestBermudanDelta:
         frac = brm.stopping_disagreement(cfg, case_policy(), i=18, h=3.5e-5,
                                          level=1, m=10_000, seed=7)
         assert 0.0 <= frac < 0.02
+
+
+#: ``exercise_frequencies`` and ``stopping_disagreement`` of the calibrated
+#: ten-date policy at level 1, seed 7, M = BATCH + 5 (a full batch and a
+#: five-row one).  They pin which rows the continuation steps and where
+#: each branch stops: any change to the rows a step sees, to the normals
+#: they get or to the trigger moves them far beyond 1e-12.
+GOLDEN_FREQUENCIES = [
+    0.06080802422467797, 0.11239776673091806, 0.06236602150249802,
+    0.052590452541138456, 0.05924274135269911, 0.05721462585880977,
+    0.13873175815823324, 0.046264642648628, 0.2079359686453492,
+    0.2024479983370482, 0.0,
+]
+GOLDEN_DISAGREEMENT = 0.0015266671066150109
+
+
+class TestGoldenContinuation:
+    m = mc.BATCH + 5
+
+    def test_exercise_frequencies(self):
+        freq = brm.exercise_frequencies(case_cfg(), case_policy(), level=1, m=self.m, seed=7)
+        assert_allclose(freq, GOLDEN_FREQUENCIES, rtol=1e-12, atol=0.0)
+
+    def test_stopping_disagreement(self):
+        frac = brm.stopping_disagreement(case_cfg(), case_policy(), i=18, h=3.5e-5,
+                                         level=1, m=self.m, seed=7)
+        assert_allclose(frac, GOLDEN_DISAGREEMENT, rtol=1e-12, atol=0.0)
 
 
 def rebuilt_stops(cfg, policy, level, anchors, m, seed):

@@ -39,6 +39,28 @@ class TestSamplesFlag:
         assert exit_info.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "1", "--level", "lgn"],
+        ["table", "3", "--level", "lgn"],
+        ["bench"],
+        ["explosion-demo"],
+        ["calibrate-n"],
+    ])
+    def test_rejects_a_single_sample(self, capsys, argv):
+        # one sample has no standard error: refused while parsing, not by a
+        # traceback from the estimator
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--samples", "1"])
+        assert exit_info.value.code == 2
+        assert ">= 2" in capsys.readouterr().err
+
+    def test_policy_fit_needs_its_minimum(self, capsys):
+        least = brm._MIN_CALIBRATION_PATHS
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["calibrate-policy", "--samples", str(least - 1)])
+        assert exit_info.value.code == 2
+        assert f">= {least}" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_exit_codes(self, capsys, monkeypatch):

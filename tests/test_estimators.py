@@ -390,6 +390,11 @@ class TestEulerReference:
         with pytest.raises(ValueError):
             est.euler_price(cfg, 1.03, lambda L: L[..., 0], m=100, seed=0)
 
+    def test_rejects_a_single_sample(self):
+        # one path has no spread: refused, not reported with sd = 0
+        with pytest.raises(ValueError, match="at least two samples"):
+            est.euler_price(case_cfg(), 1.0, lambda L: L[..., 0], m=1, seed=0)
+
 
 # (value, sd, m, ess, max_weight) at seed 7 on the 19-rate case study:
 # European estimators at M = BATCH + 5 (level 1, Delta and Gamma on
