@@ -55,7 +55,6 @@ __all__ = [
     "still_alive_european",
     "calibrate_policy",
     "save_policy",
-    "load_policy",
     "bermudan_price",
     "bermudan_delta_fd",
     "stopping_disagreement",
@@ -213,6 +212,11 @@ class AndersenPolicy:
 
 
 def save_policy(policy: AndersenPolicy, path) -> None:
+    """Record a fitted policy as text, one 'date threshold' line per date.
+
+    The file documents a fit; nothing reads it back.  ``repr`` floats
+    round-trip exactly, so the thresholds can be compared bit for bit.
+    """
     lines = [
         "# exercise policy: date threshold",
         f"# paths={policy.n_paths} seed={policy.seed} "
@@ -221,36 +225,6 @@ def save_policy(policy: AndersenPolicy, path) -> None:
     for date, thr in zip(policy.dates, policy.thresholds):
         lines.append(f"{float(date)!r} {float(thr)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_policy(path) -> AndersenPolicy:
-    meta = {"paths": 0, "seed": 0, "indices": ""}
-    dates, thrs = [], []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            for tok in stripped[1:].split():
-                key, _, val = tok.partition("=")
-                if key in meta and val:
-                    meta[key] = val
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'date threshold', got {line!r}")
-        dates.append(float(parts[0]))
-        thrs.append(float(parts[1]))
-    indices = tuple(int(s) for s in str(meta["indices"]).split(",") if s)
-    if len(indices) != len(dates):
-        raise ValueError(f"{path}: header lists {len(indices)} indices for {len(dates)} dates")
-    return AndersenPolicy(
-        exercise_indices=indices,
-        dates=np.array(dates),
-        thresholds=np.array(thrs),
-        n_paths=int(meta["paths"]),
-        seed=int(meta["seed"]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ driver (``_batches``, reduced by ``_estimate``).  A *stencil* lists
 (anchor, coefficient) pairs, the coefficient holding the outer scale
 and the finite-difference weight (width 1 for price, 2 for Delta, 3-4
 for Gamma).  A *head* takes a batch to each member's first-date state
-on shared normals: the weighted one-shot draw, or log-Euler from time
-zero.  An optional *tail*, the Bermudan exercise policy, continues to
-the payoff.  Four loops compute something else and stay separate:
-`naive_delta` (a sampler that ignores the bump), `variance_audit` (the
-bound's norms), `explosion_demo` (the toy model) and the Bermudan
-`calibrate_policy` (states at every exercise date).
+on shared normals: the weighted one-shot draw, log-Euler from time
+zero, or (for `naive_delta`) one frozen draw that every member only
+reweights.  An optional *tail*, the Bermudan exercise policy, continues
+to the payoff.  Three loops compute something else and stay separate:
+`variance_audit` (the bound's norms), `explosion_demo` (the toy model)
+and the Bermudan `calibrate_policy` (states at every exercise date).
 
 Also here: the second-moment audit that checks the variance bound the
 re-anchored construction satisfies, the iid-lognormal explosion example
@@ -42,7 +42,13 @@ from .proxy import (
     make_proxy,
     sample_g,
 )
-from .wkb import WkbKernel, log_weight_y, make_libor_kernel, wkb_log_density_libor
+from .wkb import (
+    WkbKernel,
+    grad_log_weight_y,
+    log_weight_y,
+    make_libor_kernel,
+    wkb_log_density_libor,
+)
 
 __all__ = [
     "McResult",
@@ -108,6 +114,18 @@ class AnchoredPair:
         y = to_y(self.kernel.vs, zeta)
         return log_weight_y(self.kernel, self.proxy.dt, y, self.kappa)
 
+    def grad_log_weight(self, zeta: np.ndarray) -> np.ndarray:
+        """Gradient of :meth:`log_weight` in the rates, in closed form.
+
+        The chart Jacobians cancel in ln p - ln phi, so this is the
+        flat-coordinate gradient chained through y = Gamma^{-1} log zeta.
+        """
+        if self.kernel is None:
+            return np.zeros(zeta.shape)
+        vs = self.kernel.vs
+        gy = grad_log_weight_y(self.kernel, self.proxy.dt, to_y(vs, zeta), self.kappa)
+        return (gy @ vs.gamma_inv) / zeta
+
     def log_kernel(self, zeta: np.ndarray) -> np.ndarray:
         if self.kernel is None:
             return log_density(self.proxy, zeta)
@@ -124,7 +142,7 @@ def anchored_libor_pair(cfg: ModelConfig, t: float, level, anchor=None) -> Ancho
     truncation order of the kernel.
     """
     anchor = cfg.l0 if anchor is None else np.asarray(anchor, dtype=np.float64)
-    p = make_proxy(cfg.vs, cfg.delta, 0.0, t, anchor, cfg.proxy_drift_sign)
+    p = make_proxy(cfg.vs, cfg.delta, 0.0, t, anchor)
     if level == "lgn":
         return AnchoredPair(proxy=p)
     kernel = make_libor_kernel(cfg.vs, cfg.delta, anchor, level=int(level))
@@ -237,6 +255,27 @@ def _one_shot_head(anchored, stencil):
     return head
 
 
+def _frozen_cloud_head(anchored, x: np.ndarray, stencil):
+    """Head: one draw from the pair at ``x`` that every member reweights.
+
+    Member k weights the shared cloud by exp(log_kernel_k - log_proxy_0):
+    its kernel moves with the bump, the sampler does not.
+    """
+    pair0 = anchored(x)
+    pairs = [anchored(a) for a, _ in stencil]
+    n = x.shape[-1]
+
+    def head(seed, bi, rows, payoff):
+        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
+        zeta = pair0.draw(z)
+        lphi = pair0.log_proxy(zeta)
+        w = [np.exp(p.log_kernel(zeta) - lphi) for p in pairs]
+        f = payoff(zeta)
+        return [zeta] * len(w), w, [wk * f for wk in w], None
+
+    return head
+
+
 def _int_steps(span: float, dt: float, what: str, least: int = 0) -> int:
     steps = int(round(span / dt))
     if steps < least or abs(steps * dt - span) > 1e-9:
@@ -281,6 +320,11 @@ def _batches(m: int, seed: int, head, payoff=None, tail=None):
         yield bi, w, wv, stops
 
 
+def _require_two_samples(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"need at least two samples, got {m}")
+
+
 def _estimate(stencil, head, m: int, seed: int, payoff=None, tail=None) -> McResult:
     """Row mean of sum_k c_k w_k v_k, with the weight health of all members.
 
@@ -288,8 +332,7 @@ def _estimate(stencil, head, m: int, seed: int, payoff=None, tail=None) -> McRes
     member's weights, so it never exceeds m.  One sample has no spread
     to report, so ``m`` must be at least two.
     """
-    if m < 2:
-        raise ValueError(f"need at least two samples, got {m}")
+    _require_two_samples(m)
     vals = mc.MomentAccumulator()
     wacc = mc.MomentAccumulator()
     for bi, w, wv, _ in _batches(m, seed, head, payoff, tail):
@@ -336,25 +379,16 @@ def naive_delta(inputs: EstimatorInputs, i: int) -> McResult:
     The sample cloud is drawn once from the unbumped anchor; only the
     kernel's anchor argument is differenced.  This is the construction
     whose variance blows up as the step shrinks -- kept as the point of
-    comparison, not for production use.
+    comparison, not for production use.  The outer scale stays at the
+    anchor too; ESS and the largest weight pool both members' weights.
     """
     h = inputs.require_h()
-    up, dn = _bumped(inputs.anchor, i, h)
-    pair0 = inputs.anchored(inputs.anchor)
-    pair_up = inputs.anchored(up)
-    pair_dn = inputs.anchored(dn)
-    s0 = inputs.outer(inputs.anchor)
-    n = inputs.anchor.shape[-1]
-    vals = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(inputs.m):
-        z = mc.rng_for(inputs.seed, bi, mc.STREAM_XI).standard_normal((hi - lo, n))
-        zeta = pair0.draw(z)
-        lphi = pair0.log_proxy(zeta)
-        r_up = np.exp(pair_up.log_kernel(zeta) - lphi)
-        r_dn = np.exp(pair_dn.log_kernel(zeta) - lphi)
-        vals.add(bi, s0 * (r_up - r_dn) / (2.0 * h) * inputs.payoff(zeta))
-    mean, sd, count, _ = vals.finalize()
-    return McResult(value=mean, sd=sd, m=count, seed=inputs.seed)
+    x = inputs.anchor
+    up, dn = _bumped(x, i, h)
+    s0 = inputs.outer(x)
+    stencil = [(up, s0 / (2.0 * h)), (dn, -s0 / (2.0 * h))]
+    head = _frozen_cloud_head(inputs.anchored, x, stencil)
+    return _estimate(stencil, head, inputs.m, inputs.seed, inputs.payoff)
 
 
 def gamma_fd(inputs: EstimatorInputs, i: int, j: int) -> McResult:
@@ -451,7 +485,10 @@ def variance_audit(
     gradients (sampler Jacobian, kernel/proxy mismatch, and the full
     weighted-payoff gradient on the left side) are central differences
     at the production bump size, so the audit checks the bound for the
-    estimator actually run, not an idealized limit.
+    estimator actually run, not an idealized limit.  The mismatch
+    gradient at the evaluation point (m6) does not depend on h; it is
+    the closed-form gradient of the log weight in the sample,
+    :meth:`AnchoredPair.grad_log_weight`.
     """
     alphas.validate()
     if inputs.payoff_grad is None:
@@ -499,24 +536,13 @@ def variance_audit(
             dp = (p_up.log_proxy(zeta) - p_dn.log_proxy(zeta)) / (2.0 * h)
             m5_sq = m5_sq + (dk - dp) ** 2
 
-        m6_sq = np.zeros(hi - lo)
-        for jcomp in range(n):
-            step = 1e-6 * np.abs(zeta[:, jcomp])
-            z_up = zeta.copy()
-            z_dn = zeta.copy()
-            z_up[:, jcomp] += step
-            z_dn[:, jcomp] -= step
-            dk = (pair0.log_kernel(z_up) - pair0.log_kernel(z_dn)) / (2.0 * step)
-            dp = (pair0.log_proxy(z_up) - pair0.log_proxy(z_dn)) / (2.0 * step)
-            m6_sq = m6_sq + (dk - dp) ** 2
-
         values = {
             "u": np.abs(inputs.payoff(zeta)),
             "du": np.linalg.norm(inputs.payoff_grad(zeta), axis=-1),
             "jac": np.sqrt(jac_sq),
             "w": w,
             "m5": np.sqrt(m5_sq),
-            "m6": np.sqrt(m6_sq),
+            "m6": np.linalg.norm(pair0.grad_log_weight(zeta), axis=-1),
         }
         accs["lhs"].add(bi, grad_sq)
         for kind, plist in powers.items():
@@ -584,6 +610,7 @@ def explosion_demo(
     per-sample estimator is norm(x0) * d(log kernel)/dx_j evaluated in
     closed form; its variance factor is measured against 1/(sigma^2 s).
     """
+    _require_two_samples(m)
     if sigma <= 0.0 or s <= 0.0:
         raise ValueError(f"need sigma > 0 and s > 0, got sigma={sigma}, s={s}")
     x0 = np.asarray(x0, dtype=np.float64)

@@ -182,9 +182,6 @@ class ModelConfig:
         Log-Euler step for European-maturity oracle runs.
     dt_berm : float
         Log-Euler step used on Bermudan segments.
-    proxy_drift_sign : str
-        'plus' or 'minus'; sign of the |gamma_i|^2/2 term in the
-        lognormal proxy drift (see proxy module).
     """
 
     n: int
@@ -198,7 +195,6 @@ class ModelConfig:
     exercise_indices: tuple[int, ...] = ()
     dt_euro: float = 0.1
     dt_berm: float = 0.05
-    proxy_drift_sign: str = "minus"
     vs: VolStructure = field(init=False, repr=False)
     tenor: np.ndarray = field(init=False, repr=False)
 
@@ -208,8 +204,6 @@ class ModelConfig:
         self.vol = np.broadcast_to(np.asarray(self.vol, dtype=np.float64), (self.n,)).copy()
         if self.payoff_style not in ("on_sum", "per_leg"):
             raise ValueError(f"unknown payoff_style {self.payoff_style!r}")
-        if self.proxy_drift_sign not in ("plus", "minus"):
-            raise ValueError(f"proxy_drift_sign must be 'plus' or 'minus', got {self.proxy_drift_sign!r}")
         if self.t1 <= 0.0:
             raise ValueError(f"t1 must be positive, got {self.t1}")
         for i in self.exercise_indices:
@@ -345,7 +339,7 @@ def drift_mu_y(vs: VolStructure, delta: np.ndarray, Y: np.ndarray) -> np.ndarray
 
 _VECTOR_KEYS = ("delta", "l0", "vol")
 _SCALAR_FLOAT_KEYS = ("rho_inf", "strike", "dt_euro", "dt_berm")
-_KEYS = ("n", *_SCALAR_FLOAT_KEYS, *_VECTOR_KEYS, "exercise_dates", "payoff_style", "proxy_drift_sign")
+_KEYS = ("n", *_SCALAR_FLOAT_KEYS, *_VECTOR_KEYS, "exercise_dates", "payoff_style")
 
 
 def load_config(path) -> dict:

@@ -12,9 +12,8 @@ reference, which is what makes reweighting by any kernel p unbiased and
 keeps the finite-difference sensitivities well behaved: bumping x moves
 the sampler and the density together.
 
-The |gamma_i|^2 / 2 term in the frozen log-drift is carried with a
-configurable sign (``drift_sign``); 'minus' reproduces a log-Euler step
-frozen at x and is the default everywhere, 'plus' is kept selectable.
+The mean shift carries the -|gamma_i|^2 / 2 term of the log-drift, so
+the proxy is a log-Euler step frozen at x.
 """
 from __future__ import annotations
 
@@ -30,18 +29,7 @@ __all__ = [
     "make_proxy",
     "sample_g",
     "log_density",
-    "log_density_grad_x",
-    "log_density_grad_v",
-    "jacobian_g_x",
 ]
-
-
-def _drift_sign_value(drift_sign: str) -> float:
-    if drift_sign == "minus":
-        return -1.0
-    if drift_sign == "plus":
-        return 1.0
-    raise ValueError(f"drift_sign must be 'plus' or 'minus', got {drift_sign!r}")
 
 
 def proxy_moments(
@@ -50,11 +38,10 @@ def proxy_moments(
     s: float,
     t: float,
     x: np.ndarray,
-    drift_sign: str = "minus",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the frozen log-increment xi over [s, t].
 
-    mean_i = (t-s) (sign a_ii/2 - sum_{j>i} a_ij delta_j x_j/(1+delta_j x_j)),
+    mean_i = (t-s) (-a_ii/2 - sum_{j>i} a_ij delta_j x_j/(1+delta_j x_j)),
     cov    = (t-s) a.
 
     ``x`` may carry leading batch axes; the covariance does not depend
@@ -65,9 +52,8 @@ def proxy_moments(
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
         raise ValueError("anchor rates must be positive")
-    sign = _drift_sign_value(drift_sign)
     dt = t - s
-    mean = dt * (0.5 * sign * vs.a_diag + drift_mu(vs, delta, x))
+    mean = dt * (-0.5 * vs.a_diag + drift_mu(vs, delta, x))
     return mean, dt * vs.a
 
 
@@ -83,8 +69,6 @@ class LognormalProxy:
         Step endpoints in years.
     anchor : ndarray, shape (n,)
         The start state x at which the coefficients are frozen.
-    drift_sign : str
-        Sign convention of the a_ii/2 term in the mean shift.
     mean_shift : ndarray, shape (n,)
         E xi over the step.
     """
@@ -94,7 +78,6 @@ class LognormalProxy:
     s: float
     t: float
     anchor: np.ndarray
-    drift_sign: str
     mean_shift: np.ndarray
 
     @property
@@ -117,17 +100,15 @@ def make_proxy(
     s: float,
     t: float,
     anchor: np.ndarray,
-    drift_sign: str = "minus",
 ) -> LognormalProxy:
     anchor = np.asarray(anchor, dtype=np.float64)
-    mean, _ = proxy_moments(vs, delta, s, t, anchor, drift_sign)
+    mean, _ = proxy_moments(vs, delta, s, t, anchor)
     return LognormalProxy(
         vs=vs,
         delta=np.asarray(delta, dtype=np.float64),
         s=float(s),
         t=float(t),
         anchor=anchor,
-        drift_sign=drift_sign,
         mean_shift=mean,
     )
 
@@ -138,16 +119,11 @@ def sample_g(proxy: LognormalProxy, z: np.ndarray) -> np.ndarray:
     return proxy.anchor * np.exp(proxy.mean_shift + g)
 
 
-def _check_positive(v: np.ndarray) -> np.ndarray:
+def log_density(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
+    """ln phi(x, v), vectorised over leading axes of ``v``."""
     v = np.asarray(v, dtype=np.float64)
     if np.any(v <= 0.0):
         raise ValueError("proxy density is supported on positive rates only")
-    return v
-
-
-def log_density(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
-    """ln phi(x, v), vectorised over leading axes of ``v``."""
-    v = _check_positive(v)
     vs = proxy.vs
     e = np.log(v / proxy.anchor) - proxy.mean_shift
     d = e @ vs.gamma_inv.T
@@ -155,46 +131,3 @@ def log_density(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
     log_norm = 0.5 * proxy.n * np.log(2.0 * np.pi * proxy.dt)
     log_jac = np.sum(np.log(v), axis=-1) + np.sum(np.log(np.diag(vs.gamma)))
     return -log_norm - quad - log_jac
-
-
-def _dmu_weight(proxy: LognormalProxy) -> np.ndarray:
-    """delta_p / (1 + delta_p x_p)^2 at the anchor."""
-    g = 1.0 + proxy.delta * proxy.anchor
-    return proxy.delta / (g * g)
-
-
-def log_density_grad_x(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
-    """Gradient of ln phi(x, v) in the anchor x.
-
-    Chains through both the lognormal center x and the frozen drift
-    mu(x); closed form, no finite differences.
-    """
-    v = _check_positive(v)
-    vs = proxy.vs
-    e = np.log(v / proxy.anchor) - proxy.mean_shift
-    d = e @ vs.gamma_inv.T
-    w = d @ vs.gamma_inv
-    return w / (proxy.dt * proxy.anchor) - (w @ vs.a_upper) * _dmu_weight(proxy)
-
-
-def log_density_grad_v(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
-    """Gradient of ln phi(x, v) in the terminal point v (closed form)."""
-    v = _check_positive(v)
-    vs = proxy.vs
-    e = np.log(v / proxy.anchor) - proxy.mean_shift
-    d = e @ vs.gamma_inv.T
-    w = d @ vs.gamma_inv
-    return -(w / proxy.dt + 1.0) / v
-
-
-def jacobian_g_x(proxy: LognormalProxy, zeta: np.ndarray) -> np.ndarray:
-    """d g_i / d x_p at fixed driver, evaluated at the sample zeta = g(x, z).
-
-    g_i = x_i exp(m_i(x) + noise), so the Jacobian splits into the
-    diagonal zeta_i / x_i part and the drift-freeze part through m(x).
-    Returns shape (..., n, n).
-    """
-    zeta = np.asarray(zeta, dtype=np.float64)
-    direct = np.eye(proxy.n) / proxy.anchor
-    through_mu = -proxy.dt * proxy.vs.a_upper * _dmu_weight(proxy)
-    return zeta[..., :, None] * (direct + through_mu)

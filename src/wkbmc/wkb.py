@@ -50,11 +50,8 @@ __all__ = [
     "c1_generic",
     "generic_log_density",
     "linear_drift_exact_log_density",
-    "check_flat_transform",
-    "FlatTransformReport",
     "libor_c0",
     "libor_c0_grad",
-    "libor_c0_lap",
     "libor_r0",
     "libor_c1",
     "libor_c1_taylor2",
@@ -63,6 +60,7 @@ __all__ = [
     "wkb_log_density_y",
     "wkb_log_density_libor",
     "log_weight_y",
+    "grad_log_weight_y",
 ]
 
 
@@ -236,53 +234,6 @@ def linear_drift_exact_log_density(B: np.ndarray, x: np.ndarray, y: np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# flatness condition for the coordinate change
-
-
-@dataclass(frozen=True)
-class FlatTransformReport:
-    max_violation: float
-    tol: float
-    samples: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.tol
-
-
-def check_flat_transform(
-    sigma_field: Callable[[np.ndarray], np.ndarray],
-    samples: np.ndarray,
-    fd_step: float = 1e-6,
-    tol: float = 1e-7,
-) -> FlatTransformReport:
-    """Test whether a state-dependent volatility field admits flat coordinates.
-
-    The condition is sum_l dsigma_ik/dx_l sigma_lj symmetric in (k, j)
-    at every sample, with derivatives taken by central differences.  A
-    singular sigma at any sample raises, since the coordinate change
-    needs sigma^{-1}.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n = samples.shape[-1]
-    worst = 0.0
-    for x in samples:
-        sig = np.asarray(sigma_field(x), dtype=np.float64)
-        if sig.shape != (n, n):
-            raise ValueError(f"sigma field returned shape {sig.shape}, expected {(n, n)}")
-        if abs(np.linalg.det(sig)) < 1e-12:
-            raise ValueError(f"sigma singular at sample {x!r}")
-        d = np.empty((n, n, n))
-        for l in range(n):
-            e = np.zeros(n)
-            e[l] = fd_step
-            d[:, :, l] = (sigma_field(x + e) - sigma_field(x - e)) / (2.0 * fd_step)
-        lhs = np.einsum("ikl,lj->ikj", d, sig)
-        worst = max(worst, float(np.max(np.abs(lhs - lhs.transpose(0, 2, 1)))))
-    return FlatTransformReport(max_violation=worst, tol=tol, samples=samples.shape[0])
-
-
-# ---------------------------------------------------------------------------
 # Libor drift closed forms
 #
 # With u = (Gamma x)_l and v = (Gamma y)_l (the log-rates at the two
@@ -417,6 +368,11 @@ def _grad_from_pieces(vs: VolStructure, m, f, g) -> np.ndarray:
 
 
 def _lap_from_pieces(vs: VolStructure, m, k) -> np.ndarray:
+    """Laplacian of c_0 in the first argument.
+
+    The mixed-derivative contributions cancel through Gamma Gamma^{-1},
+    leaving -sum_l a_ll cw_l K_l; no mixed terms are ever formed.
+    """
     return -((m @ vs.a_upper) * k) @ vs.a_diag
 
 
@@ -424,16 +380,6 @@ def libor_c0_grad(vs: VolStructure, delta: np.ndarray, x: np.ndarray, y: np.ndar
     """Gradient of libor_c0 in the first argument."""
     m, f, g, _ = _c0_pieces(vs, delta, x, y, want_k=False)
     return _grad_from_pieces(vs, m, f, g)
-
-
-def libor_c0_lap(vs: VolStructure, delta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Laplacian of c_0 in the first argument.
-
-    The mixed-derivative contributions cancel through Gamma Gamma^{-1},
-    leaving -sum_l a_ll cw_l K_l; no mixed terms are ever formed.
-    """
-    m, _, _, k = _c0_pieces(vs, delta, x, y, want_k=True)
-    return _lap_from_pieces(vs, m, k)
 
 
 def libor_r0(vs: VolStructure, delta: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -640,4 +586,21 @@ def log_weight_y(kernel: WkbKernel, dt: float, y_to: np.ndarray, kappa: np.ndarr
     out = out + libor_c0(kernel.vs, kernel.delta, kernel.anchor_y, y_to)
     if kernel.level >= 1:
         out = out + dt * kernel.c1_taylor(y_to)
+    return out
+
+
+def grad_log_weight_y(kernel: WkbKernel, dt: float, y_to: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`log_weight_y` in ``y_to``, in closed form.
+
+    c_0 is a line integral, so c_0(anchor, y) = -c_0(y, anchor) and its
+    gradient in y is minus :func:`libor_c0_grad` with the arguments
+    swapped:
+
+        grad ln w = -kappa / dt - grad_1 c_0(y, anchor)
+                    + dt (c1_grad + (y - anchor) c1_hess).
+    """
+    y_to = np.asarray(y_to, dtype=np.float64)
+    out = -kappa / dt - libor_c0_grad(kernel.vs, kernel.delta, y_to, kernel.anchor_y)
+    if kernel.level >= 1:
+        out = out + dt * (kernel.c1_grad + (y_to - kernel.anchor_y) @ kernel.c1_hess)
     return out

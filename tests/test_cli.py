@@ -88,12 +88,14 @@ class TestCalibratePolicy:
         )
         assert rc == 0
         assert "policy written" in capsys.readouterr().out
-        loaded = brm.load_policy(path)
+        lines = path.read_text().splitlines()
         direct = brm.calibrate_policy(
             harness.build_config(None, 1.0), n_paths=10_000, seed=harness.CALIBRATION_SEED
         )
-        np.testing.assert_array_equal(loaded.thresholds, direct.thresholds)
-        assert loaded.seed == harness.CALIBRATION_SEED
+        # the 'date threshold' lines hold repr floats, which round-trip exactly
+        thresholds = [float(line.split()[1]) for line in lines if not line.startswith("#")]
+        np.testing.assert_array_equal(thresholds, direct.thresholds)
+        assert f"seed={harness.CALIBRATION_SEED}" in lines[1]
 
 
 class TestCalibrateN:

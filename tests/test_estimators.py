@@ -50,6 +50,29 @@ def assert_ess_pools_member_clouds(estimator, stencil):
     assert_allclose(got.max_weight, np.max(w), rtol=1e-12)
 
 
+class TestAnchoredPair:
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("t1", [1.0, 10.0])
+    def test_grad_log_weight_matches_fd(self, level, t1):
+        cfg = case_cfg(t1=t1)
+        pair = est.anchored_libor_pair(cfg, t1, level)
+        zeta = pair.draw(np.random.default_rng(11).standard_normal((64, cfg.n)))
+        got = pair.grad_log_weight(zeta)
+        for j in range(cfg.n):
+            step = 1e-5 * zeta[:, j]
+            up, dn = zeta.copy(), zeta.copy()
+            up[:, j] += step
+            dn[:, j] -= step
+            fd = (pair.log_weight(up) - pair.log_weight(dn)) / (2.0 * step)
+            assert_allclose(got[:, j], fd, rtol=1e-5, atol=1e-6)
+
+    def test_grad_log_weight_zero_without_kernel(self):
+        cfg = case_cfg()
+        pair = est.anchored_libor_pair(cfg, 1.0, "lgn")
+        zeta = pair.draw(np.random.default_rng(12).standard_normal((8, cfg.n)))
+        assert np.array_equal(pair.grad_log_weight(zeta), np.zeros((8, cfg.n)))
+
+
 class TestPrice:
     def test_proxy_level_constant_payoff_is_exact(self):
         # kernel == proxy, f == c: every sample contributes exactly c
@@ -198,6 +221,25 @@ class TestNaiveDelta:
         assert abs(r.value) < 3.0 * r.sd
         assert r.sd > 0.0
 
+    def test_ess_pools_both_reweightings_of_one_cloud(self):
+        # one cloud from the unbumped proxy, weighted once per bumped kernel
+        cfg = case_cfg()
+        m, seed, h, i = 3000, 6, 3.5e-5, 18
+        inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h, t=2.0)
+        pair0 = inp.anchored(cfg.l0)
+        zeta = pair0.draw(mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n)))
+        w = np.concatenate([
+            np.exp(inp.anchored(a).log_kernel(zeta) - pair0.log_proxy(zeta))
+            for a in est._bumped(cfg.l0, i, h)
+        ])
+        got = est.naive_delta(inp, i)
+        assert_allclose(got.ess, m * np.mean(w) ** 2 / np.mean(w * w), rtol=1e-9)
+        assert_allclose(got.max_weight, np.max(w), rtol=1e-12)
+
+    def test_rejects_a_single_sample(self):
+        with pytest.raises(ValueError, match="at least two samples"):
+            est.naive_delta(toy_inputs("lgn", const_payoff(3.0), m=1), 0)
+
 
 def bs_exact_gamma(s0, sigma, t):
     d1 = 0.5 * sigma * np.sqrt(t)
@@ -281,6 +323,32 @@ class TestVarianceAudit:
         assert rep.terms[0] > 0.0
         assert rep.m == 4000
 
+    def test_golden_level1(self):
+        # every factor but m6 is a central difference or a plain sample
+        # value, so it is pinned to rounding; m6 (and the term it enters)
+        # only to the agreement of its closed form with finite differences
+        cfg = case_cfg()
+        rep = est.variance_audit(est.european_inputs(cfg, 1, m=4000, seed=2, h=3.5e-5))
+        assert_allclose(rep.lhs, 4.467847215527357, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[0], 247.1469594813083, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[1], 0.04946281266439996, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[2], 2.669554156996297, rtol=1e-5, atol=0.0)
+        want = {
+            "u@6": 0.11135664633161756,
+            "u@8": 0.1339099732230475,
+            "du@6": 2.375161103940781,
+            "jac@6": 4.679895701395028,
+            "jac@8": 4.803078141007607,
+            "w@6": 1.0000768892751157,
+            "w@8": 1.0000904365379837,
+            "m5@6": 0.9985271417242157,
+            "m6@8": 1.2700403602689303,
+        }
+        assert rep.norms.keys() == want.keys()
+        for key, value in want.items():
+            rtol = 1e-5 if key.startswith("m6") else 1e-12
+            assert_allclose(rep.norms[key], value, rtol=rtol, atol=0.0, err_msg=key)
+
     def test_fixed_sampler_mismatch_factor_grows(self):
         # product-lognormal toy with the sampler pinned at the start
         # state: the kernel/proxy log-gradient difference is the raw
@@ -305,6 +373,12 @@ class TestVarianceAudit:
 
             def log_weight(self, zeta):
                 return self.log_kernel(zeta) - self.log_proxy(zeta)
+
+            def grad_log_weight(self, zeta):
+                # the audit asks only the unbumped pair, whose kernel and
+                # sampler coincide, so its log weight is identically zero
+                assert np.array_equal(self.inner.proxy.anchor, self.fixed.proxy.anchor)
+                return np.zeros(zeta.shape)
 
         x0 = np.full(3, 0.05)
         delta = np.zeros(3)
@@ -359,6 +433,11 @@ class TestExplosionDemo:
             est.explosion_demo(0.5, 1.0, np.array([0.05, -0.01]), m=100)
         with pytest.raises(ValueError):
             est.explosion_demo(0.5, 1.0, ok, m=100, j=3)
+
+    def test_rejects_a_single_sample(self):
+        # one draw has no spread: refused, not reported as variance 0
+        with pytest.raises(ValueError, match="at least two samples"):
+            est.explosion_demo(0.5, 1.0, np.full(3, 0.05), m=1)
 
 
 class TestEulerReference:

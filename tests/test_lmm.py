@@ -186,8 +186,6 @@ class TestModelConfig:
             case_cfg(exercise_indices=(0,))
         with pytest.raises(ValueError):
             case_cfg(t1=-1.0)
-        with pytest.raises(ValueError):
-            case_cfg(proxy_drift_sign="maybe")
 
 
 class TestConfigFile:
@@ -201,7 +199,6 @@ class TestConfigFile:
             "rho_inf": 0.3,
             "strike": 0.035,
             "payoff_style": "on_sum",
-            "proxy_drift_sign": "minus",
             "exercise_indices": (1, 3, 5),
         }
         lmm.save_config(path, raw)

@@ -6,41 +6,32 @@ from scipy import stats
 from wkbmc import lmm, proxy
 
 
-def small_cfg(n=3, sign="minus"):
+def small_cfg(n=3):
     return lmm.ModelConfig(
-        n=n, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3,
-        strike=0.035, proxy_drift_sign=sign,
+        n=n, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035,
     )
 
 
 class TestMoments:
     def test_terminal_component_hand_value(self):
         cfg = small_cfg(n=4)
-        mean, cov = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 0.3, cfg.l0, "minus")
+        mean, cov = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 0.3, cfg.l0)
         # terminal rate has no state drift: mean shift is -dt*a_nn/2
         assert_allclose(mean[-1], -0.3 * cfg.vs.a_diag[-1] / 2, rtol=1e-14)
         assert_allclose(cov, 0.3 * cfg.vs.a, rtol=1e-14)
 
-    def test_sign_switch(self):
-        cfg = small_cfg(n=4)
-        m_minus, _ = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 0.5, cfg.l0, "minus")
-        m_plus, _ = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 0.5, cfg.l0, "plus")
-        assert_allclose(m_plus - m_minus, 0.5 * cfg.vs.a_diag, rtol=1e-13)
-
     def test_small_rate_limit_kills_state_drift(self):
         cfg = small_cfg(n=3)
         x = np.full(3, 1e-13)
-        mean, _ = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 1.0, x, "minus")
+        mean, _ = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 1.0, x)
         assert_allclose(mean, -cfg.vs.a_diag / 2, rtol=1e-9)
 
     def test_validation(self):
         cfg = small_cfg()
         with pytest.raises(ValueError):
-            proxy.proxy_moments(cfg.vs, cfg.delta, 0.5, 0.5, cfg.l0, "minus")
+            proxy.proxy_moments(cfg.vs, cfg.delta, 0.5, 0.5, cfg.l0)
         with pytest.raises(ValueError):
-            proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 1.0, -cfg.l0, "minus")
-        with pytest.raises(ValueError):
-            proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 1.0, cfg.l0, "sideways")
+            proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 1.0, -cfg.l0)
 
 
 class TestSampling:
@@ -114,62 +105,3 @@ class TestDensity:
         p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 1.0, cfg.l0)
         with pytest.raises(ValueError):
             proxy.log_density(p, np.array([0.02, 0.0]))
-
-
-class TestGradients:
-    def test_grad_v_matches_fd(self):
-        cfg = small_cfg(n=4)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.8, cfg.l0)
-        rng = np.random.default_rng(17)
-        v = proxy.sample_g(p, rng.standard_normal((30, 4)))
-        got = proxy.log_density_grad_v(p, v)
-        h = 1e-7
-        for i in range(4):
-            up, dn = v.copy(), v.copy()
-            up[:, i] += h
-            dn[:, i] -= h
-            fd = (proxy.log_density(p, up) - proxy.log_density(p, dn)) / (2 * h)
-            assert_allclose(got[:, i], fd, rtol=4e-6, atol=1e-8)
-
-    def test_grad_x_matches_fd(self):
-        cfg = small_cfg(n=4)
-        rng = np.random.default_rng(19)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.8, cfg.l0)
-        v = proxy.sample_g(p, rng.standard_normal((30, 4)))
-        got = proxy.log_density_grad_x(p, v)
-        h = 1e-7
-        for i in range(4):
-            up, dn = cfg.l0.copy(), cfg.l0.copy()
-            up[i] += h
-            dn[i] -= h
-            pu = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.8, up)
-            pd = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.8, dn)
-            fd = (proxy.log_density(pu, v) - proxy.log_density(pd, v)) / (2 * h)
-            assert_allclose(got[:, i], fd, rtol=4e-6, atol=1e-8)
-
-    def test_sampling_map_jacobian_matches_fd(self):
-        cfg = small_cfg(n=3)
-        rng = np.random.default_rng(23)
-        z = rng.standard_normal((20, 3))
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.6, cfg.l0)
-        zeta = proxy.sample_g(p, z)
-        got = proxy.jacobian_g_x(p, zeta)
-        h = 1e-8
-        for i in range(3):
-            up, dn = cfg.l0.copy(), cfg.l0.copy()
-            up[i] += h
-            dn[i] -= h
-            pu = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.6, up)
-            pd = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.6, dn)
-            fd = (proxy.sample_g(pu, z) - proxy.sample_g(pd, z)) / (2 * h)
-            assert_allclose(got[:, :, i], fd, rtol=5e-6, atol=1e-10)
-
-    def test_jacobian_bounded_over_samples(self):
-        cfg = small_cfg(n=5)
-        rng = np.random.default_rng(29)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 1.0, cfg.l0)
-        zeta = proxy.sample_g(p, rng.standard_normal((10_000, 5)))
-        jac = proxy.jacobian_g_x(p, zeta)
-        norms = np.linalg.norm(jac, axis=(1, 2))
-        assert np.isfinite(norms).all()
-        assert norms.max() < 50.0
