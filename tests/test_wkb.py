@@ -277,6 +277,24 @@ class TestLiborClosedForms:
             ) / h**2
         assert_allclose(got, fd, rtol=1e-3, atol=1e-8)
 
+    def test_r0_single_pass_matches_public_pieces(self):
+        # libor_r0 forms gradient and Laplacian from one evaluation of
+        # the segment averages; the separate gradient call and a
+        # separate K evaluation must agree, with separations on both
+        # sides of the K series switch
+        cfg = case_cfg(n=5)
+        rng = np.random.default_rng(12)
+        y = lmm.to_y(cfg.vs, cfg.l0) + 0.3 * rng.standard_normal((60, 5))
+        sep = np.repeat([1e-4, 0.9 * wkb._K_SERIES_EPS, 2.0 * wkb._K_SERIES_EPS, 0.5], 15)
+        dirs = rng.standard_normal((60, 5))
+        z = y + sep[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        grad = wkb.libor_c0_grad(cfg.vs, cfg.delta, z, y)
+        m, _, _, k = wkb._c0_pieces(cfg.vs, cfg.delta, z, y, want_k=True)
+        lap = wkb._lap_from_pieces(cfg.vs, m, k)
+        b = lmm.drift_mu_y(cfg.vs, cfg.delta, z)
+        want = 0.5 * np.sum(grad * grad, axis=-1) + 0.5 * lap + np.sum(b * grad, axis=-1)
+        assert_allclose(wkb.libor_r0(cfg.vs, cfg.delta, z, y), want, rtol=1e-12)
+
     def test_c0_antisymmetric(self):
         # c0 is a line integral along the segment, so swapping the
         # endpoints flips its sign.  The direct segment average is
