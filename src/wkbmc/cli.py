@@ -8,6 +8,7 @@ shared schema; every run is reproducible from (config, seed, samples).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import bermudan as brm
@@ -16,65 +17,92 @@ from . import harness, lmm
 __all__ = ["main", "build_parser"]
 
 
-def _sample_count(least: int):
-    """Argument type: an integer sample count of at least ``least``."""
-    def sample_count(text: str) -> int:
+def _at_least(least: int):
+    """Argument type: an integer of at least ``least``."""
+    def at_least(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
         return value
-    return sample_count
+    return at_least
 
 
-def _common(least_samples: int) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", metavar="PATH", help="model config file (default: built-in case study)")
+def _bump(text: str) -> float:
+    """Argument type: a finite, positive finite-difference bump."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite bump > 0, got {text!r}")
+    return value
+
+
+def _estimators(text: str) -> tuple[str, ...]:
+    """Argument type: a non-empty comma list of bench estimators."""
+    names = tuple(s for s in text.split(",") if s)
+    if not names or any(s not in harness.BENCH_ESTIMATORS for s in names):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list among {','.join(harness.BENCH_ESTIMATORS)}, got {text!r}"
+        )
+    return names
+
+
+def _flags(p: argparse.ArgumentParser, least_samples: int | None = 2,
+           config: bool = True, level: bool = False) -> argparse.ArgumentParser:
+    """Add the shared flags a subcommand reads, and only those.
+
+    ``least_samples`` is the smallest ``--samples`` accepted: two by
+    default, since an estimate needs two samples for its standard error;
+    a policy fit has its own minimum of paths, and None drops the flag.
+    """
+    if config:
+        p.add_argument("--config", metavar="PATH",
+                       help="model config file (default: built-in case study)")
     p.add_argument("--seed", type=int, default=None, metavar="N",
                    help="evaluation seed (subcommands pick their usual one when omitted)")
-    p.add_argument("--samples", type=_sample_count(least_samples), default=None, metavar="M",
-                   help=f"Monte Carlo sample count, at least {least_samples} "
-                        "(default depends on the subcommand)")
-    p.add_argument("--level", choices=("lgn", "0", "1", "euler"), default=None,
-                   help="restrict to one estimator variant (default: all)")
+    if least_samples is not None:
+        p.add_argument("--samples", type=_at_least(least_samples), default=None, metavar="M",
+                       help=f"Monte Carlo sample count, at least {least_samples} "
+                            "(default depends on the subcommand)")
+    if level:
+        p.add_argument("--level", choices=("lgn", "0", "1", "euler"), default=None,
+                       help="restrict to one estimator variant (default: all)")
     p.add_argument("--out", metavar="PATH", help="also write the output to this file")
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # an estimate needs two samples for its standard error, a policy fit
-    # its own minimum of paths
-    common = _common(2)
     p = argparse.ArgumentParser(
         prog="wkbmc",
         description="swaption pricing benchmarks for the short-time-density estimators",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("table", parents=[common],
-                       help="one benchmark table as CSV (maturity sweep x estimators)")
+    t = _flags(sub.add_parser(
+        "table", help="one benchmark table as CSV (maturity sweep x estimators)"), level=True)
     t.add_argument("which", type=int, choices=(1, 2, 3, 4),
                    help="1 European prices, 2 European deltas, 3 Bermudan prices, 4 Bermudan deltas")
-    t.add_argument("--h", type=float, default=harness.DEFAULT_H,
+    t.add_argument("--h", type=_bump, default=harness.DEFAULT_H,
                    help="finite-difference bump size for the delta tables")
 
-    b = sub.add_parser("bench", parents=[common],
-                       help="wall-clock cost of each estimator across maturities")
-    b.add_argument("--estimators", default="european,bermudan",
-                   help="comma list among european,bermudan")
-    b.add_argument("--repeats", type=int, default=2,
+    b = _flags(sub.add_parser("bench", help="wall-clock cost of each estimator across maturities"))
+    b.add_argument("--estimators", type=_estimators, default=harness.BENCH_ESTIMATORS,
+                   help="comma list among " + ",".join(harness.BENCH_ESTIMATORS))
+    b.add_argument("--repeats", type=_at_least(1), default=2,
                    help="timed repetitions per cell (minimum is reported)")
 
-    sub.add_parser("selftest", parents=[_common(1)],
-                   help="run every module's cheap invariants; exit 1 on any failure")
+    _flags(sub.add_parser("selftest",
+                          help="run every module's cheap invariants; exit 1 on any failure"),
+           least_samples=None)
 
-    sub.add_parser("explosion-demo", parents=[common],
-                   help="closed-form variance blow-up of the fixed-sampler delta")
+    _flags(sub.add_parser("explosion-demo",
+                          help="closed-form variance blow-up of the fixed-sampler delta"),
+           config=False)
 
-    sub.add_parser("calibrate-n", parents=[common],
-                   help="fit rate count and payoff style to the benchmark European prices")
+    _flags(sub.add_parser("calibrate-n",
+                          help="fit rate count and payoff style to the benchmark European prices"))
 
-    cp = sub.add_parser("calibrate-policy", parents=[_common(brm._MIN_CALIBRATION_PATHS)],
-                        help="fit exercise thresholds on dedicated paths and save them")
+    cp = _flags(sub.add_parser("calibrate-policy",
+                               help="fit exercise thresholds on dedicated paths and save them"),
+                least_samples=brm._MIN_CALIBRATION_PATHS)
     cp.add_argument("--t1", type=float, default=1.0, help="first tenor date in years")
 
     return p
@@ -113,7 +141,7 @@ def main(argv=None) -> int:
             raw=_raw(args),
             m=args.samples or 20_000,
             seed=_seed(args, harness.DEFAULT_SEED),
-            estimators=tuple(s for s in args.estimators.split(",") if s),
+            estimators=args.estimators,
             repeats=args.repeats,
             out=args.out,
         )

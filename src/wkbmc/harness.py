@@ -28,6 +28,7 @@ from .payoffs import SwaptionSpec, swaption_payoff
 __all__ = [
     "CSV_HEADER",
     "T1_SWEEP",
+    "BENCH_ESTIMATORS",
     "TABLE_KIND",
     "REFERENCE",
     "reference",
@@ -44,6 +45,8 @@ __all__ = [
 CSV_HEADER = "estimator,T1,level,value_bp,sd_bp,M,h,seed,wall_ms"
 T1_SWEEP = (1.0, 2.0, 5.0, 10.0)
 LEVELS = ("euler", "lgn", "0", "1")
+#: Estimator groups ``run_bench`` can time.
+BENCH_ESTIMATORS = ("european", "bermudan")
 
 DEFAULT_SAMPLES = 100_000
 FULL_SAMPLES = 500_000
@@ -110,14 +113,6 @@ def build_config(raw: dict | None, t1: float) -> lmm.ModelConfig:
     return lmm.make_config(dict(raw) if raw else case_study_raw(), t1)
 
 
-def _kernel_level(level):
-    if level in ("lgn", 0, 1):
-        return level
-    if level in ("0", "1"):
-        return int(level)
-    raise ValueError(f"unknown kernel level {level!r} (want lgn, 0 or 1)")
-
-
 def _row(estimator, t1, level, value, sd, m, h, seed, wall_ms) -> str:
     h_txt = f"{h:g}" if h is not None else ""
     return (
@@ -154,7 +149,7 @@ def _european_cell(cfg, kind, level, m, seed, h):
         return est.euler_delta_fd(
             cfg, cfg.t1, inp.payoff, i=cfg.n - 1, h=h, m=m, seed=seed, scale=inp.scale
         )
-    inputs = est.european_inputs(cfg, _kernel_level(level), m=m, seed=seed, h=h)
+    inputs = est.european_inputs(cfg, level, m=m, seed=seed, h=h)
     if kind == "european_price":
         return est.price(inputs)
     return est.delta_fd(inputs, cfg.n - 1)
@@ -165,10 +160,9 @@ def _bermudan_cell(cfg, policy, kind, level, m, seed, h):
         if kind == "bermudan_price":
             return brm.euler_bermudan_price(cfg, policy, m=m, seed=seed)
         return brm.euler_bermudan_delta_fd(cfg, policy, i=cfg.n - 1, h=h, m=m, seed=seed)
-    lvl = _kernel_level(level)
     if kind == "bermudan_price":
-        return brm.bermudan_price(cfg, policy, level=lvl, m=m, seed=seed)
-    return brm.bermudan_delta_fd(cfg, policy, i=cfg.n - 1, h=h, level=lvl, m=m, seed=seed)
+        return brm.bermudan_price(cfg, policy, level=level, m=m, seed=seed)
+    return brm.bermudan_delta_fd(cfg, policy, i=cfg.n - 1, h=h, level=level, m=m, seed=seed)
 
 
 def run_table(
@@ -179,8 +173,6 @@ def run_table(
     h: float = DEFAULT_H,
     t1s=T1_SWEEP,
     levels=LEVELS,
-    calib_paths: int = CALIBRATION_PATHS,
-    calib_seed: int = CALIBRATION_SEED,
     out=None,
 ) -> str:
     """One benchmark table as CSV text (written to ``out`` when given).
@@ -199,7 +191,7 @@ def run_table(
         cfg = build_config(raw, t1)
         policy = None
         if bermudan_kind:
-            policy = brm.calibrate_policy(cfg, n_paths=calib_paths, seed=calib_seed)
+            policy = brm.calibrate_policy(cfg, n_paths=CALIBRATION_PATHS, seed=CALIBRATION_SEED)
         for level in levels:
             t0 = time.perf_counter()
             if bermudan_kind:
@@ -234,7 +226,7 @@ def _timed_cells(calls, repeats):
     """
     results = [fn() for fn in calls]
     walls = [[] for _ in calls]
-    while len(walls[0]) < max(1, repeats) or min(map(sum, walls)) < _BENCH_CELL_WALL_S:
+    while len(walls[0]) < repeats or min(map(sum, walls)) < _BENCH_CELL_WALL_S:
         for k, fn in enumerate(calls):
             t0 = time.perf_counter()
             results[k] = fn()
@@ -247,10 +239,8 @@ def run_bench(
     m: int = 20_000,
     seed: int = DEFAULT_SEED,
     t1s=T1_SWEEP,
-    estimators=("european", "bermudan"),
+    estimators=BENCH_ESTIMATORS,
     repeats: int = 2,
-    calib_paths: int = CALIBRATION_PATHS,
-    calib_seed: int = CALIBRATION_SEED,
     out=None,
 ) -> str:
     """Wall-clock cost of each estimator across maturities, as CSV.
@@ -274,7 +264,7 @@ def run_bench(
                 est.euler_price, cfg, cfg.t1, inp.payoff, m=m, seed=seed, scale=inp.scale)))
 
         if "bermudan" in estimators and cfg.exercise_indices:
-            policy = brm.calibrate_policy(cfg, n_paths=calib_paths, seed=calib_seed)
+            policy = brm.calibrate_policy(cfg, n_paths=CALIBRATION_PATHS, seed=CALIBRATION_SEED)
             cells.append(("bench_bermudan", t1, "1", partial(
                 brm.bermudan_price, cfg, policy, level=1, m=m, seed=seed)))
             cells.append(("bench_bermudan", t1, "euler", partial(

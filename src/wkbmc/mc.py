@@ -46,15 +46,15 @@ def rng_for(seed: int, batch_index: int, stream: int = STREAM_XI) -> np.random.G
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def batch_slices(m: int, batch: int = BATCH) -> list[tuple[int, int, int]]:
-    """Split ``m`` samples into fixed batches: list of (index, lo, hi)."""
+def batch_slices(m: int) -> list[tuple[int, int, int]]:
+    """Split ``m`` samples into ``BATCH``-sized batches: list of (index, lo, hi)."""
     if m <= 0:
         raise ValueError(f"sample count must be positive, got {m}")
     out = []
     lo = 0
     bi = 0
     while lo < m:
-        hi = min(lo + batch, m)
+        hi = min(lo + BATCH, m)
         out.append((bi, lo, hi))
         lo = hi
         bi += 1

@@ -396,44 +396,38 @@ def libor_r0(vs: VolStructure, delta: np.ndarray, z: np.ndarray, y: np.ndarray) 
     return 0.5 * np.sum(grad * grad, axis=-1) + 0.5 * lap + np.sum(b * grad, axis=-1)
 
 
-def libor_c1(
-    vs: VolStructure,
-    delta: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    order: int = 16,
-) -> np.ndarray:
-    """c_1(x, y), the segment integral of :func:`libor_r0`."""
-    return _c1_quadrature(partial(libor_r0, vs, delta), x, y, order)
+#: Gauss-Legendre nodes of the Libor c_1 segment integral.
+_C1_NODES = 16
 
-
-#: Stencil points per c_1 evaluation in libor_c1_taylor2.  With the
-#: default 16 nodes that is 512 (point, node) rows, whose temporaries
+#: Stencil points per c_1 evaluation in libor_c1_taylor2.  With
+#: ``_C1_NODES`` nodes that is 512 (point, node) rows, whose temporaries
 #: stay in a 2 MiB L2 cache; for the 723-point stencil of 19 rates,
 #: 24-48 points per call built the kernel about a third faster than
 #: one call over all of them.
 _STENCIL_CHUNK = 32
 
+#: Relative central-difference step of libor_c1_taylor2.
+_TAYLOR_REL_STEP = 1e-4
+
+
+def libor_c1(vs: VolStructure, delta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c_1(x, y), the segment integral of :func:`libor_r0`."""
+    return _c1_quadrature(partial(libor_r0, vs, delta), x, y, _C1_NODES)
+
 
 def libor_c1_taylor2(
-    vs: VolStructure,
-    delta: np.ndarray,
-    x: np.ndarray,
-    order: int = 16,
-    rel_step: float = 1e-4,
+    vs: VolStructure, delta: np.ndarray, x: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Second-order Taylor data of y -> c_1(x, y) around y = x.
 
-    Central differences with per-coordinate steps rel_step * max(|x_i|,
-    1); the c_1 evaluations the stencil needs are batched into
-    quadrature calls of ``_STENCIL_CHUNK`` points each.  Returns (value,
-    gradient, Hessian) with the Hessian symmetrized.
+    Central differences with per-coordinate steps ``_TAYLOR_REL_STEP``
+    * max(|x_i|, 1); the c_1 evaluations the stencil needs are batched
+    into quadrature calls of ``_STENCIL_CHUNK`` points each.  Returns
+    (value, gradient, Hessian) with the Hessian symmetrized.
     """
-    if rel_step < 1e-10:
-        raise ValueError(f"relative step {rel_step} is below the quadrature noise floor")
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    eps = rel_step * np.maximum(np.abs(x), 1.0)
+    eps = _TAYLOR_REL_STEP * np.maximum(np.abs(x), 1.0)
 
     points = [x]
     for i in range(n):
@@ -454,7 +448,7 @@ def libor_c1_taylor2(
     ys = np.stack(points)
 
     vals = np.concatenate([
-        libor_c1(vs, delta, x, ys[lo : lo + _STENCIL_CHUNK], order)
+        libor_c1(vs, delta, x, ys[lo : lo + _STENCIL_CHUNK])
         for lo in range(0, ys.shape[0], _STENCIL_CHUNK)
     ])
     f0 = float(vals[0])
@@ -488,7 +482,6 @@ class WkbKernel:
     vs: VolStructure
     delta: np.ndarray
     anchor_y: np.ndarray
-    quad_order: int
     c1_value: float | None = None
     c1_grad: np.ndarray | None = None
     c1_hess: np.ndarray | None = None
@@ -512,7 +505,6 @@ def make_libor_kernel(
     delta: np.ndarray,
     anchor_rates: np.ndarray,
     level: int = 1,
-    quad_order: int = 16,
 ) -> WkbKernel:
     """Build the kernel anchored at the rate vector ``anchor_rates``."""
     if level not in (0, 1):
@@ -524,13 +516,12 @@ def make_libor_kernel(
     delta = np.asarray(delta, dtype=np.float64)
     c1v = c1g = c1h = None
     if level == 1:
-        c1v, c1g, c1h = libor_c1_taylor2(vs, delta, anchor_y, quad_order)
+        c1v, c1g, c1h = libor_c1_taylor2(vs, delta, anchor_y)
     return WkbKernel(
         level=level,
         vs=vs,
         delta=delta,
         anchor_y=anchor_y,
-        quad_order=quad_order,
         c1_value=c1v,
         c1_grad=c1g,
         c1_hess=c1h,

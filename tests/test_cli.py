@@ -62,6 +62,42 @@ class TestSamplesFlag:
         assert f">= {least}" in capsys.readouterr().err
 
 
+class TestFlagsPerSubcommand:
+    # a subcommand offers only the shared flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--level", "1"],
+        ["selftest", "--level", "1"],
+        ["explosion-demo", "--level", "1"],
+        ["calibrate-n", "--level", "1"],
+        ["calibrate-policy", "--level", "1"],
+        ["selftest", "--samples", "1000"],
+        ["explosion-demo", "--config", "configs/case_study.cfg"],
+    ])
+    def test_dropped_flag_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "2", "--h", "0"],
+        ["table", "2", "--h", "-3.5e-5"],
+        ["table", "2", "--h", "nan"],
+        ["table", "2", "--h", "inf"],
+        ["bench", "--estimators", "foo"],
+        ["bench", "--estimators", "european,foo"],
+        ["bench", "--estimators", ","],
+        ["bench", "--repeats", "0"],
+        ["bench", "--repeats", "-3"],
+    ])
+    def test_bad_value_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        flag = next(a for a in argv if a.startswith("--"))
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
 class TestSelftest:
     def test_exit_codes(self, capsys, monkeypatch):
         monkeypatch.setattr(harness, "run_selftest", lambda **kw: ("all good\n", 0))

@@ -291,15 +291,6 @@ class TestGammaFd:
 
 
 class TestVarianceAudit:
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            est.AuditExponents(term1=(2.0, 3.0, 3.0)).validate()
-        with pytest.raises(ValueError):
-            est.AuditExponents(term3=(4.0, 4.0, 4.0, 3.0)).validate()
-        with pytest.raises(ValueError):
-            est.AuditExponents(term1=(1.0, -3.0, 1.5)).validate()
-        est.AuditExponents().validate()
-
     def test_needs_payoff_gradient(self):
         with pytest.raises(ValueError):
             est.variance_audit(toy_inputs("lgn", const_payoff(1.0)))
@@ -438,6 +429,43 @@ class TestExplosionDemo:
         # one draw has no spread: refused, not reported as variance 0
         with pytest.raises(ValueError, match="at least two samples"):
             est.explosion_demo(0.5, 1.0, np.full(3, 0.05), m=1)
+
+
+def _bump_estimators():
+    """Every finite-difference estimator, as a call taking only the bump h."""
+    cfg = case_cfg(n=3, exercise_indices=(1, 2))
+    policy = brm.AndersenPolicy(cfg.exercise_indices, cfg.exercise_dates, [0.0, 0.0])
+    payoff = const_payoff(1.0)
+
+    def inputs(h):
+        return est.european_inputs(cfg, 1, m=100, seed=0, h=h)
+
+    return {
+        "delta_fd": lambda h: est.delta_fd(inputs(h), 0),
+        "naive_delta": lambda h: est.naive_delta(inputs(h), 0),
+        "gamma_fd": lambda h: est.gamma_fd(inputs(h), 0, 0),
+        "gamma_fd_cross": lambda h: est.gamma_fd(inputs(h), 0, 1),
+        "variance_audit": lambda h: est.variance_audit(inputs(h)),
+        "euler_delta_fd": lambda h: est.euler_delta_fd(cfg, cfg.t1, payoff, 0, h, 100, 0),
+        "bermudan_delta_fd": lambda h: brm.bermudan_delta_fd(cfg, policy, 0, h, m=100),
+        "euler_bermudan_delta_fd": lambda h: brm.euler_bermudan_delta_fd(
+            cfg, policy, 0, h, m=100),
+        "stopping_disagreement": lambda h: brm.stopping_disagreement(cfg, policy, 0, h, m=100),
+    }
+
+
+@pytest.mark.parametrize("h", [0.0, -3.5e-5, float("nan")])
+@pytest.mark.parametrize("name", sorted(_bump_estimators()))
+def test_bad_bump_refused_before_drawing(monkeypatch, name, h):
+    # one check in _bumped: zero, negative and nan bumps are refused by
+    # every finite-difference estimator before a single normal is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew normals for a refused bump")
+
+    call = _bump_estimators()[name]
+    monkeypatch.setattr(mc, "rng_for", no_draws)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        call(h)
 
 
 class TestEulerReference:

@@ -83,7 +83,7 @@ class TestRunTable:
             assert abs(float(f[3]) - ref) < 4.0 * float(f[4])
 
     def test_bermudan_table_deterministic(self):
-        kw = dict(m=1000, t1s=(1.0,), levels=("1",), calib_paths=10_000)
+        kw = dict(m=1000, t1s=(1.0,), levels=("1",))
         a = harness.run_table(3, **kw)
         b = harness.run_table(3, **kw)
         assert harness.strip_wall(a) == harness.strip_wall(b)
@@ -108,9 +108,7 @@ class TestRunBench:
             assert int(f[8]) >= 0
 
     def test_bermudan_rows_present(self):
-        text = harness.run_bench(
-            m=1000, t1s=(1.0,), estimators=("bermudan",), repeats=1, calib_paths=10_000
-        )
+        text = harness.run_bench(m=1000, t1s=(1.0,), estimators=("bermudan",), repeats=1)
         names = [l.split(",")[0] for l in text.splitlines()[1:]]
         assert names == ["bench_bermudan", "bench_bermudan"]
 

@@ -411,11 +411,6 @@ class TestTaylorSurrogate:
         f0, _, _ = wkb.libor_c1_taylor2(cfg.vs, cfg.delta, x)
         assert_allclose(f0, wkb.libor_r0(cfg.vs, cfg.delta, x, x), rtol=1e-12)
 
-    def test_rejects_vanishing_step(self):
-        cfg = case_cfg(n=3)
-        with pytest.raises(ValueError):
-            wkb.libor_c1_taylor2(cfg.vs, cfg.delta, lmm.to_y(cfg.vs, cfg.l0), rel_step=1e-12)
-
 
 class TestKernel:
     def test_level0_at_anchor(self):
