@@ -429,6 +429,11 @@ def bermudan_delta_fd(
     return _bermudan(cfg, policy, level, stencil, m, seed)
 
 
+def _lead_weights(w, stop: np.ndarray) -> np.ndarray:
+    """The first member's importance weights; one per path at the Euler level."""
+    return np.ones(stop.shape[0]) if w is None else w[0]
+
+
 def stopping_disagreement(
     cfg: ModelConfig,
     policy: AndersenPolicy,
@@ -444,12 +449,14 @@ def stopping_disagreement(
     branch; this diagnostic quantifies how often the down branch,
     deciding for itself, would have stopped elsewhere.  Each pair counts
     with the up branch's importance weight, so the fraction is one under
-    the model, not under the proxy.
+    the model, not under the proxy; Euler paths come from the model and
+    count once each.
     """
     stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
     head, tail = _continued(cfg, policy, level, stencil, audit=True)
     disagree = total = 0.0
-    for _, (w_up, _), _, (stop, stop_alt) in _batches(m, seed, head, tail=tail):
+    for _, w, _, (stop, stop_alt) in _batches(m, seed, head, tail=tail):
+        w_up = _lead_weights(w, stop)
         disagree += float(np.sum(w_up[stop != stop_alt]))
         total += float(np.sum(w_up))
     return disagree / total
@@ -465,13 +472,15 @@ def exercise_frequencies(
     """Weighted share of paths stopping at each date; last entry = never.
 
     Each path counts with its importance weight, so the shares are
-    those of the model, not of the proxy; they sum to one.
+    those of the model, not of the proxy; they sum to one.  Euler paths
+    come from the model and count once each.
     """
     head, tail = _continued(cfg, policy, level, [(cfg.l0, 1.0)])
     K = policy.dates.shape[0]
     hist = np.zeros(K + 1)
-    for _, (w,), _, (stop, _) in _batches(m, seed, head, tail=tail):
-        hist += np.bincount(np.where(stop < 0, K, stop), weights=w, minlength=K + 1)
+    for _, w, _, (stop, _) in _batches(m, seed, head, tail=tail):
+        weights = _lead_weights(w, stop)
+        hist += np.bincount(np.where(stop < 0, K, stop), weights=weights, minlength=K + 1)
     return hist / hist.sum()
 
 

@@ -172,12 +172,6 @@ class EstimatorInputs:
     def outer(self, x: np.ndarray) -> float:
         return 1.0 if self.scale is None else float(self.scale(x))
 
-    def require_h(self) -> float:
-        """The bump size; :func:`_bumped` checks its value."""
-        if self.h is None:
-            raise ValueError("finite-difference estimators need a bump size h")
-        return self.h
-
 
 def european_inputs(
     cfg: ModelConfig,
@@ -203,7 +197,7 @@ def european_inputs(
 
 
 def _one_shot(pair, z: np.ndarray, payoff=None):
-    """Map a batch of normals to (zeta, w, w * payoff(zeta)), chunk by chunk.
+    """Map a batch of normals to (zeta, w, w * payoff(zeta)) by ``mc.row_slices``.
 
     ``zeta`` are the proxy draws and ``w`` their importance weights; the
     weighted payoff is None when no payoff is given.
@@ -212,8 +206,7 @@ def _one_shot(pair, z: np.ndarray, payoff=None):
     zeta = np.empty(z.shape)
     w = np.empty(rows)
     wf = None if payoff is None else np.empty(rows)
-    for lo in range(0, rows, mc.CHUNK):
-        part = slice(lo, lo + mc.CHUNK)
+    for part in mc.row_slices(rows):
         zc = pair.draw(z[part])
         wc = np.exp(pair.log_weight(zc))
         zeta[part] = zc
@@ -223,13 +216,13 @@ def _one_shot(pair, z: np.ndarray, payoff=None):
     return zeta, w, wf
 
 
-def _bumped(x: np.ndarray, i: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _bumped(x: np.ndarray, i: int, h: float | None) -> tuple[np.ndarray, np.ndarray]:
     """The anchor moved by +h and -h in component ``i``.
 
     Every finite-difference estimator forms its stencil here, so this
-    is the one place a bump size is checked.
+    is the one place a bump size is checked, a missing one included.
     """
-    if not (math.isfinite(h) and h > 0.0):
+    if h is None or not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"finite-difference bump h must be finite and > 0, got {h}")
     if not 0 <= i < x.shape[-1]:
         raise ValueError(f"component {i} outside 0..{x.shape[-1] - 1}")
@@ -377,8 +370,7 @@ def delta_fd(inputs: EstimatorInputs, i: int) -> McResult:
     Both bump anchors see the same underlying normals; sampler, kernel
     and outer scale all move with the bump.
     """
-    h = inputs.require_h()
-    return _one_shot_estimate(inputs, _delta_stencil(inputs.anchor, i, h, inputs.outer))
+    return _one_shot_estimate(inputs, _delta_stencil(inputs.anchor, i, inputs.h, inputs.outer))
 
 
 def naive_delta(inputs: EstimatorInputs, i: int) -> McResult:
@@ -390,7 +382,7 @@ def naive_delta(inputs: EstimatorInputs, i: int) -> McResult:
     comparison, not for production use.  The outer scale stays at the
     anchor too; ESS and the largest weight pool both members' weights.
     """
-    h = inputs.require_h()
+    h = inputs.h
     x = inputs.anchor
     up, dn = _bumped(x, i, h)
     s0 = inputs.outer(x)
@@ -407,7 +399,7 @@ def gamma_fd(inputs: EstimatorInputs, i: int, j: int) -> McResult:
     own sampler, kernel and scale, exactly as in :func:`delta_fd`.  ESS
     and the largest weight pool the weights of every stencil member.
     """
-    h = inputs.require_h()
+    h = inputs.h
     x = inputs.anchor
     if i == j:
         up, dn = _bumped(x, i, h)
@@ -475,11 +467,6 @@ class AuditReport:
         return self.lhs <= self.rhs * (1.0 + _AUDIT_TOL)
 
 
-def _lp_norm(acc_mean: float, power: float) -> float:
-    """(E |X|^p)^(1/p) from an accumulated mean of |X|^p."""
-    return acc_mean ** (1.0 / power)
-
-
 def variance_audit(inputs: EstimatorInputs) -> AuditReport:
     """Estimate both sides of the variance bound and assert nothing.
 
@@ -498,7 +485,7 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
     """
     if inputs.payoff_grad is None:
         raise ValueError("the audit needs an analytic payoff gradient")
-    h = inputs.require_h()
+    h = inputs.h
     x = inputs.anchor
     n = x.shape[-1]
     pair0 = inputs.anchored(x)
@@ -507,9 +494,8 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
         up, dn = _bumped(x, i, h)
         sides.append((inputs.anchored(up), inputs.anchored(dn)))
 
-    accs = {"lhs": mc.MomentAccumulator()}
-    for kind, p in _AUDIT_NORMS:
-        accs[f"{kind}@{p:g}"] = mc.MomentAccumulator()
+    lhs = mc.MomentAccumulator()
+    accs = {key: mc.MomentAccumulator() for key in _AUDIT_NORMS}
 
     for bi, lo, hi in mc.batch_slices(inputs.m):
         z = mc.rng_for(inputs.seed, bi, mc.STREAM_XI).standard_normal((hi - lo, n))
@@ -536,25 +522,21 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
             "m5": np.sqrt(m5_sq),
             "m6": np.linalg.norm(pair0.grad_log_weight(zeta), axis=-1),
         }
-        accs["lhs"].add(bi, grad_sq)
-        for kind, p in _AUDIT_NORMS:
-            accs[f"{kind}@{p:g}"].add(bi, values[kind] ** p)
+        lhs.add(bi, grad_sq)
+        for (kind, p), acc in accs.items():
+            acc.add(bi, values[kind] ** p)
 
-    means = {k: acc.finalize()[0] for k, acc in accs.items()}
-    norms = {
-        key: _lp_norm(val, float(key.split("@")[1]))
-        for key, val in means.items()
-        if key != "lhs"
-    }
+    # (E |X|^p)^(1/p) from the accumulated mean of |X|^p
+    norms = {(kind, p): acc.finalize()[0] ** (1.0 / p) for (kind, p), acc in accs.items()}
     terms = tuple(
-        c * math.prod(norms[f"{kind}@{2.0 * a:g}"] for kind in kinds) ** 2
+        c * math.prod(norms[kind, 2.0 * a] for kind in kinds) ** 2
         for c, a, kinds in _AUDIT_TERMS
     )
     return AuditReport(
-        lhs=means["lhs"],
+        lhs=lhs.finalize()[0],
         rhs=sum(terms),
         terms=terms,
-        norms=norms,
+        norms={f"{kind}@{p:g}": v for (kind, p), v in norms.items()},
         m=inputs.m,
     )
 
@@ -648,10 +630,11 @@ def euler_delta_fd(
     h: float,
     m: int,
     seed: int,
-    dt: float | None = None,
     scale: Callable[[np.ndarray], float] | None = None,
 ) -> McResult:
-    """Pathwise reference delta: bumped starts, common increments."""
-    dt = cfg.dt_euro if dt is None else dt
+    """Pathwise reference delta: bumped starts, common increments.
+
+    The paths step on the ``cfg.dt_euro`` grid.
+    """
     stencil = _delta_stencil(cfg.l0, i, h, lambda a: 1.0 if scale is None else float(scale(a)))
-    return _estimate(stencil, _euler_head(cfg, stencil, t, dt), m, seed, payoff)
+    return _estimate(stencil, _euler_head(cfg, stencil, t, cfg.dt_euro), m, seed, payoff)

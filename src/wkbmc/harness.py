@@ -250,25 +250,30 @@ def run_bench(
     Euler-steps from time zero pays per step and grows linearly.  The
     Bermudan rows keep their continuation legs (first date to last
     exercise) in both variants, so there the gap is the 0-to-T1 head
-    only.  Each cell is warmed up at full size, then reported as its
-    fastest call (see ``_timed_cells``).
+    only.  Each cell is the call the price tables (1 and 3) make for it,
+    warmed up at full size, then reported as its fastest call (see
+    ``_timed_cells``).  ``estimators`` is a non-empty collection of
+    names in ``BENCH_ESTIMATORS``.
     """
+    if isinstance(estimators, str) or not estimators or any(
+        name not in BENCH_ESTIMATORS for name in estimators
+    ):
+        raise ValueError(
+            f"estimators must be a non-empty collection among {BENCH_ESTIMATORS}, "
+            f"got {estimators!r}"
+        )
+    levels = ("1", "euler")
     cells = []  # (estimator, T1, level, call), in row order
     for t1 in t1s:
         cfg = build_config(raw, t1)
-        inp = est.european_inputs(cfg, 1, m=m, seed=seed)
-
         if "european" in estimators:
-            cells.append(("bench_european", t1, "1", partial(est.price, inp)))
-            cells.append(("bench_european", t1, "euler", partial(
-                est.euler_price, cfg, cfg.t1, inp.payoff, m=m, seed=seed, scale=inp.scale)))
-
+            cells += [("bench_european", t1, level, partial(
+                _european_cell, cfg, "european_price", level, m, seed, None)) for level in levels]
         if "bermudan" in estimators and cfg.exercise_indices:
             policy = brm.calibrate_policy(cfg, n_paths=CALIBRATION_PATHS, seed=CALIBRATION_SEED)
-            cells.append(("bench_bermudan", t1, "1", partial(
-                brm.bermudan_price, cfg, policy, level=1, m=m, seed=seed)))
-            cells.append(("bench_bermudan", t1, "euler", partial(
-                brm.euler_bermudan_price, cfg, policy, m=m, seed=seed)))
+            cells += [("bench_bermudan", t1, level, partial(
+                _bermudan_cell, cfg, policy, "bermudan_price", level, m, seed, None))
+                for level in levels]
     timed = [None] * len(cells)
     for kind in dict.fromkeys((name, level) for name, _, level, _ in cells):
         picked = [k for k, c in enumerate(cells) if (c[0], c[2]) == kind]

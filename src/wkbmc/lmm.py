@@ -15,8 +15,9 @@ a_ij = gamma_i . gamma_j.  The module provides:
   factorisation a = Gamma Gamma^T with Gamma upper triangular,
 * the terminal-measure drift, a log-Euler step, and the one path
   stepper (``evolve_log_euler``) behind the Euler oracle, the Bermudan
-  continuation and the policy fit; it steps in cache-sized row slices
-  on reused buffers and can step only the rows still running,
+  continuation and the policy fit; it steps in the row slices of
+  ``mc.row_slices`` on reused buffers and can step only the rows still
+  running,
 * the unit-diffusion coordinates Y = Gamma^{-1} log L in which the
   transition density expansion is carried out,
 * a plain-text configuration format for experiment settings.
@@ -258,19 +259,6 @@ def log_euler_step(
     return step
 
 
-def _row_slices(rows: int) -> list[slice]:
-    """``mc.CHUNK``-row slices of ``rows`` rows, none of them a lone row.
-
-    A lone row would go through BLAS's matrix-vector product, whose sums
-    can differ in the last bit from the matrix-matrix product that rows
-    in a block get, so a one-row tail joins the slice before it.
-    """
-    cuts = list(range(0, rows, mc.CHUNK)) + [rows]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-
 def evolve_log_euler(
     cfg: ModelConfig,
     group: list,
@@ -284,8 +272,8 @@ def evolve_log_euler(
     Every member sees the same increments (bump-and-revalue stencils
     share them): each step draws one (B, n) block of standard normals
     from ``rng`` into one reused buffer, whatever the group size.  The
-    step itself runs in cache-sized slices of ``mc.CHUNK`` rows that
-    update the members' log-rates in place.  Returns the final rates,
+    step itself runs in the cache-sized slices of ``mc.row_slices``,
+    which update the members' log-rates in place.  Returns the final rates,
     one array per member.
 
     ``_running`` (the Bermudan date walker's) is a boolean mask over the
@@ -301,11 +289,11 @@ def evolve_log_euler(
         take = np.flatnonzero(_running)
         if take.size == 1 < z.shape[0]:
             # keep the lone running row out of the matrix-vector product
-            # (see _row_slices) by stepping it twice over
+            # (see mc.row_slices) by stepping it twice over
             take = np.repeat(take, 2)
             ks = [np.repeat(k, 2, axis=0) for k in ks]
         zs = np.empty((take.size, cfg.n))
-    parts = _row_slices(ks[0].shape[0])
+    parts = mc.row_slices(ks[0].shape[0])
     for _ in range(n_steps):
         rng.standard_normal(z.shape, out=z)
         if zs is not z:

@@ -5,7 +5,8 @@ Random numbers come from counter-based Philox streams keyed on
 an independent, reproducible stream regardless of execution order.
 Reductions accumulate per-batch partial moments and combine them in
 batch order, which makes totals bit-identical no matter how the batches
-were scheduled.
+were scheduled.  Inside a batch, every per-row kernel works in the
+cache-sized slices of ``row_slices``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ BATCH = 1 << 14
 #: chains over a whole batch stream from memory.  Per-batch time of
 #: draw, weight and payoff was flat from 512 to 2048 rows per chunk and
 #: twice as high at 4096.  The one-shot weight and the log-Euler step
-#: both work in slices of this many rows.
+#: both work in the slices :func:`row_slices` cuts.
 CHUNK = 1024
 
 # Stream labels.  One logical purpose per stream, shared by every
@@ -44,6 +45,19 @@ def rng_for(seed: int, batch_index: int, stream: int = STREAM_XI) -> np.random.G
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def row_slices(rows: int) -> list[slice]:
+    """``CHUNK``-row slices of ``rows`` rows, none of them a lone row.
+
+    A lone row would go through BLAS's matrix-vector product, whose sums
+    can differ in the last bit from the matrix-matrix product that rows
+    in a block get, so a one-row tail joins the slice before it.
+    """
+    cuts = list(range(0, rows, CHUNK)) + [rows]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def batch_slices(m: int) -> list[tuple[int, int, int]]:
@@ -112,6 +126,7 @@ __all__ = [
     "STREAM_CONT",
     "STREAM_EULER",
     "rng_for",
+    "row_slices",
     "batch_slices",
     "MomentAccumulator",
 ]

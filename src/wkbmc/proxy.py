@@ -13,7 +13,10 @@ keeps the finite-difference sensitivities well behaved: bumping x moves
 the sampler and the density together.
 
 The mean shift carries the -|gamma_i|^2 / 2 term of the log-drift, so
-the proxy is a log-Euler step frozen at x.
+the proxy is a log-Euler step frozen at x.  ``make_proxy`` is the one
+constructor: it checks the step and the anchor and computes the mean
+shift.  Sampler and density read the step only through its length
+dt = t - s, so the proxy keeps that length and not the endpoints.
 """
 from __future__ import annotations
 
@@ -25,36 +28,10 @@ from .lmm import VolStructure, drift_mu
 
 __all__ = [
     "LognormalProxy",
-    "proxy_moments",
     "make_proxy",
     "sample_g",
     "log_density",
 ]
-
-
-def proxy_moments(
-    vs: VolStructure,
-    delta: np.ndarray,
-    s: float,
-    t: float,
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the frozen log-increment xi over [s, t].
-
-    mean_i = (t-s) (-a_ii/2 - sum_{j>i} a_ij delta_j x_j/(1+delta_j x_j)),
-    cov    = (t-s) a.
-
-    ``x`` may carry leading batch axes; the covariance does not depend
-    on x and is returned once.
-    """
-    if t <= s:
-        raise ValueError(f"need t > s, got s={s}, t={t}")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise ValueError("anchor rates must be positive")
-    dt = t - s
-    mean = dt * (-0.5 * vs.a_diag + drift_mu(vs, delta, x))
-    return mean, dt * vs.a
 
 
 @dataclass(frozen=True)
@@ -64,9 +41,8 @@ class LognormalProxy:
     Attributes
     ----------
     vs : VolStructure
-    delta : ndarray, shape (n,)
-    s, t : float
-        Step endpoints in years.
+    dt : float
+        Step length t - s in years.
     anchor : ndarray, shape (n,)
         The start state x at which the coefficients are frozen.
     mean_shift : ndarray, shape (n,)
@@ -74,15 +50,9 @@ class LognormalProxy:
     """
 
     vs: VolStructure
-    delta: np.ndarray
-    s: float
-    t: float
+    dt: float
     anchor: np.ndarray
     mean_shift: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return self.t - self.s
 
     @property
     def n(self) -> int:
@@ -90,7 +60,7 @@ class LognormalProxy:
 
     @property
     def cov_factor(self) -> np.ndarray:
-        """sqrt(t - s) Gamma, the square factor of Cov(xi)."""
+        """sqrt(dt) Gamma, the square factor of Cov(xi) = dt a."""
         return np.sqrt(self.dt) * self.vs.gamma
 
 
@@ -101,16 +71,18 @@ def make_proxy(
     t: float,
     anchor: np.ndarray,
 ) -> LognormalProxy:
+    """The proxy for the step [s, t] frozen at ``anchor``.
+
+    mean_shift_i = (t-s) (-a_ii/2 - sum_{j>i} a_ij delta_j x_j/(1+delta_j x_j)).
+    """
+    if t <= s:
+        raise ValueError(f"need t > s, got s={s}, t={t}")
     anchor = np.asarray(anchor, dtype=np.float64)
-    mean, _ = proxy_moments(vs, delta, s, t, anchor)
-    return LognormalProxy(
-        vs=vs,
-        delta=np.asarray(delta, dtype=np.float64),
-        s=float(s),
-        t=float(t),
-        anchor=anchor,
-        mean_shift=mean,
-    )
+    if np.any(anchor <= 0.0):
+        raise ValueError("anchor rates must be positive")
+    dt = float(t - s)
+    mean = dt * (-0.5 * vs.a_diag + drift_mu(vs, delta, anchor))
+    return LognormalProxy(vs=vs, dt=dt, anchor=anchor, mean_shift=mean)
 
 
 def sample_g(proxy: LognormalProxy, z: np.ndarray) -> np.ndarray:

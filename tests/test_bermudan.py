@@ -445,3 +445,17 @@ class TestWeightedDiagnostics:
         assert frac > 0.0
         # the weights do move the shares off the plain counts
         assert np.max(np.abs(freq - np.bincount(bucket, minlength=freq.shape[0]) / self.m)) > 0.0
+
+    def test_euler_level_frequencies(self):
+        # Euler paths carry no importance weight: each counts once
+        freq = brm.exercise_frequencies(case_cfg(), case_policy(), level="euler",
+                                        m=self.m, seed=self.seed)
+        assert np.all(freq >= 0.0)
+        assert_allclose(freq.sum(), 1.0, rtol=1e-12)
+        counts = freq * self.m
+        assert np.array_equal(counts, np.round(counts))
+
+    def test_euler_level_disagreement(self):
+        frac = brm.stopping_disagreement(case_cfg(), case_policy(), i=self.i, h=3.5e-5,
+                                         level="euler", m=self.m, seed=self.seed)
+        assert 0.0 <= frac < 0.02

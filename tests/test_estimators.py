@@ -454,11 +454,12 @@ def _bump_estimators():
     }
 
 
-@pytest.mark.parametrize("h", [0.0, -3.5e-5, float("nan")])
+@pytest.mark.parametrize("h", [0.0, -3.5e-5, float("nan"), None])
 @pytest.mark.parametrize("name", sorted(_bump_estimators()))
 def test_bad_bump_refused_before_drawing(monkeypatch, name, h):
-    # one check in _bumped: zero, negative and nan bumps are refused by
-    # every finite-difference estimator before a single normal is drawn
+    # one check in _bumped: zero, negative, nan and missing bumps are
+    # refused by every finite-difference estimator before a single
+    # normal is drawn
     def no_draws(*args, **kwargs):
         raise AssertionError("drew normals for a refused bump")
 

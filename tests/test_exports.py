@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -40,3 +42,55 @@ def test_trace_sites_resolve():
     if not callable(getattr(wkbmc.mc, "rng_for", None)):
         missing.append("mc.rng_for")
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The names perfbench and the demos bind the package's modules to.
+API_ALIASES = {
+    "est": "wkbmc.estimators",
+    "brm": "wkbmc.bermudan",
+    "harness": "wkbmc.harness",
+    "lmm": "wkbmc.lmm",
+    "mc": "wkbmc.mc",
+    "wkbmc": "wkbmc",
+}
+
+API_USERS = [
+    ROOT / "perfbench" / "run.py",
+    ROOT / "perfbench" / "setup_probe.py",
+    *sorted((ROOT / "demos").glob("*.py")),
+]
+
+
+def test_bench_and_demo_api_resolves():
+    # perfbench and the demos are read only here, never run: every
+    # package attribute they use must exist and take the keywords they
+    # pass, so a deletion that would break the benchmark fails this test
+    bad = []
+    seen = 0
+    for path in API_USERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {
+            id(node.func): [kw.arg for kw in node.keywords if kw.arg is not None]
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in API_ALIASES):
+                continue
+            seen += 1
+            where = f"{path.relative_to(ROOT)}:{node.lineno} {node.value.id}.{node.attr}"
+            module = importlib.import_module(API_ALIASES[node.value.id])
+            if not hasattr(module, node.attr):
+                bad.append(where)
+                continue
+            keywords = calls.get(id(node), [])
+            if not keywords:
+                continue
+            params = inspect.signature(getattr(module, node.attr)).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            bad += [f"{where}({kw}=)" for kw in keywords if kw not in params]
+    assert seen > 30
+    assert bad == []

@@ -112,6 +112,17 @@ class TestRunBench:
         names = [l.split(",")[0] for l in text.splitlines()[1:]]
         assert names == ["bench_bermudan", "bench_bermudan"]
 
+    @pytest.mark.parametrize("estimators", [
+        "european", "bermudan,european", (), ("foo",), ("european", "foo"),
+    ], ids=["string", "comma-string", "empty", "unknown", "one-unknown"])
+    def test_bad_estimators_refused_before_work(self, monkeypatch, estimators):
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a config for refused estimators")
+
+        monkeypatch.setattr(harness, "build_config", no_work)
+        with pytest.raises(ValueError, match="estimators must be"):
+            harness.run_bench(m=1000, t1s=(1.0,), estimators=estimators, repeats=1)
+
 
 class TestRunExplosion:
     def test_ratio_and_factors(self):

@@ -15,23 +15,22 @@ def small_cfg(n=3):
 class TestMoments:
     def test_terminal_component_hand_value(self):
         cfg = small_cfg(n=4)
-        mean, cov = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 0.3, cfg.l0)
+        mean = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 0.3, cfg.l0).mean_shift
         # terminal rate has no state drift: mean shift is -dt*a_nn/2
         assert_allclose(mean[-1], -0.3 * cfg.vs.a_diag[-1] / 2, rtol=1e-14)
-        assert_allclose(cov, 0.3 * cfg.vs.a, rtol=1e-14)
 
     def test_small_rate_limit_kills_state_drift(self):
         cfg = small_cfg(n=3)
         x = np.full(3, 1e-13)
-        mean, _ = proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 1.0, x)
+        mean = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, x).mean_shift
         assert_allclose(mean, -cfg.vs.a_diag / 2, rtol=1e-9)
 
     def test_validation(self):
         cfg = small_cfg()
         with pytest.raises(ValueError):
-            proxy.proxy_moments(cfg.vs, cfg.delta, 0.5, 0.5, cfg.l0)
+            proxy.make_proxy(cfg.vs, cfg.delta, 0.5, 0.5, cfg.l0)
         with pytest.raises(ValueError):
-            proxy.proxy_moments(cfg.vs, cfg.delta, 0.0, 1.0, -cfg.l0)
+            proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, -cfg.l0)
 
 
 class TestSampling:
