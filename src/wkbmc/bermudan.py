@@ -11,9 +11,10 @@ exactly as in the European case) and continues with fine-step log-Euler
 paths to the later exercise dates, so only the continuation pays the
 per-step cost.  The continuation steps only the rows still running: at
 each date the group shrinks to the paths no exercise decision has
-stopped yet, while every step still draws the batch's full block of
-normals, so each path sees the same increments whichever others still
-run.  Every estimator here, and the two diagnostics
+stopped yet, and each step draws normals for those rows alone, handed
+out in running order.  Whether a path still runs depends only on its
+past, so the fresh increments keep every path's law; a stopped path
+costs no further draws.  Every estimator here, and the two diagnostics
 (where paths stop, how often a bump pair would stop apart), runs on the
 batch driver of ``estimators``: the exercise-policy continuation
 (``_run_policy``) is its tail, and the diagnostics weight each path by
@@ -87,43 +88,50 @@ def black76(f, k, v):
     return out if out.ndim else float(out)
 
 
-def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j: int, br=None):
+def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j, br=None):
     """Deflated value at T_i of the European swaption exercising at T_j.
 
     ``x`` holds the forward rates observed at T_i (leading axes are
-    batched paths); ``i`` and ``j`` are 1-based tenor indices with
-    j >= i.  At j = i this reduces to the intrinsic value exactly.
-    ``br`` may carry ``bond_ratios(cfg.delta, x)`` when the caller has
-    it: the ratios are suffix products, so their tail from leg j on is
-    exactly what this function would compute.
+    batched paths); ``i`` is a 1-based tenor index and ``j`` one later
+    index or a sequence of them, each with i <= j <= n.  An int ``j``
+    gives shape (...), a sequence of J indices shape (..., J), one
+    column per index.  At an int j = i this is the intrinsic value
+    exactly; a j = i inside a sequence gets it to rounding.  ``br`` may
+    carry ``bond_ratios(cfg.delta, x)`` when the caller has it.
 
     The approximation freezes the deflated-bond weights at ``x``.  For
     the sum-style payoff the remaining swap rate is treated as
     lognormal with its frozen-weight instantaneous variance; for the
-    per-leg style each leg is a lognormal call on its own rate.
+    per-leg style each leg is a lognormal call on its own rate.  All
+    dates share one pass: the annuity, the floating leg and the
+    quadratic form ux' a ux over legs j.. are reversed cumulative sums
+    over the legs, read off at each j.
     """
-    if not 1 <= i <= j <= cfg.n:
+    js = np.atleast_1d(np.asarray(j))
+    if js.ndim != 1 or js.size == 0 or not (1 <= i <= js.min() and js.max() <= cfg.n):
         raise ValueError(f"need 1 <= i <= j <= {cfg.n}, got i={i}, j={j}")
     x = np.asarray(x, dtype=np.float64)
-    if j == i:
+    if np.ndim(j) == 0 and j == i:
         spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
         return swaption_payoff(cfg.delta, x, spec)
-    tau = cfg.tenor_date(j) - cfg.tenor_date(i)
-    j0 = j - 1
-    d = cfg.delta[j0:]
-    xs = x[..., j0:]
-    br = bond_ratios(d, xs) if br is None else br[..., j0:]
+    tau = cfg.tenor[js - 1] - cfg.tenor[i - 1]
+    j0 = js - 1
+    br = bond_ratios(cfg.delta, x) if br is None else br
+    u = cfg.delta * br
     if cfg.payoff_style == "per_leg":
-        vols = cfg.vol[j0:] * math.sqrt(tau)
-        return np.sum(d * br * black76(xs, cfg.strike, vols), axis=-1)
-    annuity = np.sum(d * br, axis=-1)
-    ux = d * br * xs
-    floating = np.sum(ux, axis=-1)
-    rate = floating / annuity
-    a_sub = cfg.vs.a[j0:, j0:]
-    quad = np.einsum("...i,ij,...j->...", ux, a_sub, ux)
-    v = np.sqrt(tau * quad) / floating
-    return annuity * black76(rate, cfg.strike, v)
+        out = np.stack([
+            np.sum(u[..., k:] * black76(x[..., k:], cfg.strike, cfg.vol[k:] * math.sqrt(t)),
+                   axis=-1)
+            for k, t in zip(j0, tau)
+        ], axis=-1)
+    else:
+        ux = u * x
+        quad = ux * (ux * cfg.vs.a_diag + 2.0 * (ux @ cfg.vs.a_upper.T))
+        annuity, floating, quad = (
+            np.cumsum(c[..., ::-1], axis=-1)[..., ::-1][..., j0] for c in (u, ux, quad))
+        v = np.sqrt(tau * quad) / floating
+        out = annuity * black76(floating / annuity, cfg.strike, v)
+    return out if np.ndim(j) else out[..., 0]
 
 
 def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray):
@@ -143,11 +151,11 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray):
     i = indices[k]
     spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
     intrinsic = swaption_payoff(cfg.delta, states, spec)
-    best = np.zeros_like(intrinsic)
-    br = bond_ratios(cfg.delta, states)
-    for j in indices[k + 1:]:
-        best = np.maximum(best, still_alive_european(cfg, states, i, j, br))
-    return intrinsic, intrinsic - best
+    later = indices[k + 1:]
+    if not later:
+        return intrinsic, intrinsic
+    best = still_alive_european(cfg, states, i, later, bond_ratios(cfg.delta, states))
+    return intrinsic, intrinsic - np.maximum(best.max(axis=-1), 0.0)
 
 
 def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates, running=None):
@@ -159,9 +167,10 @@ def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates, running=
 
     ``running`` is a boolean mask over the group's rows that the caller
     may clear between dates.  Each yielded group then holds only the
-    rows still set, in order, and only those rows are stepped; every
-    step still draws the full block, so the rows' normals do not depend
-    on which of them still run.
+    rows still set, in order, and only those rows are stepped and get
+    normals, handed out in row order.  The running set at a date
+    depends only on the path so far, so fresh iid increments for the
+    rows still running keep every path's law.
     """
     held = None if running is None else running.copy()
     t_prev = start_time
@@ -173,8 +182,7 @@ def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates, running=
                 held = running.copy()
         steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
         if steps:
-            mask = None if held is None or held.all() else held
-            group = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, mask)
+            group = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng)
         t_prev = date
         yield k, group
 
@@ -451,6 +459,11 @@ def stopping_disagreement(
     with the up branch's importance weight, so the fraction is one under
     the model, not under the proxy; Euler paths come from the model and
     count once each.
+
+    The audit steps a row on until both branches have stopped, while the
+    Delta estimator stops it with the up branch.  The two runs therefore
+    hand their continuation normals to different rows: the audited paths
+    are equal in law to the Delta run's, not the same paths.
     """
     stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
     head, tail = _continued(cfg, policy, level, stencil, audit=True)

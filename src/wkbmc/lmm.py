@@ -16,8 +16,8 @@ a_ij = gamma_i . gamma_j.  The module provides:
 * the terminal-measure drift, a log-Euler step, and the one path
   stepper (``evolve_log_euler``) behind the Euler oracle, the Bermudan
   continuation and the policy fit; it steps in the row slices of
-  ``mc.row_slices`` on reused buffers and can step only the rows still
-  running,
+  ``mc.row_slices`` on one reused normals buffer and draws normals for
+  exactly the rows it is handed,
 * the unit-diffusion coordinates Y = Gamma^{-1} log L in which the
   transition density expansion is carried out,
 * a plain-text configuration format for experiment settings.
@@ -265,44 +265,26 @@ def evolve_log_euler(
     n_steps: int,
     dt: float,
     rng: np.random.Generator,
-    _running: np.ndarray | None = None,
 ) -> list:
     """Advance a group of (B, n) rate arrays by ``n_steps`` log-Euler steps.
 
     Every member sees the same increments (bump-and-revalue stencils
     share them): each step draws one (B, n) block of standard normals
-    from ``rng`` into one reused buffer, whatever the group size.  The
-    step itself runs in the cache-sized slices of ``mc.row_slices``,
-    which update the members' log-rates in place.  Returns the final rates,
-    one array per member.
-
-    ``_running`` (the Bermudan date walker's) is a boolean mask over the
-    B rows of the drawn block.  The members then hold only the masked
-    rows, and each step gathers their normals from the full block, so
-    a row's path does not depend on which other rows are stepped.
+    from ``rng`` into one reused buffer, whatever the group size, so a
+    step takes exactly B n normals.  The step itself runs in the
+    cache-sized slices of ``mc.row_slices``, which update the members'
+    log-rates in place.  Returns the final rates, one array per member.
     """
     ks = [np.log(np.asarray(g, dtype=np.float64)) for g in group]
-    rows = ks[0].shape[0]
-    z = np.empty((rows if _running is None else _running.shape[0], cfg.n))
-    zs = z
-    if _running is not None:
-        take = np.flatnonzero(_running)
-        if take.size == 1 < z.shape[0]:
-            # keep the lone running row out of the matrix-vector product
-            # (see mc.row_slices) by stepping it twice over
-            take = np.repeat(take, 2)
-            ks = [np.repeat(k, 2, axis=0) for k in ks]
-        zs = np.empty((take.size, cfg.n))
-    parts = mc.row_slices(ks[0].shape[0])
+    z = np.empty(ks[0].shape)
+    parts = mc.row_slices(z.shape[0])
     for _ in range(n_steps):
         rng.standard_normal(z.shape, out=z)
-        if zs is not z:
-            np.take(z, take, axis=0, out=zs)
         for part in parts:
-            zp = zs[part]
+            zp = z[part]
             for k in ks:
                 k[part] = log_euler_step(cfg.vs, cfg.delta, k[part], dt, zp)
-    return [np.exp(k[:rows]) for k in ks]
+    return [np.exp(k) for k in ks]
 
 
 def to_y(vs: VolStructure, L: np.ndarray) -> np.ndarray:

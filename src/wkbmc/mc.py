@@ -1,8 +1,12 @@
 """Deterministic Monte Carlo plumbing.
 
-Random numbers come from counter-based Philox streams keyed on
-(seed, stream, batch index), so every batch of every estimator draws
-an independent, reproducible stream regardless of execution order.
+Random numbers come from SFC64 generators, one per (seed, stream,
+batch index) cell of the random tableau, each seeded through a
+``SeedSequence`` whose spawn key is the (stream, batch) pair.  Every
+batch of every estimator therefore draws an independent, reproducible
+stream regardless of execution order.  A draw takes exactly the normals
+its rows need: the Bermudan continuation draws increments only for the
+rows still running, so a cell's stream is consumed in running order.
 Reductions accumulate per-batch partial moments and combine them in
 batch order, which makes totals bit-identical no matter how the batches
 were scheduled.  Inside a batch, every per-row kernel works in the
@@ -36,15 +40,20 @@ _MASK64 = (1 << 64) - 1
 
 
 def rng_for(seed: int, batch_index: int, stream: int = STREAM_XI) -> np.random.Generator:
-    """Generator for one (seed, stream, batch) cell of the random tableau."""
+    """Generator for one (seed, stream, batch) cell of the random tableau.
+
+    The seed is taken modulo 2**64, the stream modulo 2**16 and the
+    batch index modulo 2**48.  The (stream, batch) pair goes in as the
+    spawn key, not as more entropy: ``SeedSequence`` cuts each integer
+    into as few 32-bit words as hold it and pads short entropy with
+    zeros, so entropy ``[seed, stream, batch]`` would give the cells
+    (2**32, stream 0, batch 0) and (0, stream 1, batch 0) one stream.
+    """
     if batch_index < 0:
         raise ValueError(f"batch_index must be non-negative, got {batch_index}")
-    key = np.array(
-        [np.uint64(seed & _MASK64),
-         np.uint64(((stream & 0xFFFF) << 48) | (batch_index & _MASK48))],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(
+        seed & _MASK64, spawn_key=(stream & 0xFFFF, batch_index & _MASK48))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def row_slices(rows: int) -> list[slice]:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from wkbmc import bermudan as brm
 from wkbmc import estimators as est
 from wkbmc import lmm, mc
-from wkbmc.payoffs import SwaptionSpec, swaption_payoff
+from wkbmc.payoffs import SwaptionSpec, bond_ratios, report_scale, swaption_payoff
 
 
 def case_cfg(t1=1.0, strike=0.035, exercise=tuple(range(1, 20, 2)), **kw):
@@ -58,6 +58,19 @@ class TestBlack76:
         assert isinstance(brm.black76(1.0, 1.0, 0.2), float)
 
 
+def sae_reference(cfg, x, i, j):
+    """Still-alive European at T_i for one later date j, leg by leg."""
+    tau = cfg.tenor_date(j) - cfg.tenor_date(i)
+    d, xs = cfg.delta[j - 1:], x[..., j - 1:]
+    u = d * bond_ratios(d, xs)
+    if cfg.payoff_style == "per_leg":
+        return np.sum(u * brm.black76(xs, cfg.strike, cfg.vol[j - 1:] * np.sqrt(tau)), axis=-1)
+    annuity, ux = np.sum(u, axis=-1), u * xs
+    floating = np.sum(ux, axis=-1)
+    quad = np.einsum("...p,pq,...q->...", ux, cfg.vs.a[j - 1:, j - 1:], ux)
+    return annuity * brm.black76(floating / annuity, cfg.strike, np.sqrt(tau * quad) / floating)
+
+
 class TestStillAliveEuropean:
     def test_at_own_date_equals_intrinsic(self):
         cfg = case_cfg()
@@ -93,6 +106,21 @@ class TestStillAliveEuropean:
             brm.still_alive_european(cfg, x, 5, 3)
         with pytest.raises(ValueError, match="1 <= i <= j"):
             brm.still_alive_european(cfg, x, 5, 20)
+
+    @pytest.mark.parametrize("style", ["on_sum", "per_leg"])
+    def test_one_call_matches_per_date_reference(self, style):
+        # every later date in one call, against the per-date closed form
+        # on the tail legs (explicit quadratic form); the sums run in
+        # another order, so agreement is to rounding, not bit for bit
+        cfg = case_cfg(payoff_style=style)
+        x = 0.035 * np.exp(0.3 * np.random.default_rng(3).standard_normal((2000, 19)))
+        for i in (1, 7, 17):
+            later = list(range(i + 1, 20))
+            got = brm.still_alive_european(cfg, x, i, later)
+            assert got.shape == (2000, len(later))
+            want = np.stack([sae_reference(cfg, x, i, j) for j in later], axis=-1)
+            assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+            assert np.array_equal(got[:, 0], brm.still_alive_european(cfg, x, i, later[0]))
 
     def test_against_nested_monte_carlo(self):
         # approximation quality drives exercise ranking, so pin it against
@@ -190,22 +218,22 @@ class TestStoppingTime:
 #: (thresholds, objectives) of ``case_policy(t1)``.
 GOLDEN_POLICY = {
     1.0: (
-        [0.011102843846034447, 0.0067313430387713905, 0.008347065701859521,
-         0.008249130348430484, 0.005361909681595761, 0.0021934219025209166,
-         -1.3877379022186821e-05, 0.0011769996400111567, -5.668908004601249e-06, 0.0],
-        [0.050769935169941285, 0.05000793986988794, 0.0475623107541545,
-         0.04438995433038549, 0.03941374461343509, 0.03344684742958904,
-         0.027230233227129145, 0.020121543945225542, 0.012454054536718771,
-         0.004281480808705765],
+        [0.011769896021462847, 0.009471456963716802, 0.008575826162568256,
+         0.00581695112598723, 0.003564437410009767, 0.0018084010157449436,
+         -2.7603939928586894e-05, -2.425702909434613e-07, -8.208384607838895e-06, 0.0],
+        [0.05044873142694085, 0.04980699574291984, 0.04737990135466406,
+         0.043919277082335735, 0.03881290661132498, 0.03285145041390784,
+         0.026821006158574915, 0.020165948528596846, 0.012395403144321545,
+         0.004306847340399569],
     ),
     10.0: (
-        [0.01383673630824597, 0.0, 0.009972920527178037, 0.004536709266925483,
-         0.003440783494748166, 0.007178275385688116, -7.604788754075862e-06,
-         0.0, 0.0, 0.0],
-        [0.09760815985497923, 0.0898376109258962, 0.08082176458689262,
-         0.07174237511055469, 0.06125554735947598, 0.050554882644877626,
-         0.0395308394641395, 0.028209656633387228, 0.016762498825501636,
-         0.005709977829057327],
+        [0.004479923362008977, 0.0035730177523635867, 0.010497165075225849,
+         0.004836997951327528, 0.0036763794546861724, -2.0700433237709215e-05,
+         0.00177504871329898, 0.0, -3.0439755732905378e-05, 0.0],
+        [0.09605548450958709, 0.08839411232638357, 0.07880952765443132,
+         0.06994888879764584, 0.060136445232901486, 0.05029624501687274,
+         0.04015040256148368, 0.028365786263400493, 0.016977804771439627,
+         0.005882003722244475],
     ),
 }
 
@@ -379,15 +407,17 @@ class TestBermudanDelta:
 #: ``exercise_frequencies`` and ``stopping_disagreement`` of the calibrated
 #: ten-date policy at level 1, seed 7, M = BATCH + 5 (a full batch and a
 #: five-row one).  They pin which rows the continuation steps and where
-#: each branch stops: any change to the rows a step sees, to the normals
-#: they get or to the trigger moves them far beyond 1e-12.
+#: each branch stops.  A step draws normals for its running rows only, in
+#: row order, so a row's increments depend on how many rows before it still
+#: run: any change to the running set, to the order the normals are handed
+#: out in, to the generator or to the trigger moves them far beyond 1e-12.
 GOLDEN_FREQUENCIES = [
-    0.06080802422467797, 0.11239776673091806, 0.06236602150249802,
-    0.052590452541138456, 0.05924274135269911, 0.05721462585880977,
-    0.13873175815823324, 0.046264642648628, 0.2079359686453492,
-    0.2024479983370482, 0.0,
+    0.06103076104306446, 0.090289585822028, 0.0756833521870789,
+    0.0701802560309206, 0.0647929360529717, 0.053968807432573894,
+    0.16003352646577798, 0.05389844372101264, 0.1843268258021412,
+    0.18579550544243062, 0.0,
 ]
-GOLDEN_DISAGREEMENT = 0.0015266671066150109
+GOLDEN_DISAGREEMENT = 0.0015861772037278677
 
 
 class TestGoldenContinuation:
@@ -401,6 +431,56 @@ class TestGoldenContinuation:
         frac = brm.stopping_disagreement(case_cfg(), case_policy(), i=18, h=3.5e-5,
                                          level=1, m=self.m, seed=7)
         assert_allclose(frac, GOLDEN_DISAGREEMENT, rtol=1e-12, atol=0.0)
+
+
+def every_row_reference(cfg, policy, m, seed):
+    """Euler Bermudan price that steps every row at every step, stopped or not.
+
+    Each row's increments come from a generator of the test's own and do
+    not depend on which rows still run: the law the running-rows tableau
+    must keep.  Returns (value, standard error).
+    """
+    rng = np.random.default_rng(seed)
+    k = np.log(np.broadcast_to(cfg.l0, (m, cfg.n)))
+    pay = np.zeros(m)
+    alive = np.ones(m, dtype=bool)
+    t = 0.0
+    for kd, date in enumerate(policy.dates):
+        for _ in range(int(round((date - t) / cfg.dt_berm))):
+            k = lmm.log_euler_step(cfg.vs, cfg.delta, k, cfg.dt_berm, rng.standard_normal(k.shape))
+        t = date
+        intrinsic, trig = brm._trigger(cfg, policy.exercise_indices, kd, np.exp(k))
+        fire = alive & (trig >= policy.thresholds[kd])
+        pay[fire] = intrinsic[fire]
+        alive &= ~fire
+    vals = pay * report_scale(cfg)
+    return float(np.mean(vals)), float(np.std(vals) / np.sqrt(m))
+
+
+class TestRunningRowsTableau:
+    def test_stopped_rows_draw_nothing(self):
+        # a step into date k draws n normals for each row that had not
+        # stopped before k, and nothing for the others
+        cfg, pol = case_cfg(), case_policy()
+        m, seed = 3000, 7
+        z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+        states = est.anchored_libor_pair(cfg, cfg.t1, 1, cfg.l0).draw(z)
+        rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
+        _, stop, _ = brm._run_policy(cfg, pol, [states], rng, cfg.t1)
+        steps = np.round(np.diff(pol.dates) / cfg.dt_berm).astype(np.int64)
+        running = np.array([np.count_nonzero((stop < 0) | (stop >= k))
+                            for k in range(1, len(pol.dates))])
+        drawn = cfg.n * int(steps @ running)
+        assert 0 < drawn < cfg.n * m * int(steps.sum())
+        fresh = mc.rng_for(seed, 0, mc.STREAM_CONT)
+        fresh.standard_normal(drawn)
+        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+
+    def test_law_matches_every_row_reference(self):
+        cfg, pol = case_cfg(), case_policy()
+        got = brm.euler_bermudan_price(cfg, pol, m=20_000, seed=5)
+        value, sd = every_row_reference(cfg, pol, m=20_000, seed=5)
+        assert abs(got.value - value) < 4.0 * np.hypot(got.sd, sd)
 
 
 def rebuilt_stops(cfg, policy, level, anchors, m, seed):

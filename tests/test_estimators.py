@@ -320,20 +320,20 @@ class TestVarianceAudit:
         # only to the agreement of its closed form with finite differences
         cfg = case_cfg()
         rep = est.variance_audit(est.european_inputs(cfg, 1, m=4000, seed=2, h=3.5e-5))
-        assert_allclose(rep.lhs, 4.467847215527357, rtol=1e-12, atol=0.0)
-        assert_allclose(rep.terms[0], 247.1469594813083, rtol=1e-12, atol=0.0)
-        assert_allclose(rep.terms[1], 0.04946281266439996, rtol=1e-12, atol=0.0)
-        assert_allclose(rep.terms[2], 2.669554156996297, rtol=1e-5, atol=0.0)
+        assert_allclose(rep.lhs, 4.5227400658763175, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[0], 249.14446833116085, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[1], 0.05338921011764546, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[2], 2.6840751315723117, rtol=1e-5, atol=0.0)
         want = {
-            "u@6": 0.11135664633161756,
-            "u@8": 0.1339099732230475,
-            "du@6": 2.375161103940781,
-            "jac@6": 4.679895701395028,
-            "jac@8": 4.803078141007607,
-            "w@6": 1.0000768892751157,
-            "w@8": 1.0000904365379837,
-            "m5@6": 0.9985271417242157,
-            "m6@8": 1.2700403602689303,
+            "u@6": 0.11529377795914163,
+            "u@8": 0.14049850978075748,
+            "du@6": 2.3798999323848338,
+            "jac@6": 4.689494974724139,
+            "jac@8": 4.815552646338011,
+            "w@6": 1.0000595357036728,
+            "w@8": 1.0000730385119556,
+            "m5@6": 1.0019937819675855,
+            "m6@8": 1.2106476584319064,
         }
         assert rep.norms.keys() == want.keys()
         for key, value in want.items():
@@ -508,19 +508,20 @@ class TestEulerReference:
 # European estimators at M = BATCH + 5 (level 1, Delta and Gamma on
 # component 18, the cross Gamma on (2, 7)), Bermudan ones at M = 2048
 # under the premium-free policy.  Any change to the random tableau (the
-# sample -> normal mapping, the stream of a draw, the batch split or the
-# reduction order) moves these far beyond 1e-12.
+# generator, the sample -> normal mapping, the stream of a draw, the rows
+# a continuation step draws for, the batch split or the reduction order)
+# moves these far beyond 1e-12.
 GOLDEN = {
-    "price": (180.9736786226684, 2.345662738766583, 16389, 16388.76549889684, 1.0134108550112448),
-    "delta_fd": (1769.7382583182452, 15.558036430340419, 16389, 16388.765498885477, 1.0134193317059703),
-    "gamma_fd_diag": (9947.856109236247, 1360.3444069683317, 16389, None, None),
-    "gamma_fd_cross": (15431.104633104715, 1205.9164184825297, 16389, None, None),
-    "euler_price": (177.03375746175894, 2.3311357195849216, 16389, np.nan, 1.0),
-    "euler_delta_fd": (1764.9241269727697, 15.556791992746223, 16389, np.nan, 1.0),
-    "bermudan_price": (336.6736144588873, 8.687680045037967, 2048, 2047.969594154678, 1.008416229625552),
-    "bermudan_delta_fd": (2727.1638381010794, 50.63039391829107, 2048, 2047.9695941532705, 1.0084189644865738),
-    "euler_bermudan_price": (342.6439386985269, 8.694330484326324, 2048, np.nan, 1.0),
-    "euler_bermudan_delta_fd": (2842.0975759785706, 50.30275362889454, 2048, np.nan, 1.0),
+    "price": (183.197671154606, 2.375896165213174, 16389, 16388.760669836312, 1.0144357028834625),
+    "delta_fd": (1794.2336759488162, 15.59321170146432, 16389, 16388.760669824576, 1.0144383668622825),
+    "gamma_fd_diag": (7224.181440416845, 1108.4517945147168, 16389, None, None),
+    "gamma_fd_cross": (15463.427079620711, 1177.9404848570664, 16389, None, None),
+    "euler_price": (178.82009576954667, 2.3508268975571323, 16389, np.nan, 1.0),
+    "euler_delta_fd": (1767.5675815557393, 15.535185517754707, 16389, np.nan, 1.0),
+    "bermudan_price": (354.2545996758155, 8.952135018022808, 2048, 2047.9715238525148, 1.010259015462968),
+    "bermudan_delta_fd": (2869.5361222494917, 51.34897739885879, 2048, 2047.9715238511928, 1.0102640728747798),
+    "euler_bermudan_price": (346.17708788348443, 9.33070074364335, 2048, np.nan, 1.0),
+    "euler_bermudan_delta_fd": (2815.5951191556874, 52.35645493434882, 2048, np.nan, 1.0),
 }
 
 

@@ -115,45 +115,23 @@ class TestLogEuler:
         assert np.array_equal(a, b)
         assert lone.standard_normal() == pair.standard_normal()
 
-
-    @staticmethod
-    def masked_against_whole_block(running, seed):
-        """The masked stepper's rows, and the same rows stepped as one block."""
+    @pytest.mark.parametrize("rows", [mc.CHUNK + 1, 2 * mc.CHUNK + 1])
+    def test_no_lone_row_leaves_the_block_product(self, rows):
+        # a one-row slice would go through BLAS's matrix-vector product,
+        # whose sums can differ in the last bit from the matrix-matrix
+        # product that the rows of a block get
         cfg = case_cfg(n=19)
-        x = np.random.default_rng(seed).uniform(0.02, 0.05, size=(running.shape[0], cfg.n))
+        x = np.random.default_rng(2).uniform(0.02, 0.05, size=(rows, cfg.n))
         group = [x, 1.01 * x]
-        masked_rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-        masked = lmm.evolve_log_euler(
-            cfg, [g[running] for g in group], 3, 0.05, masked_rng, running)
-        block_rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
+        stepped = lmm.evolve_log_euler(cfg, group, 3, 0.05, mc.rng_for(2, 0, mc.STREAM_CONT))
+        rng = mc.rng_for(2, 0, mc.STREAM_CONT)
         ks = [np.log(g) for g in group]
         for _ in range(3):
-            z = block_rng.standard_normal(x.shape)
+            z = rng.standard_normal(x.shape)
             ks = [lmm.log_euler_step(cfg.vs, cfg.delta, k, 0.05, z) for k in ks]
-        # both drew the same full blocks, so the generators still agree
-        assert masked_rng.standard_normal() == block_rng.standard_normal()
-        return masked, [np.exp(k)[running] for k in ks]
+        for got, k in zip(stepped, ks):
+            assert np.array_equal(got, np.exp(k))
 
-    def test_running_mask_steps_only_its_rows(self):
-        # several cache-sized slices, a ragged tail and a sparse mask
-        running = np.random.default_rng(11).random(mc.BATCH - 3) < 0.4
-        masked, block = self.masked_against_whole_block(running, seed=2)
-        for got, want in zip(masked, block):
-            assert got.shape == (np.count_nonzero(running), 19)
-            assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
-    @pytest.mark.parametrize("rows, on, seed", [(mc.CHUNK + 1, None, 2), (40, 17, 4)])
-    def test_no_lone_row_leaves_the_block_product(self, rows, on, seed):
-        # a one-row slice or a single running row would go through BLAS's
-        # matrix-vector product, whose sums can differ in the last bit from
-        # the matrix-matrix product that the rows of a block get
-        running = np.ones(rows, dtype=bool)
-        if on is not None:
-            running[:] = False
-            running[on] = True
-        masked, block = self.masked_against_whole_block(running, seed)
-        for got, want in zip(masked, block):
-            assert np.array_equal(got, want)
 
 @settings(max_examples=50, deadline=None)
 @given(
