@@ -34,7 +34,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import mc
 from .estimators import (
@@ -74,6 +73,9 @@ def black76(f, k, v):
     time.  Vectorised; degenerate inputs (v <= 0 or a nonpositive
     forward) fall back to the intrinsic value.
     """
+    # imported here so that only Bermudan runs load scipy
+    from scipy.special import ndtr
+
     f = np.asarray(f, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import mc
 
@@ -138,7 +137,7 @@ def build_vol_structure(vol: np.ndarray, corr: np.ndarray) -> VolStructure:
     gamma = rev[::-1, ::-1]
     # reversal of a lower-triangular factor is upper triangular
     gamma = np.triu(gamma)
-    gamma_inv = solve_triangular(gamma, np.eye(n), lower=False)
+    gamma_inv = np.linalg.inv(gamma)
     a_upper = np.triu(a, k=1)
     a_diag = np.diag(a).copy()
     y_drift = -0.5 * gamma_inv @ a_diag

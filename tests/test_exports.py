@@ -2,7 +2,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +98,34 @@ def test_bench_and_demo_api_resolves():
             bad += [f"{where}({kw}=)" for kw in keywords if kw not in params]
     assert seen > 30
     assert bad == []
+
+
+#: Runs in a fresh interpreter: the European calls at level 1 and the
+#: Euler oracle, then a report of the scipy modules loaded by then, then
+#: one Bermudan closed form, which may load scipy.
+EUROPEAN_RUN = """
+import json, sys
+from wkbmc import bermudan as brm, estimators as est, harness, lmm
+cfg = harness.build_config(lmm.load_config(sys.argv[1]), 1.0)
+inp = est.european_inputs(cfg, 1, m=4096, seed=7, h=3.5e-5)
+est.price(inp)
+est.delta_fd(inp, 18)
+est.euler_price(cfg, 1.0, inp.payoff, 4096, 7, scale=inp.scale)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"scipy": loaded, "black76": brm.black76(1.0, 1.0, 0.4)}))
+"""
+
+
+def test_european_calls_load_no_scipy():
+    # numpy is the only import-time dependency: a European desk call
+    # must not pay scipy's import; Bermudan closed forms load it lazily
+    from scipy.special import ndtr
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", EUROPEAN_RUN, str(ROOT / "configs" / "case_study.cfg")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["scipy"] == []
+    assert abs(report["black76"] / (2.0 * ndtr(0.2) - 1.0) - 1.0) <= 1e-14

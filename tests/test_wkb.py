@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -370,7 +372,61 @@ class TestLiborClosedForms:
         assert_allclose(got, gl_segment_average(cfg.delta, u, v), rtol=1e-10)
 
 
+class TestLogistic:
+    def test_matches_scipy_expit(self):
+        t = np.linspace(-745.0, 745.0, 20001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = wkb._expit(t)
+        assert_allclose(got, special.expit(t), rtol=5e-16, atol=0.0)
+
+    def test_infinities(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = wkb._expit(np.array([-np.inf, np.inf]))
+        assert got[0] == 0.0
+        assert got[1] == 1.0
+
+
+def four_point_hessian(vs, delta, x):
+    """Hessian of y -> c_1(x, y) at y = x with each mixed partial from its
+    own four corners x +- eps_i e_i +- eps_j e_j: 1 + 2 n^2 points."""
+    n = x.shape[0]
+    eps = wkb._TAYLOR_REL_STEP * np.maximum(np.abs(x), 1.0)
+    step = np.diag(eps)
+    points = [x] + [x + s * step[i] for i in range(n) for s in (1.0, -1.0)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    points += [x + si * step[i] + sj * step[j]
+               for i, j in pairs for si in (1.0, -1.0) for sj in (1.0, -1.0)]
+    assert len(points) == 1 + 2 * n * n
+    vals = wkb.libor_c1(vs, delta, x, np.stack(points))
+    f0, axis, corners = vals[0], vals[1 : 1 + 2 * n], vals[1 + 2 * n :]
+    hess = np.diag((axis[0::2] - 2.0 * f0 + axis[1::2]) / eps**2)
+    for (i, j), (fpp, fpm, fmp, fmm) in zip(pairs, corners.reshape(-1, 4)):
+        hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * eps[i] * eps[j])
+    return hess
+
+
 class TestTaylorSurrogate:
+    @pytest.mark.parametrize("n", [4, 19])
+    def test_hessian_matches_four_point_stencil(self, n):
+        # the diagonal-pair stencil has the four-point rule's O(eps^2)
+        # error; the two differ at the stencil's round-off level
+        cfg = case_cfg(n=n)
+        x = lmm.to_y(cfg.vs, cfg.l0)
+        _, _, hess = wkb.libor_c1_taylor2(cfg.vs, cfg.delta, x)
+        ref = four_point_hessian(cfg.vs, cfg.delta, x)
+        assert np.max(np.abs(hess - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    def test_quadrature_nodes_are_shared_and_read_only(self):
+        nodes, weights = wkb._gauss_legendre_01(16)
+        again = wkb._gauss_legendre_01(16)
+        assert again[0] is nodes
+        assert again[1] is weights
+        for table in (nodes, weights):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
     def test_cubic_remainder(self):
         # below t ~ 1 the remainder drowns in the stencil's own noise,
         # so the slope is fit on the decade above it
