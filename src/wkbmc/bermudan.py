@@ -9,16 +9,17 @@ continuation reach the exercise dates through one date walker
 the lognormal proxy (importance-weighted by the truncated kernel,
 exactly as in the European case) and continues with fine-step log-Euler
 paths to the later exercise dates, so only the continuation pays the
-per-step cost.  The continuation steps only the rows still running: at
-each date the group shrinks to the paths no exercise decision has
-stopped yet, and each step draws normals for those rows alone, handed
-out in running order.  Whether a path still runs depends only on its
-past, so the fresh increments keep every path's law; a stopped path
-costs no further draws.  Every estimator here, and the two diagnostics
-(where paths stop, how often a bump pair would stop apart), runs on the
-batch driver of ``estimators``: the exercise-policy continuation
+per-step cost.  The continuation steps only the rows still running: one
+stopping rule, the first member's exercise decision, cuts a row from the
+group, and each step draws normals for the rows left alone, handed out
+in running order.  Whether a path still runs depends only on its past,
+so the fresh increments keep every path's law; a stopped path costs no
+further draws.  Every estimator here, and the two diagnostics (where
+paths stop, how often a bump pair would stop apart), runs on the batch
+driver of ``estimators``: the exercise-policy continuation
 (``_run_policy``) is its tail, and the diagnostics weight each path by
-its importance weight.
+its importance weight.  The bump-pair audit only flags rows where the
+down branch's own decision differs, so it reads the Delta run's paths.
 
 The still-alive European values are deterministic approximations: the
 remaining swap is priced by a frozen-weight lognormal formula for the
@@ -160,31 +161,25 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray):
     return intrinsic, intrinsic - np.maximum(best.max(axis=-1), 0.0)
 
 
-def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates, running=None):
+def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates):
     """Yield (k, group) at each date, stepping the group on ``dt_berm``.
 
     The group starts at ``start_time``; every gap between consecutive
     dates must be a whole number of steps, and a date at the start time
     yields the group untouched.
 
-    ``running`` is a boolean mask over the group's rows that the caller
-    may clear between dates.  Each yielded group then holds only the
-    rows still set, in order, and only those rows are stepped and get
-    normals, handed out in row order.  The running set at a date
-    depends only on the path so far, so fresh iid increments for the
-    rows still running keep every path's law.
+    The yielded list is the walker's own: a caller may cut its members
+    in place between dates, and only the rows left are stepped on and
+    get normals, handed out in row order.  The rows a caller keeps at a
+    date depend only on the path so far, so fresh iid increments for
+    them keep every path's law.
     """
-    held = None if running is None else running.copy()
+    group = list(group)
     t_prev = start_time
     for k, date in enumerate(dates):
-        if held is not None:
-            keep = running[held]
-            if not keep.all():
-                group = [g[keep] for g in group]
-                held = running.copy()
         steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
         if steps:
-            group = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng)
+            group[:] = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng)
         t_prev = date
         yield k, group
 
@@ -343,48 +338,42 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     """Advance a common-increment group through the exercise dates.
 
     Exercise decisions come from the first group member only and are
-    applied to every member (the bump pair shares one stopping time).
-    With ``audit`` set, the last member's own decisions are tracked too
-    so the caller can measure how often they disagree.  Only rows
-    still running are stepped on to the next date: rows the first
-    member has not stopped, and under audit also rows the last member
-    has not stopped.
+    applied to every member (the bump pair shares one stopping time);
+    a row the first member stops is cut from the group and stepped no
+    further.  With ``audit`` set, the last member also evaluates its own
+    trigger on the rows still running and flags each row where its
+    decision differs.  A row runs until the first member stops it, so
+    the flag is set exactly when the two members' own stopping times
+    differ, on the very paths the unaudited run takes.
 
-    Returns (payoffs per member, stop positions, alt stop positions).
+    Returns (payoffs per member, stop positions, disagreement flags).
     """
     B = group[0].shape[0]
     payoffs_out = [np.zeros(B) for _ in group]
     stop_idx = np.full(B, -1, dtype=np.int64)
-    stop_alt = np.full(B, -1, dtype=np.int64) if audit and len(group) > 1 else None
-    running = np.ones(B, dtype=bool)
+    differ = np.zeros(B, dtype=bool) if audit else None
+    rows = np.arange(B)  # the batch rows the group holds
 
-    for k, states in _walk_dates(cfg, group, rng, start_time, policy.dates, running):
-        rows = np.flatnonzero(running)  # the batch rows ``states`` hold
-        lead = stop_idx[rows] < 0
-        if lead.any():
-            own = states[0] if lead.all() else states[0][lead]
-            intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, own)
-            fire = trig >= policy.thresholds[k]
-            at = np.flatnonzero(lead)[fire]
-            if at.size:
-                hit = rows[at]
-                stop_idx[hit] = k
-                payoffs_out[0][hit] = intrinsic[fire]
-                i = policy.exercise_indices[k]
-                spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
-                for b in range(1, len(states)):
-                    payoffs_out[b][hit] = swaption_payoff(cfg.delta, states[b][at], spec)
-        if stop_alt is not None:
-            alt = stop_alt[rows] < 0
-            if alt.any():
-                _, trig_alt = _trigger(cfg, policy.exercise_indices, k, states[-1][alt])
-                stop_alt[rows[alt][trig_alt >= policy.thresholds[k]]] = k
-        running[:] = stop_idx < 0
-        if stop_alt is not None:
-            running |= stop_alt < 0
-        if not running.any():
-            break
-    return payoffs_out, stop_idx, stop_alt
+    for k, states in _walk_dates(cfg, group, rng, start_time, policy.dates):
+        intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, states[0])
+        fire = trig >= policy.thresholds[k]
+        if audit:
+            _, trig_alt = _trigger(cfg, policy.exercise_indices, k, states[-1])
+            differ[rows] |= (trig_alt >= policy.thresholds[k]) != fire
+        if fire.any():
+            hit = rows[fire]
+            stop_idx[hit] = k
+            payoffs_out[0][hit] = intrinsic[fire]
+            i = policy.exercise_indices[k]
+            spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
+            for b in range(1, len(states)):
+                payoffs_out[b][hit] = swaption_payoff(cfg.delta, states[b][fire], spec)
+            keep = ~fire
+            rows = rows[keep]
+            if not rows.size:
+                break
+            states[:] = [g[keep] for g in states]
+    return payoffs_out, stop_idx, differ
 
 
 def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=False):
@@ -457,22 +446,18 @@ def stopping_disagreement(
 
     The delta estimator reuses the up branch's decision for the down
     branch; this diagnostic quantifies how often the down branch,
-    deciding for itself, would have stopped elsewhere.  Each pair counts
-    with the up branch's importance weight, so the fraction is one under
-    the model, not under the proxy; Euler paths come from the model and
-    count once each.
-
-    The audit steps a row on until both branches have stopped, while the
-    Delta estimator stops it with the up branch.  The two runs therefore
-    hand their continuation normals to different rows: the audited paths
-    are equal in law to the Delta run's, not the same paths.
+    deciding for itself, would have stopped elsewhere.  It audits the
+    very paths :func:`bermudan_delta_fd` prices at the same arguments.
+    Each pair counts with the up branch's importance weight, so the
+    fraction is one under the model, not under the proxy; Euler paths
+    come from the model and count once each.
     """
     stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
     head, tail = _continued(cfg, policy, level, stencil, audit=True)
     disagree = total = 0.0
-    for _, w, _, (stop, stop_alt) in _batches(m, seed, head, tail=tail):
+    for _, w, _, (stop, differ) in _batches(m, seed, head, tail=tail):
         w_up = _lead_weights(w, stop)
-        disagree += float(np.sum(w_up[stop != stop_alt]))
+        disagree += float(np.sum(w_up[differ]))
         total += float(np.sum(w_up))
     return disagree / total
 

@@ -27,12 +27,14 @@ def _at_least(least: int):
     return at_least
 
 
-def _bump(text: str) -> float:
-    """Argument type: a finite, positive finite-difference bump."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite bump > 0, got {text!r}")
-    return value
+def _finite_positive(what: str):
+    """Argument type: a finite, positive float, named ``what`` in errors."""
+    def finite_positive(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(f"expected a finite {what} > 0, got {text!r}")
+        return value
+    return finite_positive
 
 
 def _estimators(text: str) -> tuple[str, ...]:
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="one benchmark table as CSV (maturity sweep x estimators)"), level=True)
     t.add_argument("which", type=int, choices=(1, 2, 3, 4),
                    help="1 European prices, 2 European deltas, 3 Bermudan prices, 4 Bermudan deltas")
-    t.add_argument("--h", type=_bump, default=harness.DEFAULT_H,
+    t.add_argument("--h", type=_finite_positive("bump"), default=harness.DEFAULT_H,
                    help="finite-difference bump size for the delta tables")
 
     b = _flags(sub.add_parser("bench", help="wall-clock cost of each estimator across maturities"))
@@ -103,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp = _flags(sub.add_parser("calibrate-policy",
                                help="fit exercise thresholds on dedicated paths and save them"),
                 least_samples=brm._MIN_CALIBRATION_PATHS)
-    cp.add_argument("--t1", type=float, default=1.0, help="first tenor date in years")
+    cp.add_argument("--t1", type=_finite_positive("first tenor date"), default=1.0,
+                    help="first tenor date in years")
 
     return p
 
@@ -182,9 +185,8 @@ def main(argv=None) -> int:
             seed=_seed(args, harness.CALIBRATION_SEED),
         )
         lines = ["date threshold objective_bp"]
-        for k, (d, thr) in enumerate(zip(policy.dates, policy.thresholds)):
-            obj = policy.objectives[k] * 1e4 if policy.objectives is not None else float("nan")
-            lines.append(f"{d:g} {thr:.6e} {obj:.2f}")
+        for d, thr, obj in zip(policy.dates, policy.thresholds, policy.objectives):
+            lines.append(f"{d:g} {thr:.6e} {obj * 1e4:.2f}")
         sys.stdout.write("\n".join(lines) + "\n")
         if args.out:
             brm.save_policy(policy, args.out)

@@ -307,7 +307,7 @@ def _batches(m: int, seed: int, head, payoff=None, tail=None):
     Weights are None for a head without them (its values are then the
     plain ones).  Without a tail the head applies the payoff; with one,
     ``tail(states, rng)`` returns (payoffs per member, stop positions,
-    alternative stop positions) and ``stops`` holds the last two.
+    stop disagreement flags) and ``stops`` holds the last two.
     """
     for bi, lo, hi in mc.batch_slices(m):
         states, w, wv, tail_rng = head(seed, bi, hi - lo, None if tail else payoff)
@@ -476,12 +476,13 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
     the fixed Hölder exponents (3, 3, 3), (3, 3, 3) and (4, 4, 4, 4)
     and the verdict a 5% tolerance, for the reasons :class:`AuditReport`
     gives.  The anchor gradients (sampler Jacobian, kernel/proxy
-    mismatch, and the full weighted-payoff gradient on the left side)
-    are central differences at the production bump size, so the audit
-    checks the bound for the estimator actually run, not an idealized
-    limit.  The mismatch gradient at the evaluation point (m6) does not
-    depend on h; it is the closed-form gradient of the log weight in the
-    sample, :meth:`AnchoredPair.grad_log_weight`.
+    mismatch, read off the estimator's own log weight, and the full
+    weighted-payoff gradient on the left side) are central differences
+    at the production bump size, so the audit checks the bound for the
+    estimator actually run, not an idealized limit.  The mismatch
+    gradient at the evaluation point (m6) does not depend on h; it is
+    the closed-form gradient of the log weight in the sample,
+    :meth:`AnchoredPair.grad_log_weight`.
     """
     if inputs.payoff_grad is None:
         raise ValueError("the audit needs an analytic payoff gradient")
@@ -510,9 +511,8 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
             d_i = (v_up - v_dn) / (2.0 * h)
             grad_sq = grad_sq + d_i**2
             jac_sq = jac_sq + np.sum(((z_up - z_dn) / (2.0 * h)) ** 2, axis=-1)
-            dk = (p_up.log_kernel(zeta) - p_dn.log_kernel(zeta)) / (2.0 * h)
-            dp = (p_up.log_proxy(zeta) - p_dn.log_proxy(zeta)) / (2.0 * h)
-            m5_sq = m5_sq + (dk - dp) ** 2
+            m5 = (p_up.log_weight(zeta) - p_dn.log_weight(zeta)) / (2.0 * h)
+            m5_sq = m5_sq + m5**2
 
         values = {
             "u": np.abs(inputs.payoff(zeta)),

@@ -204,8 +204,12 @@ class ModelConfig:
         self.vol = np.broadcast_to(np.asarray(self.vol, dtype=np.float64), (self.n,)).copy()
         if self.payoff_style not in ("on_sum", "per_leg"):
             raise ValueError(f"unknown payoff_style {self.payoff_style!r}")
-        if self.t1 <= 0.0:
-            raise ValueError(f"t1 must be positive, got {self.t1}")
+        for name in ("t1", "delta", "l0", "vol", "dt_euro", "dt_berm", "rho_inf", "strike"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            positive = name not in ("rho_inf", "strike")
+            if not (np.all(np.isfinite(value)) and (not positive or np.all(value > 0.0))):
+                need = "finite and positive" if positive else "finite"
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
         for i in self.exercise_indices:
             if not (1 <= i <= self.n):
                 raise ValueError(f"exercise index {i} outside 1..{self.n}")

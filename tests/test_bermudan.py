@@ -406,19 +406,20 @@ class TestBermudanDelta:
 
 #: ``exercise_frequencies`` and ``stopping_disagreement`` of the calibrated
 #: ten-date policy at level 1, seed 7, M = BATCH + 5 (a full batch and a
-#: five-row one).  They pin which rows the continuation steps and where
-#: each branch stops.  A step draws normals for its running rows only, in
-#: row order, so a row's increments depend on how many rows before it still
-#: run: any change to the running set, to the order the normals are handed
-#: out in, to the generator or to the trigger moves them far beyond 1e-12,
-#: and a change to the level-1 kernel's Taylor data moves them past it too.
+#: five-row one).  They pin which rows the continuation steps, where the
+#: up branch stops and where the down branch would decide otherwise.  A
+#: step draws normals for its running rows only, in row order, so a row's
+#: increments depend on how many rows before it still run: any change to
+#: the running set, to the order the normals are handed out in, to the
+#: generator or to the trigger moves them far beyond 1e-12, and a change
+#: to the level-1 kernel's Taylor data moves them past it too.
 GOLDEN_FREQUENCIES = [
     0.06103076104215182, 0.09028958582167804, 0.07568335218788254,
     0.07018025603107973, 0.06479293605325567, 0.05396880743276184,
     0.16003352646588295, 0.05389844372105625, 0.18432682580063534,
     0.18579550544361603, 0.0,
 ]
-GOLDEN_DISAGREEMENT = 0.001586177203815506
+GOLDEN_DISAGREEMENT = 0.0017090623500204214
 
 
 class TestGoldenContinuation:
@@ -485,14 +486,14 @@ class TestRunningRowsTableau:
 
 
 def rebuilt_stops(cfg, policy, level, anchors, m, seed):
-    """Up-branch weights and both stop arrays of one batch, from the tableau."""
+    """Up-branch weights, stops and disagreement flags of one batch, from the tableau."""
     z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
     pairs = [est.anchored_libor_pair(cfg, cfg.t1, level, x) for x in anchors]
     zetas = [pair.draw(z) for pair in pairs]
     w = np.exp(pairs[0].log_weight(zetas[0]))
     rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-    _, stop, alt = brm._run_policy(cfg, policy, zetas, rng, cfg.t1, audit=True)
-    return w, stop, alt
+    _, stop, differ = brm._run_policy(cfg, policy, zetas, rng, cfg.t1, audit=True)
+    return w, stop, differ
 
 
 class TestWeightedDiagnostics:
@@ -506,9 +507,9 @@ class TestWeightedDiagnostics:
                                          m=self.m, seed=self.seed)
         w, stop, _ = rebuilt_stops(cfg, pol, level, [cfg.l0], self.m, self.seed)
         bucket = np.where(stop < 0, len(pol.dates), stop)
-        w_up, stop_up, stop_dn = rebuilt_stops(
+        w_up, _, differ = rebuilt_stops(
             cfg, pol, level, est._bumped(cfg.l0, self.i, self.h), self.m, self.seed)
-        return freq, frac, (w, bucket), (w_up, stop_up != stop_dn)
+        return freq, frac, (w, bucket), (w_up, differ)
 
     def test_proxy_level_gives_plain_counts(self):
         freq, frac, (w, bucket), (_, differ) = self.rebuilt("lgn")
@@ -540,3 +541,58 @@ class TestWeightedDiagnostics:
         frac = brm.stopping_disagreement(case_cfg(), case_policy(), i=self.i, h=3.5e-5,
                                          level="euler", m=self.m, seed=self.seed)
         assert 0.0 <= frac < 0.02
+
+
+def every_row_disagreement(cfg, policy, anchors, m, seed):
+    """Share of Euler bump pairs whose own stopping times differ.
+
+    Every row of both branches is stepped at every step, stopped or not,
+    on increments from a generator of the test's own that do not depend
+    on which rows still run; each branch stops by its own trigger over
+    the full path.  Returns (share, binomial standard error).
+    """
+    rng = np.random.default_rng(seed)
+    ks = [np.log(np.broadcast_to(a, (m, cfg.n))) for a in anchors]
+    stops = np.full((len(ks), m), -1)
+    t = 0.0
+    for kd, date in enumerate(policy.dates):
+        for _ in range(int(round((date - t) / cfg.dt_berm))):
+            dz = rng.standard_normal((m, cfg.n))
+            ks = [lmm.log_euler_step(cfg.vs, cfg.delta, k, cfg.dt_berm, dz) for k in ks]
+        t = date
+        for stop, k in zip(stops, ks):
+            _, trig = brm._trigger(cfg, policy.exercise_indices, kd, np.exp(k))
+            stop[(stop < 0) & (trig >= policy.thresholds[kd])] = kd
+    share = float(np.mean(stops[0] != stops[1]))
+    return share, np.sqrt(share * (1.0 - share) / m)
+
+
+class TestStopAudit:
+    def test_audit_rides_the_plain_paths(self):
+        # the audit only flags rows: it steps the rows the up branch keeps,
+        # so it draws the plain run's continuation normals, row for row,
+        # and returns its stops and payoffs
+        cfg, pol = case_cfg(), case_policy()
+        m, seed, i, h = 2048, 7, 18, 3e-4
+        z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+        zetas = [est.anchored_libor_pair(cfg, cfg.t1, 1, x).draw(z)
+                 for x in est._bumped(cfg.l0, i, h)]
+        runs = []
+        for audit in (False, True):
+            rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
+            pays, stop, differ = brm._run_policy(cfg, pol, zetas, rng, cfg.t1, audit=audit)
+            runs.append((pays, stop, differ, rng.standard_normal(8)))
+        (pays, stop, differ, after), (pays_a, stop_a, differ_a, after_a) = runs
+        assert differ is None
+        assert differ_a.dtype == bool and differ_a.any()
+        assert np.array_equal(stop_a, stop)
+        assert all(np.array_equal(a, b) for a, b in zip(pays_a, pays))
+        assert np.array_equal(after_a, after)
+
+    def test_euler_law_matches_every_row_reference(self):
+        cfg, pol = case_cfg(), case_policy()
+        m, i, h = 20_000, 18, 1e-3
+        got = brm.stopping_disagreement(cfg, pol, i=i, h=h, level="euler", m=m, seed=5)
+        share, se = every_row_disagreement(cfg, pol, est._bumped(cfg.l0, i, h), m, seed=5)
+        assert share > 0.0
+        assert abs(got - share) < 4.0 * np.hypot(se, np.sqrt(got * (1.0 - got) / m))

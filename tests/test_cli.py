@@ -89,6 +89,10 @@ class TestFlagsPerSubcommand:
         ["bench", "--estimators", ","],
         ["bench", "--repeats", "0"],
         ["bench", "--repeats", "-3"],
+        ["calibrate-policy", "--t1", "nan"],
+        ["calibrate-policy", "--t1", "-1"],
+        ["calibrate-policy", "--t1", "0"],
+        ["calibrate-policy", "--t1", "inf"],
     ])
     def test_bad_value_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -123,7 +127,11 @@ class TestCalibratePolicy:
             ["calibrate-policy", "--t1", "1.0", "--samples", "10000", "--out", str(path)]
         )
         assert rc == 0
-        assert "policy written" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "date threshold objective_bp"
+        assert out[-1] == f"policy written to {path}"
+        # every date reports its fitted objective, in basis points
+        assert len(out) == 12 and all(np.isfinite(float(line.split()[2])) for line in out[1:11])
         lines = path.read_text().splitlines()
         direct = brm.calibrate_policy(
             harness.build_config(None, 1.0), n_paths=10_000, seed=harness.CALIBRATION_SEED

@@ -129,3 +129,32 @@ def test_european_calls_load_no_scipy():
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["scipy"] == []
     assert abs(report["black76"] / (2.0 * ndtr(0.2) - 1.0) - 1.0) <= 1e-14
+
+
+def test_every_private_name_is_used():
+    # a private module-level function, class or constant that nothing in
+    # the package reads is dead code; tests alone do not keep it alive
+    src = ROOT / "src" / "wkbmc"
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(name, t) for t in targets
+                        if t.startswith("_") and not (t.startswith("__") and t.endswith("__"))]
+    assert len(defined) > 20
+    assert [f"{name}:{t}" for name, t in defined if t not in used] == []

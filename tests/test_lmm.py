@@ -165,6 +165,21 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             case_cfg(t1=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("l0", np.nan), ("vol", np.nan), ("delta", np.nan), ("strike", np.nan),
+        ("t1", np.nan), ("t1", np.inf), ("rho_inf", np.nan), ("dt_euro", np.inf),
+        ("delta", -0.5), ("delta", 0.0), ("l0", 0.0), ("vol", -0.2),
+        ("dt_euro", 0.0), ("dt_berm", -0.05), ("t1", 0.0),
+        ("l0", [0.035, 0.035, 0.035, np.inf, 0.035]),
+    ])
+    def test_refuses_bad_inputs_by_name(self, field, value):
+        # refused up front and by name, not left to come out as a NaN
+        # price or a ZeroDivisionError downstream
+        args = dict(n=5, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            lmm.ModelConfig(**args)
+
 
 class TestConfigFile:
     def test_roundtrip(self, tmp_path):
