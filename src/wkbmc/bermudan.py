@@ -14,11 +14,16 @@ stopping rule, the first member's exercise decision, cuts a row from the
 group, and each step draws normals for the rows left alone, handed out
 in running order.  Whether a path still runs depends only on its past,
 so the fresh increments keep every path's law; a stopped path costs no
-further draws.  Every estimator here, and the two diagnostics (where
-paths stop, how often a bump pair would stop apart), runs on the batch
-driver of ``estimators``: the exercise-policy continuation
-(``_run_policy``) is its tail, and the diagnostics weight each path by
-its importance weight.  The bump-pair audit only flags rows where the
+further draws.  It also does only the arithmetic a decision reads: on
+the way to tenor date T_i it steps the live rates L_i .. L_n alone (a
+full block of normals is still drawn per row, so the random tableau
+does not depend on which rates are live), and at a date it prices the
+still-alive Europeans only on the rows whose intrinsic value reaches
+the threshold, the only rows that can fire.  Every estimator here, and
+the two diagnostics (where paths stop, how often a bump pair would stop
+apart), runs on the batch driver of ``estimators``: the exercise-policy
+continuation (``_run_policy``) is its tail, and the diagnostics weight
+each path by its importance weight.  The bump-pair audit only flags rows where the
 down branch's own decision differs, so it reads the Delta run's paths.
 
 The still-alive European values are deterministic approximations: the
@@ -137,7 +142,7 @@ def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j, br=None):
     return out if np.ndim(j) else out[..., 0]
 
 
-def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray):
+def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray, floor=None):
     """Intrinsic value and exercise trigger at position k of the date list.
 
     The trigger is intrinsic minus the best still-alive European over the
@@ -150,6 +155,12 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray):
     make such a demand inexpressible.  Calibrated on the ten-date case
     study, the clipped variant stalls several basis points below the
     strictly-future one.
+
+    With a ``floor`` (the threshold the caller compares against), the
+    Europeans are priced only on the rows whose intrinsic reaches it:
+    in IEEE arithmetic fl(a - x) <= a for x >= 0, so no other row can
+    fire.  Those rows report their intrinsic, which stays below the
+    floor.  Without one, every row gets its full trigger.
     """
     i = indices[k]
     spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
@@ -157,29 +168,41 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray):
     later = indices[k + 1:]
     if not later:
         return intrinsic, intrinsic
-    best = still_alive_european(cfg, states, i, later, bond_ratios(cfg.delta, states))
-    return intrinsic, intrinsic - np.maximum(best.max(axis=-1), 0.0)
+    rows = slice(None) if floor is None else np.flatnonzero(intrinsic >= floor)
+    trig = intrinsic.copy()
+    x = states[rows]
+    if x.shape[0]:
+        best = still_alive_european(cfg, x, i, later, bond_ratios(cfg.delta, x))
+        trig[rows] -= np.maximum(best.max(axis=-1), 0.0)
+    return intrinsic, trig
 
 
-def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, dates):
+def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, indices, dates):
     """Yield (k, group) at each date, stepping the group on ``dt_berm``.
 
     The group starts at ``start_time``; every gap between consecutive
     dates must be a whole number of steps, and a date at the start time
-    yields the group untouched.
+    yields the group untouched.  ``indices`` are the dates' 1-based
+    tenor indices.
 
     The yielded list is the walker's own: a caller may cut its members
     in place between dates, and only the rows left are stepped on and
     get normals, handed out in row order.  The rows a caller keeps at a
     date depend only on the path so far, so fresh iid increments for
     them keep every path's law.
+
+    On the gap that ends at tenor index i only the rates L_i .. L_n are
+    live: the trigger, the payoff at a stop and every later date read
+    no other, so only they are stepped and L_1 .. L_{i-1} keep their
+    last values.  Each step still draws the full n normals per row, so
+    the random tableau is the one an every-rate step would use.
     """
     group = list(group)
     t_prev = start_time
-    for k, date in enumerate(dates):
+    for k, (i, date) in enumerate(zip(indices, dates)):
         steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
         if steps:
-            group[:] = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng)
+            group[:] = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, first=i - 1)
         t_prev = date
         yield k, group
 
@@ -303,7 +326,7 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
     for bi, lo, hi in mc.batch_slices(n_paths):
         rng = mc.rng_for(seed, bi, mc.STREAM_EULER)
         start = [np.broadcast_to(cfg.l0, (hi - lo, cfg.n))]
-        for k, (states,) in _walk_dates(cfg, start, rng, 0.0, dates):
+        for k, (states,) in _walk_dates(cfg, start, rng, 0.0, indices, dates):
             ik, tk = _trigger(cfg, indices, k, states)
             intr[k].append(ik)
             trig[k].append(tk)
@@ -344,7 +367,10 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     trigger on the rows still running and flags each row where its
     decision differs.  A row runs until the first member stops it, so
     the flag is set exactly when the two members' own stopping times
-    differ, on the very paths the unaudited run takes.
+    differ, on the very paths the unaudited run takes.  Each trigger
+    prices the Europeans only on the rows whose own intrinsic reaches
+    the date's threshold; the other rows cannot fire, so the decisions
+    and flags are those of full triggers.
 
     Returns (payoffs per member, stop positions, disagreement flags).
     """
@@ -354,18 +380,19 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     differ = np.zeros(B, dtype=bool) if audit else None
     rows = np.arange(B)  # the batch rows the group holds
 
-    for k, states in _walk_dates(cfg, group, rng, start_time, policy.dates):
-        intrinsic, trig = _trigger(cfg, policy.exercise_indices, k, states[0])
-        fire = trig >= policy.thresholds[k]
+    indices = policy.exercise_indices
+    for k, states in _walk_dates(cfg, group, rng, start_time, indices, policy.dates):
+        floor = policy.thresholds[k]
+        intrinsic, trig = _trigger(cfg, indices, k, states[0], floor)
+        fire = trig >= floor
         if audit:
-            _, trig_alt = _trigger(cfg, policy.exercise_indices, k, states[-1])
-            differ[rows] |= (trig_alt >= policy.thresholds[k]) != fire
+            _, trig_alt = _trigger(cfg, indices, k, states[-1], floor)
+            differ[rows] |= (trig_alt >= floor) != fire
         if fire.any():
             hit = rows[fire]
             stop_idx[hit] = k
             payoffs_out[0][hit] = intrinsic[fire]
-            i = policy.exercise_indices[k]
-            spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
+            spec = SwaptionSpec(strike=cfg.strike, first_leg=indices[k], style=cfg.payoff_style)
             for b in range(1, len(states)):
                 payoffs_out[b][hit] = swaption_payoff(cfg.delta, states[b][fire], spec)
             keep = ~fire

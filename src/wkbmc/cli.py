@@ -112,7 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _raw(args) -> dict | None:
-    return lmm.load_config(args.config) if args.config else None
+    """The ``--config`` file's settings, refused here if they cannot make a model.
+
+    T1 is not a file setting, so a file that builds at one maturity
+    builds at every one.
+    """
+    if not getattr(args, "config", None):
+        return None
+    raw = lmm.load_config(args.config)
+    lmm.make_config(raw, 1.0)
+    return raw
 
 
 def _levels(args):
@@ -124,12 +133,17 @@ def _seed(args, default: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        raw = _raw(args)
+    except (OSError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
     if args.command == "table":
         text = harness.run_table(
             args.which,
-            raw=_raw(args),
+            raw=raw,
             m=args.samples or harness.DEFAULT_SAMPLES,
             seed=_seed(args, harness.DEFAULT_SEED),
             h=args.h,
@@ -141,7 +155,7 @@ def main(argv=None) -> int:
 
     if args.command == "bench":
         text = harness.run_bench(
-            raw=_raw(args),
+            raw=raw,
             m=args.samples or 20_000,
             seed=_seed(args, harness.DEFAULT_SEED),
             estimators=args.estimators,
@@ -153,7 +167,7 @@ def main(argv=None) -> int:
 
     if args.command == "selftest":
         text, failed = harness.run_selftest(
-            raw=_raw(args), seed=_seed(args, 0), out=args.out
+            raw=raw, seed=_seed(args, 0), out=args.out
         )
         sys.stdout.write(text)
         return 1 if failed else 0
@@ -167,7 +181,7 @@ def main(argv=None) -> int:
 
     if args.command == "calibrate-n":
         _, report = harness.calibrate_n(
-            raw=_raw(args),
+            raw=raw,
             m=args.samples or harness.DEFAULT_SAMPLES,
             seed=_seed(args, harness.DEFAULT_SEED),
             out=args.out,
@@ -178,7 +192,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "calibrate-policy":
-        cfg = harness.build_config(_raw(args), args.t1)
+        cfg = harness.build_config(raw, args.t1)
         policy = brm.calibrate_policy(
             cfg,
             n_paths=args.samples or harness.CALIBRATION_PATHS,

@@ -16,8 +16,9 @@ a_ij = gamma_i . gamma_j.  The module provides:
 * the terminal-measure drift, a log-Euler step, and the one path
   stepper (``evolve_log_euler``) behind the Euler oracle, the Bermudan
   continuation and the policy fit; it steps in the row slices of
-  ``mc.row_slices`` on one reused normals buffer and draws normals for
-  exactly the rows it is handed,
+  ``mc.row_slices`` on one reused normals buffer, draws a full block
+  of normals for exactly the rows it is handed, and steps only the
+  live rates a caller names (the trailing block is a model of its own),
 * the unit-diffusion coordinates Y = Gamma^{-1} log L in which the
   transition density expansion is carried out,
 * a plain-text configuration format for experiment settings.
@@ -115,6 +116,25 @@ class VolStructure:
     def n(self) -> int:
         return self.vol.shape[0]
 
+    def trailing(self, first: int) -> "VolStructure":
+        """The structure of rates ``first``.. (0-based) on their own.
+
+        Rate i's drift sums over the rates after it only and Gamma is
+        upper triangular, so the trailing block of every field is the
+        model of the trailing rates by themselves.
+        """
+        b = slice(first, None)
+        return VolStructure(
+            vol=self.vol[b],
+            corr=self.corr[b, b],
+            a=self.a[b, b],
+            gamma=self.gamma[b, b],
+            gamma_inv=self.gamma_inv[b, b],
+            a_diag=self.a_diag[b],
+            a_upper=self.a_upper[b, b],
+            y_drift=self.y_drift[b],
+        )
+
 
 def build_vol_structure(vol: np.ndarray, corr: np.ndarray) -> VolStructure:
     """Build the factorised covariance structure.
@@ -207,9 +227,13 @@ class ModelConfig:
         for name in ("t1", "delta", "l0", "vol", "dt_euro", "dt_berm", "rho_inf", "strike"):
             value = np.asarray(getattr(self, name), dtype=np.float64)
             positive = name not in ("rho_inf", "strike")
-            if not (np.all(np.isfinite(value)) and (not positive or np.all(value > 0.0))):
+            bad = ~np.isfinite(value) | (positive & ~(value > 0.0))
+            if np.any(bad):
                 need = "finite and positive" if positive else "finite"
-                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
+                if value.ndim:
+                    j = int(np.argmax(bad))
+                    name, value = f"{name}[{j}]", value[j]
+                raise ValueError(f"{name} must be {need}, got {value}")
         for i in self.exercise_indices:
             if not (1 <= i <= self.n):
                 raise ValueError(f"exercise index {i} outside 1..{self.n}")
@@ -268,6 +292,7 @@ def evolve_log_euler(
     n_steps: int,
     dt: float,
     rng: np.random.Generator,
+    first: int = 0,
 ) -> list:
     """Advance a group of (B, n) rate arrays by ``n_steps`` log-Euler steps.
 
@@ -277,17 +302,31 @@ def evolve_log_euler(
     step takes exactly B n normals.  The step itself runs in the
     cache-sized slices of ``mc.row_slices``, which update the members'
     log-rates in place.  Returns the final rates, one array per member.
+
+    Only the live rates, 0-based columns ``first``.., are logged, stepped
+    and exponentiated: ``cfg.vs.trailing(first)`` is their model, and
+    they read the columns ``first``.. of each normal block.  The block
+    is still drawn whole, so the random tableau does not depend on
+    ``first``.  The rates before ``first`` come back holding the finite
+    values they came in with.
     """
-    ks = [np.log(np.asarray(g, dtype=np.float64)) for g in group]
-    z = np.empty(ks[0].shape)
+    vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
+    ks = [np.log(np.asarray(g, dtype=np.float64)[:, first:]) for g in group]
+    z = np.empty((ks[0].shape[0], cfg.n))
     parts = mc.row_slices(z.shape[0])
     for _ in range(n_steps):
         rng.standard_normal(z.shape, out=z)
         for part in parts:
-            zp = z[part]
+            zp = z[part, first:]
             for k in ks:
-                k[part] = log_euler_step(cfg.vs, cfg.delta, k[part], dt, zp)
-    return [np.exp(k) for k in ks]
+                k[part] = log_euler_step(vs, delta, k[part], dt, zp)
+    out = []
+    for g, k in zip(group, ks):
+        x = np.empty(z.shape)
+        x[:, :first] = g[:, :first]
+        np.exp(k, out=x[:, first:])
+        out.append(x)
+    return out
 
 
 def to_y(vs: VolStructure, L: np.ndarray) -> np.ndarray:
@@ -375,5 +414,12 @@ def save_config(path, raw: dict) -> None:
 
 
 def make_config(raw: dict, t1: float) -> ModelConfig:
-    """Build a :class:`ModelConfig` for maturity ``t1`` from raw settings."""
+    """Build a :class:`ModelConfig` for maturity ``t1`` from raw settings.
+
+    Settings without a default (``n`` and the market data) must all be
+    there; a missing one raises ValueError naming it.
+    """
+    missing = [k for k in ("n", *_VECTOR_KEYS, "rho_inf", "strike") if k not in raw]
+    if missing:
+        raise ValueError(f"config lacks {', '.join(missing)}")
     return ModelConfig(t1=t1, **raw)

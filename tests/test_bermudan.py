@@ -353,21 +353,32 @@ class TestBermudanPricing:
         assert a.value != c.value
 
 
+def minor_faults(call):
+    """Minor page faults of one ``call()``, after a warm-up call."""
+    resource = pytest.importorskip("resource")
+    call()  # warm the heap
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
 class TestPageFaults:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="counts Linux minor page faults")
     def test_continuation_reuses_its_memory(self):
         # (B, 19) float64 temporaries are 2.5 MB each: made fresh on every
         # step they land on new pages, about 340k minor faults per call at
         # M = BATCH.  Cache-sized slices and a reused normals buffer stay
         # on pages the process already holds.
-        resource = pytest.importorskip("resource")
         cfg, pol = case_cfg(), case_policy()
-        brm.bermudan_price(cfg, pol, level=1, m=mc.BATCH, seed=7)  # warm the heap
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        brm.bermudan_price(cfg, pol, level=1, m=mc.BATCH, seed=7)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults < 50_000
+        assert minor_faults(
+            lambda: brm.bermudan_price(cfg, pol, level=1, m=mc.BATCH, seed=7)) < 50_000
+
+    def test_delta_reuses_its_memory(self):
+        # the bump pair steps two members on one normals buffer
+        cfg, pol = case_cfg(), case_policy()
+        assert minor_faults(lambda: brm.bermudan_delta_fd(
+            cfg, pol, i=18, h=3.5e-5, level=1, m=mc.BATCH, seed=7)) < 50_000
 
 
 class TestBermudanDelta:
@@ -596,3 +607,85 @@ class TestStopAudit:
         share, se = every_row_disagreement(cfg, pol, est._bumped(cfg.l0, i, h), m, seed=5)
         assert share > 0.0
         assert abs(got - share) < 4.0 * np.hypot(se, np.sqrt(got * (1.0 - got) / m))
+
+
+TRIGGER = brm._trigger
+
+
+def unpruned_trigger(cfg, indices, k, states, floor=None):
+    """``_trigger`` with the floor dropped: every row gets its Europeans."""
+    return TRIGGER(cfg, indices, k, states)
+
+
+class TestPrunedTrigger:
+    def test_rows_below_the_floor_only_lose_their_europeans(self):
+        cfg, pol = case_cfg(), case_policy()
+        states = est.anchored_libor_pair(cfg, cfg.t1, 1, cfg.l0).draw(
+            mc.rng_for(7, 0, mc.STREAM_XI).standard_normal((3000, cfg.n)))
+        floor = pol.thresholds[0]
+        intrinsic, full = brm._trigger(cfg, pol.exercise_indices, 0, states)
+        _, pruned = brm._trigger(cfg, pol.exercise_indices, 0, states, floor)
+        cand = intrinsic >= floor
+        assert 0 < cand.sum() < cand.size
+        assert np.array_equal(pruned[cand], full[cand])
+        assert np.array_equal(pruned[~cand], intrinsic[~cand])
+        assert np.array_equal(pruned >= floor, full >= floor)
+
+    @pytest.mark.parametrize("h", [3e-4, 3.5e-5])
+    def test_pruning_moves_no_decision(self, monkeypatch, h):
+        # a row whose intrinsic is below H_k cannot fire, so pricing the
+        # Europeans on the other rows only leaves every stop, payoff and
+        # audit flag as it was, bit for bit
+        cfg, pol = case_cfg(), case_policy()
+        m, seed, i = 4096, 7, 18
+        z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+        zetas = [est.anchored_libor_pair(cfg, cfg.t1, 1, x).draw(z)
+                 for x in est._bumped(cfg.l0, i, h)]
+        priced = []
+        still_alive = brm.still_alive_european
+
+        def counted(cfg, x, *args):
+            priced[-1] += x.shape[0]
+            return still_alive(cfg, x, *args)
+
+        monkeypatch.setattr(brm, "still_alive_european", counted)
+        runs = []
+        for trigger in (TRIGGER, unpruned_trigger):
+            monkeypatch.setattr(brm, "_trigger", trigger)
+            priced.append(0)
+            rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
+            runs.append((*brm._run_policy(cfg, pol, zetas, rng, cfg.t1, audit=True),
+                         rng.standard_normal(8)))
+        (pays, stop, differ, after), (pays_u, stop_u, differ_u, after_u) = runs
+        assert np.array_equal(stop, stop_u)
+        assert all(np.array_equal(a, b) for a, b in zip(pays, pays_u))
+        assert np.array_equal(differ, differ_u) and differ.any()
+        assert np.array_equal(after, after_u)
+        assert 0 < priced[0] < priced[1]
+
+
+class TestTableauFence:
+    def test_every_draw_is_a_full_block(self, monkeypatch):
+        # the random tableau: every normal draw of the Bermudan calls is a
+        # (rows, n) block, whichever rates a step reads.  Drawing only the
+        # live rates' columns would be cheaper, but it would move every
+        # number the continuation makes.
+        cfg = case_cfg()
+        shapes = []
+        rng_for = mc.rng_for
+
+        class Recording:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, size=None, *args, **kwargs):
+                shapes.append(size)
+                return self._gen.standard_normal(size, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "rng_for", lambda *a, **k: Recording(rng_for(*a, **k)))
+        pol = brm.calibrate_policy(cfg, n_paths=brm._MIN_CALIBRATION_PATHS, seed=3)
+        brm.bermudan_price(cfg, pol, level=1, m=2048, seed=7)
+        brm.bermudan_delta_fd(cfg, pol, i=18, h=3.5e-5, level=1, m=2048, seed=7)
+        assert len(shapes) > 3 * 180
+        assert all(isinstance(s, tuple) and len(s) == 2 and s[1] == cfg.n and s[0] > 0
+                   for s in shapes)

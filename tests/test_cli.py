@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,36 @@ class TestSamplesFlag:
             cli.main(["calibrate-policy", "--samples", str(least - 1)])
         assert exit_info.value.code == 2
         assert f">= {least}" in capsys.readouterr().err
+
+
+#: the case study's 19 volatilities with a NaN fourth entry
+VOL_WITH_NAN = ["0.2"] * 3 + ["nan"] + ["0.2"] * 15
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("vol = 0.2", "vol = " + ", ".join(VOL_WITH_NAN)),
+         "vol[3] must be finite and positive, got nan"),
+        (lambda text: text + "foo\n", "expected 'key = value', got 'foo'"),
+        (lambda text: text.replace("strike = 0.035", ""), "config lacks strike"),
+    ])
+    def test_exits_2_with_one_line(self, capsys, tmp_path, edit, message):
+        # a config file that cannot make a model is refused before any
+        # work, in one line, not by a traceback
+        path = tmp_path / "bad.cfg"
+        path.write_text(edit(Path("configs/case_study.cfg").read_text()))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["calibrate-policy", "--config", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("wkbmc: error: ") and message in err
+
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["table", "1", "--config", str(tmp_path / "none.cfg")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "none.cfg" in err
 
 
 class TestFlagsPerSubcommand:

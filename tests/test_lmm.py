@@ -132,6 +132,32 @@ class TestLogEuler:
         for got, k in zip(stepped, ks):
             assert np.array_equal(got, np.exp(k))
 
+    @pytest.mark.parametrize("first", [1, 6, 18])
+    def test_live_block_steps_only_its_rates(self, first):
+        # the rates before ``first`` come back untouched, the live ones as a
+        # full-width step leaves them (the drift of rate i sums over later
+        # rates only and Gamma is upper triangular), and the generator ends
+        # where a full-width step leaves it: each step draws a whole block
+        cfg = case_cfg(n=19)
+        x = np.random.default_rng(4).uniform(0.02, 0.05, size=(2 * mc.CHUNK + 5, cfg.n))
+        group = [x, 1.01 * x]
+        full_rng, live_rng = (mc.rng_for(4, 0, mc.STREAM_CONT) for _ in range(2))
+        full = lmm.evolve_log_euler(cfg, group, 5, 0.05, full_rng)
+        live = lmm.evolve_log_euler(cfg, group, 5, 0.05, live_rng, first=first)
+        for start, a, b in zip(group, full, live):
+            assert np.array_equal(b[:, :first], start[:, :first])
+            assert_allclose(b[:, first:], a[:, first:], rtol=1e-13, atol=0.0)
+        assert np.array_equal(full_rng.standard_normal(8), live_rng.standard_normal(8))
+
+    def test_trailing_block_is_a_model_of_its_own(self):
+        vs = case_cfg(n=8).vs
+        sub = vs.trailing(3)
+        assert sub.n == 5
+        assert_allclose(sub.gamma @ sub.gamma.T, sub.a, atol=1e-15)
+        assert_allclose(sub.gamma_inv @ sub.gamma, np.eye(5), atol=1e-12)
+        assert np.array_equal(sub.a_upper, np.triu(sub.a, k=1))
+        assert np.array_equal(sub.a_diag, np.diag(sub.a))
+
 
 @settings(max_examples=50, deadline=None)
 @given(
@@ -177,8 +203,22 @@ class TestModelConfig:
         # price or a ZeroDivisionError downstream
         args = dict(n=5, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035)
         args[field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{field}(\[\d+\])? must be finite"):
             lmm.ModelConfig(**args)
+
+    def test_names_the_offending_entry(self):
+        # a vector names the entry at fault, not the whole broadcast vector
+        args = dict(n=5, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035)
+        args["vol"] = [0.2, 0.2, 0.2, np.nan, 0.2]
+        with pytest.raises(ValueError, match=r"^vol\[3\] must be finite and positive, got nan$"):
+            lmm.ModelConfig(**args)
+        args["vol"], args["l0"] = 0.2, 0.0
+        with pytest.raises(ValueError, match=r"^l0\[0\] must be finite and positive, got 0\.0$"):
+            lmm.ModelConfig(**args)
+
+    def test_make_config_names_missing_settings(self):
+        with pytest.raises(ValueError, match=r"^config lacks delta, l0, vol, rho_inf, strike$"):
+            lmm.make_config({"n": 3}, 1.0)
 
 
 class TestConfigFile:
