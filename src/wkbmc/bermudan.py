@@ -2,29 +2,31 @@
 
 The exercise rule at each date compares the deflated intrinsic value
 against a per-date threshold plus the best still-alive European value
-computed from the current state.  Thresholds are fitted by a backward
-sweep over pre-simulated log-Euler paths; the fit and the pricing
-continuation reach the exercise dates through one date walker
-(``_walk_dates``).  Pricing draws the first-date state in one shot from
-the lognormal proxy (importance-weighted by the truncated kernel,
-exactly as in the European case) and continues with fine-step log-Euler
-paths to the later exercise dates, so only the continuation pays the
-per-step cost.  The continuation steps only the rows still running: one
-stopping rule, the first member's exercise decision, cuts a row from the
-group, and each step draws normals for the rows left alone, handed out
-in running order.  Whether a path still runs depends only on its past,
-so the fresh increments keep every path's law; a stopped path costs no
+computed from the current state.  Exercise lives only here.  A path
+has two stages: a first-date head of ``estimators`` takes it to T1
+(the one-shot proxy draw, importance-weighted by the truncated kernel
+exactly as in the European case, or log-Euler from time zero at
+``level="euler"``, the validation oracle), and the policy
+(``_run_policy``) continues it on fine log-Euler steps through one
+date walker (``_walk_dates``).  ``_continued`` joins the two into one
+head of the batch driver: prices and Deltas reduce its payoffs, and
+the diagnostics read its stops, each path weighted by its importance
+weight.  Thresholds are fitted by a backward sweep over the Euler
+head's own paths.
+
+The continuation steps only the rows still running: one stopping rule,
+the first member's exercise decision, cuts a row from the group, and
+each step draws normals for the rows left alone, handed out in running
+order.  Whether a path still runs depends only on its past, so the
+fresh increments keep every path's law; a stopped path costs no
 further draws.  It also does only the arithmetic a decision reads: on
 the way to tenor date T_i it steps the live rates L_i .. L_n alone (a
 full block of normals is still drawn per row, so the random tableau
 does not depend on which rates are live), and at a date it prices the
 still-alive Europeans only on the rows whose intrinsic value reaches
-the threshold, the only rows that can fire.  Every estimator here, and
-the two diagnostics (where paths stop, how often a bump pair would stop
-apart), runs on the batch driver of ``estimators``: the exercise-policy
-continuation (``_run_policy``) is its tail, and the diagnostics weight
-each path by its importance weight.  The bump-pair audit only flags rows where the
-down branch's own decision differs, so it reads the Delta run's paths.
+the threshold, the only rows that can fire.  The bump-pair audit only
+flags rows where the down branch's own decision differs, so it reads
+the Delta run's paths.
 
 The still-alive European values are deterministic approximations: the
 remaining swap is priced by a frozen-weight lognormal formula for the
@@ -44,7 +46,6 @@ import numpy as np
 from . import mc
 from .estimators import (
     McResult,
-    _batches,
     _delta_stencil,
     _estimate,
     _euler_head,
@@ -65,8 +66,6 @@ __all__ = [
     "bermudan_delta_fd",
     "stopping_disagreement",
     "exercise_frequencies",
-    "euler_bermudan_price",
-    "euler_bermudan_delta_fd",
 ]
 
 _MIN_CALIBRATION_PATHS = 10_000
@@ -177,19 +176,19 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray, floor=None):
     return intrinsic, trig
 
 
-def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, indices, dates):
-    """Yield (k, group) at each date, stepping the group on ``dt_berm``.
+def _walk_dates(cfg: ModelConfig, group, rng, indices):
+    """Yield (k, group) at each exercise date, stepping the group on ``dt_berm``.
 
-    The group starts at ``start_time``; every gap between consecutive
-    dates must be a whole number of steps, and a date at the start time
-    yields the group untouched.  ``indices`` are the dates' 1-based
-    tenor indices.
+    The group starts at T1, where every first-date head leaves it;
+    ``indices`` are the dates' 1-based tenor indices.  Every gap must be
+    a whole number of steps, and a date at T1 yields the group untouched.
 
-    The yielded list is the walker's own: a caller may cut its members
-    in place between dates, and only the rows left are stepped on and
-    get normals, handed out in row order.  The rows a caller keeps at a
-    date depend only on the path so far, so fresh iid increments for
-    them keep every path's law.
+    The walk takes over the list ``group`` and yields it, replacing its
+    members in place as it steps, so no state outlives its step.  A
+    caller may cut the members in place between dates: only the rows
+    left are stepped on and get normals, handed out in row order.  The
+    rows a caller keeps at a date depend only on the path so far, so
+    fresh iid increments for them keep every path's law.
 
     On the gap that ends at tenor index i only the rates L_i .. L_n are
     live: the trigger, the payoff at a stop and every later date read
@@ -197,9 +196,9 @@ def _walk_dates(cfg: ModelConfig, group, rng, start_time: float, indices, dates)
     last values.  Each step still draws the full n normals per row, so
     the random tableau is the one an every-rate step would use.
     """
-    group = list(group)
-    t_prev = start_time
-    for k, (i, date) in enumerate(zip(indices, dates)):
+    t_prev = cfg.t1
+    for k, i in enumerate(indices):
+        date = cfg.tenor_date(i)
         steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
         if steps:
             group[:] = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, first=i - 1)
@@ -307,10 +306,11 @@ def _optimize_threshold(trig, exercised, continued):
 def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> AndersenPolicy:
     """Fit the per-date thresholds on dedicated Euler paths.
 
-    Uses a backward sweep: at each date the threshold maximises the
-    average realised payoff over the path set with all later thresholds
-    already fixed.  The calibration seed must be kept disjoint from
-    evaluation seeds (no foresight between fitting and pricing).
+    The paths are the Euler oracle's, walked on through the dates.  Uses
+    a backward sweep: at each date the threshold maximises the average
+    realised payoff over the path set with all later thresholds already
+    fixed.  The calibration seed must be kept disjoint from evaluation
+    seeds (no foresight between fitting and pricing).
     """
     indices = cfg.exercise_indices
     if not indices:
@@ -319,14 +319,13 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
         raise ValueError(
             f"calibration needs at least {_MIN_CALIBRATION_PATHS} paths, got {n_paths}"
         )
-    dates = cfg.exercise_dates
     K = len(indices)
     intr = [[] for _ in range(K)]
     trig = [[] for _ in range(K)]
+    head = _euler_head(cfg, [(cfg.l0, 1.0)], cfg.t1, cfg.dt_berm)
     for bi, lo, hi in mc.batch_slices(n_paths):
-        rng = mc.rng_for(seed, bi, mc.STREAM_EULER)
-        start = [np.broadcast_to(cfg.l0, (hi - lo, cfg.n))]
-        for k, (states,) in _walk_dates(cfg, start, rng, 0.0, indices, dates):
+        start, _, _, cont = head(seed, bi, hi - lo, None)
+        for k, (states,) in _walk_dates(cfg, start, cont(), indices):
             ik, tk = _trigger(cfg, indices, k, states)
             intr[k].append(ik)
             trig[k].append(tk)
@@ -345,7 +344,7 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
         raise RuntimeError("backward sweep objective decreased; calibration is broken")
     return AndersenPolicy(
         exercise_indices=indices,
-        dates=dates,
+        dates=cfg.exercise_dates,
         thresholds=thresholds,
         n_paths=n_paths,
         seed=seed,
@@ -357,8 +356,8 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
 # policy-driven evaluation
 
 
-def _run_policy(cfg, policy, group, rng, start_time, audit=False):
-    """Advance a common-increment group through the exercise dates.
+def _run_policy(cfg, policy, group, rng, audit=False):
+    """Advance a common-increment group from T1 through the exercise dates.
 
     Exercise decisions come from the first group member only and are
     applied to every member (the bump pair shares one stopping time);
@@ -372,7 +371,8 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     the date's threshold; the other rows cannot fire, so the decisions
     and flags are those of full triggers.
 
-    Returns (payoffs per member, stop positions, disagreement flags).
+    The walk takes over the list ``group``.  Returns (payoffs per
+    member, stop positions, disagreement flags).
     """
     B = group[0].shape[0]
     payoffs_out = [np.zeros(B) for _ in group]
@@ -381,7 +381,7 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
     rows = np.arange(B)  # the batch rows the group holds
 
     indices = policy.exercise_indices
-    for k, states in _walk_dates(cfg, group, rng, start_time, indices, policy.dates):
+    for k, states in _walk_dates(cfg, group, rng, indices):
         floor = policy.thresholds[k]
         intrinsic, trig = _trigger(cfg, indices, k, states[0], floor)
         fire = trig >= floor
@@ -404,10 +404,11 @@ def _run_policy(cfg, policy, group, rng, start_time, audit=False):
 
 
 def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=False):
-    """Driver head and tail: reach the first date, then follow ``policy``.
+    """Driver head: the first-date head at ``level``, then ``policy``.
 
-    The head is the one-shot draw at kernel ``level``, or log-Euler from
-    time zero when ``level`` is "euler".
+    The first-date head is the one-shot draw at a kernel level, or
+    log-Euler from time zero at "euler".  The states slot holds (stop
+    positions, disagreement flags); the driver's payoff goes unused.
     """
     expected = np.array([cfg.tenor_date(i) for i in policy.exercise_indices])
     if np.max(np.abs(expected - policy.dates)) > 1e-9:
@@ -415,15 +416,17 @@ def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=F
     if policy.dates[0] < cfg.t1 - 1e-9:
         raise ValueError("policy starts before the first tenor date")
     if level == "euler":
-        head = _euler_head(cfg, stencil, cfg.t1, cfg.dt_berm)
+        first = _euler_head(cfg, stencil, cfg.t1, cfg.dt_berm)
     else:
-        head = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil)
-    return head, lambda group, rng: _run_policy(cfg, policy, group, rng, cfg.t1, audit)
+        first = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil)
 
+    def head(seed, bi, rows, payoff):
+        states, w, _, cont = first(seed, bi, rows, None)
+        pays, stop, differ = _run_policy(cfg, policy, states, cont(), audit)
+        wv = pays if w is None else [wk * pk for wk, pk in zip(w, pays)]
+        return (stop, differ), w, wv, None
 
-def _bermudan(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, m: int, seed: int):
-    head, tail = _continued(cfg, policy, level, stencil)
-    return _estimate(stencil, head, m, seed, tail=tail)
+    return head
 
 
 def bermudan_price(
@@ -433,8 +436,9 @@ def bermudan_price(
     m: int = 100_000,
     seed: int = 0,
 ) -> McResult:
-    """Lower-bound price: one-shot draw to the first date, then continue."""
-    return _bermudan(cfg, policy, level, [(cfg.l0, report_scale(cfg))], m, seed)
+    """Lower-bound price: the head at ``level`` to the first date, then ``policy``."""
+    stencil = [(cfg.l0, report_scale(cfg))]
+    return _estimate(stencil, _continued(cfg, policy, level, stencil), m, seed)
 
 
 def bermudan_delta_fd(
@@ -448,16 +452,22 @@ def bermudan_delta_fd(
 ) -> McResult:
     """Re-anchored central difference of the Bermudan lower bound.
 
-    The bump pair shares the one-shot normals, the continuation
+    The bump pair shares the first-date normals, the continuation
     increments, and the stopping decision (taken from the up branch).
     """
     stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
-    return _bermudan(cfg, policy, level, stencil, m, seed)
+    return _estimate(stencil, _continued(cfg, policy, level, stencil), m, seed)
 
 
-def _lead_weights(w, stop: np.ndarray) -> np.ndarray:
-    """The first member's importance weights; one per path at the Euler level."""
-    return np.ones(stop.shape[0]) if w is None else w[0]
+def _stops(cfg, policy, level, stencil, m: int, seed: int, audit=False):
+    """Yield (first member's weights, stop positions, flags) per batch.
+
+    Euler paths come from the model and weigh one each.
+    """
+    head = _continued(cfg, policy, level, stencil, audit)
+    for bi, lo, hi in mc.batch_slices(m):
+        (stop, differ), w, _, _ = head(seed, bi, hi - lo, None)
+        yield (np.ones(hi - lo) if w is None else w[0]), stop, differ
 
 
 def stopping_disagreement(
@@ -480,10 +490,8 @@ def stopping_disagreement(
     come from the model and count once each.
     """
     stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
-    head, tail = _continued(cfg, policy, level, stencil, audit=True)
     disagree = total = 0.0
-    for _, w, _, (stop, differ) in _batches(m, seed, head, tail=tail):
-        w_up = _lead_weights(w, stop)
+    for w_up, _, differ in _stops(cfg, policy, level, stencil, m, seed, audit=True):
         disagree += float(np.sum(w_up[differ]))
         total += float(np.sum(w_up))
     return disagree / total
@@ -502,34 +510,8 @@ def exercise_frequencies(
     those of the model, not of the proxy; they sum to one.  Euler paths
     come from the model and count once each.
     """
-    head, tail = _continued(cfg, policy, level, [(cfg.l0, 1.0)])
     K = policy.dates.shape[0]
     hist = np.zeros(K + 1)
-    for _, w, _, (stop, _) in _batches(m, seed, head, tail=tail):
-        weights = _lead_weights(w, stop)
-        hist += np.bincount(np.where(stop < 0, K, stop), weights=weights, minlength=K + 1)
+    for w, stop, _ in _stops(cfg, policy, level, [(cfg.l0, 1.0)], m, seed):
+        hist += np.bincount(np.where(stop < 0, K, stop), weights=w, minlength=K + 1)
     return hist / hist.sum()
-
-
-# ---------------------------------------------------------------------------
-# full log-Euler references (validation oracles)
-
-
-def euler_bermudan_price(
-    cfg: ModelConfig, policy: AndersenPolicy, m: int = 100_000, seed: int = 0
-) -> McResult:
-    """Same policy, but the first-date state comes from Euler paths."""
-    return _bermudan(cfg, policy, "euler", [(cfg.l0, report_scale(cfg))], m, seed)
-
-
-def euler_bermudan_delta_fd(
-    cfg: ModelConfig,
-    policy: AndersenPolicy,
-    i: int,
-    h: float,
-    m: int = 100_000,
-    seed: int = 0,
-) -> McResult:
-    """Euler reference delta: bumped starts, shared increments and stop."""
-    stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
-    return _bermudan(cfg, policy, "euler", stencil, m, seed)

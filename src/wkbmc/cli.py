@@ -115,12 +115,17 @@ def _raw(args) -> dict | None:
     """The ``--config`` file's settings, refused here if they cannot make a model.
 
     T1 is not a file setting, so a file that builds at one maturity
-    builds at every one.
+    builds at every one.  A command that prices only Bermudans also
+    needs the file to declare exercise dates.
     """
     if not getattr(args, "config", None):
         return None
     raw = lmm.load_config(args.config)
-    lmm.make_config(raw, 1.0)
+    if not lmm.make_config(raw, 1.0).exercise_indices and (
+            args.command == "calibrate-policy" or getattr(args, "which", None) in (3, 4)
+            or set(getattr(args, "estimators", ())) == {"bermudan"}):
+        raise ValueError(f"{args.config} declares no exercise_dates, which "
+                         f"{args.command} needs")
     return raw
 
 

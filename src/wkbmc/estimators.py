@@ -10,16 +10,16 @@ the time step shrinks; the fixed-sampler variant (`naive_delta`) is
 kept only to demonstrate the blow-up it suffers.
 
 Every stencil estimator, European and Bermudan, runs on one batch
-driver (``_batches``, reduced by ``_estimate``).  A *stencil* lists
-(anchor, coefficient) pairs, the coefficient holding the outer scale
-and the finite-difference weight (width 1 for price, 2 for Delta, 3-4
-for Gamma).  A *head* takes a batch to each member's first-date state
-on shared normals: the weighted one-shot draw, log-Euler from time
-zero, or (for `naive_delta`) one frozen draw that every member only
-reweights.  An optional *tail*, the Bermudan exercise policy, continues
-to the payoff.  Three loops compute something else and stay separate:
-`variance_audit` (the bound's norms), `explosion_demo` (the toy model)
-and the Bermudan `calibrate_policy` (states at every exercise date).
+driver, ``_estimate``.  A *stencil* lists (anchor, coefficient) pairs,
+the coefficient holding the outer scale and the finite-difference
+weight (width 1 for price, 2 for Delta, 3-4 for Gamma).  A *head* maps
+a batch to each member's states, weights and weighted payoffs on
+shared normals: the weighted one-shot draw, log-Euler from time zero,
+or (for `naive_delta`) one frozen draw that every member only
+reweights; `explosion_demo` has a toy head, and ``bermudan`` one that
+follows an exercise policy from the first date.  Two loops compute
+something else and stay separate: `variance_audit` (the bound's norms)
+and `calibrate_policy` (states at every exercise date).
 
 Also here: the second-moment audit that checks the variance bound the
 re-anchored construction satisfies, the iid-lognormal explosion example
@@ -250,7 +250,7 @@ def _one_shot_head(anchored, stencil):
 
     def head(seed, bi, rows, payoff):
         z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
-        states, w, wv = zip(*(_one_shot(pair, z, payoff) for pair in pairs))
+        states, w, wv = map(list, zip(*(_one_shot(pair, z, payoff) for pair in pairs)))
         return states, w, wv, lambda: mc.rng_for(seed, bi, mc.STREAM_CONT)
 
     return head
@@ -301,42 +301,22 @@ def _euler_head(cfg: ModelConfig, stencil, t: float, dt: float):
     return head
 
 
-def _batches(m: int, seed: int, head, payoff=None, tail=None):
-    """Yield (batch index, weights, weighted values, stops) per batch.
-
-    Weights are None for a head without them (its values are then the
-    plain ones).  Without a tail the head applies the payoff; with one,
-    ``tail(states, rng)`` returns (payoffs per member, stop positions,
-    stop disagreement flags) and ``stops`` holds the last two.
-    """
-    for bi, lo, hi in mc.batch_slices(m):
-        states, w, wv, tail_rng = head(seed, bi, hi - lo, None if tail else payoff)
-        stops = None
-        if tail is not None:
-            pays, *stops = tail(states, tail_rng())
-            wv = pays if w is None else [wk * pk for wk, pk in zip(w, pays)]
-        # free the members' (rows, n) states before the consumer runs: held
-        # across the yield they tripled a one-shot Delta's page faults
-        del states
-        yield bi, w, wv, stops
-
-
-def _require_two_samples(m: int) -> None:
-    if m < 2:
-        raise ValueError(f"need at least two samples, got {m}")
-
-
-def _estimate(stencil, head, m: int, seed: int, payoff=None, tail=None) -> McResult:
+def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
     """Row mean of sum_k c_k w_k v_k, with the weight health of all members.
 
-    ESS is m mean(w)^2 / mean(w^2), the moments pooled over every
-    member's weights, so it never exceeds m.  One sample has no spread
-    to report, so ``m`` must be at least two.
+    Only the weights and weighted values of a head call are kept, so the
+    members' states die before the next batch: held across batches they
+    tripled a one-shot Delta's page faults.  ESS is m mean(w)^2 /
+    mean(w^2), the moments pooled over every member's weights, so it
+    never exceeds m.  One sample has no spread to report, so ``m`` must
+    be at least two.
     """
-    _require_two_samples(m)
+    if m < 2:
+        raise ValueError(f"need at least two samples, got {m}")
     vals = mc.MomentAccumulator()
     wacc = mc.MomentAccumulator()
-    for bi, w, wv, _ in _batches(m, seed, head, payoff, tail):
+    for bi, lo, hi in mc.batch_slices(m):
+        w, wv = head(seed, bi, hi - lo, payoff)[1:3]
         vals.add(bi, sum(c * v for (_, c), v in zip(stencil, wv)))
         if w is not None:
             wacc.add(bi, np.concatenate(w))
@@ -576,7 +556,6 @@ def explosion_demo(
     per-sample estimator is norm(x0) * d(log kernel)/dx_j evaluated in
     closed form; its variance factor is measured against 1/(sigma^2 s).
     """
-    _require_two_samples(m)
     if sigma <= 0.0 or s <= 0.0:
         raise ValueError(f"need sigma > 0 and s > 0, got sigma={sigma}, s={s}")
     x0 = np.asarray(x0, dtype=np.float64)
@@ -586,20 +565,21 @@ def explosion_demo(
         raise ValueError(f"component {j} outside 0..{x0.shape[0] - 1}")
     c = float(np.linalg.norm(x0))
     var_ln = sigma**2 * s
-    acc = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((hi - lo, x0.shape[0]))
+
+    def head(seed, bi, rows, payoff):
+        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, x0.shape[0]))
         zeta = x0 * np.exp(-0.5 * var_ln + sigma * np.sqrt(s) * z)
         # d(log kernel)/dx_j = (log(zeta_j/x_j) + var/2) / (var * x_j)
         score = (np.log(zeta[:, j] / x0[j]) + 0.5 * var_ln) / (var_ln * x0[j])
-        acc.add(bi, c * score)
-    mean, sd_mean, count, _ = acc.finalize()
+        return None, None, [c * score], None
+
+    r = _estimate([(x0, 1.0)], head, m, seed)
     return ExplosionReport(
-        empirical_var=sd_mean**2,
-        predicted_var=c**2 / (x0[j] ** 2 * var_ln * count),
-        mean=mean,
-        mean_se=sd_mean,
-        m=count,
+        empirical_var=r.sd**2,
+        predicted_var=c**2 / (x0[j] ** 2 * var_ln * r.m),
+        mean=r.value,
+        mean_se=r.sd,
+        m=r.m,
     )
 
 

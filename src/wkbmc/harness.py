@@ -156,10 +156,6 @@ def _european_cell(cfg, kind, level, m, seed, h):
 
 
 def _bermudan_cell(cfg, policy, kind, level, m, seed, h):
-    if level == "euler":
-        if kind == "bermudan_price":
-            return brm.euler_bermudan_price(cfg, policy, m=m, seed=seed)
-        return brm.euler_bermudan_delta_fd(cfg, policy, i=cfg.n - 1, h=h, m=m, seed=seed)
     if kind == "bermudan_price":
         return brm.bermudan_price(cfg, policy, level=level, m=m, seed=seed)
     return brm.bermudan_delta_fd(cfg, policy, i=cfg.n - 1, h=h, level=level, m=m, seed=seed)

@@ -234,9 +234,11 @@ class ModelConfig:
                     j = int(np.argmax(bad))
                     name, value = f"{name}[{j}]", value[j]
                 raise ValueError(f"{name} must be {need}, got {value}")
-        for i in self.exercise_indices:
-            if not (1 <= i <= self.n):
-                raise ValueError(f"exercise index {i} outside 1..{self.n}")
+        ex = tuple(self.exercise_indices)
+        if any(b <= a for a, b in zip(ex, ex[1:])):
+            raise ValueError(f"exercise_indices must be strictly increasing, got {ex}")
+        if ex and not (1 <= ex[0] and ex[-1] <= self.n):
+            raise ValueError(f"exercise_indices must lie in 1..{self.n}, got {ex}")
         self.vs = build_vol_structure(self.vol, correlation_matrix(self.n, self.rho_inf))
         # tenor[k] = T_{k+1}: dates T_1 .. T_{n+1}
         self.tenor = np.concatenate([[self.t1], self.t1 + np.cumsum(self.delta)])

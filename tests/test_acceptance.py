@@ -132,9 +132,10 @@ def test_criterion_5_bermudan_tables():
         cfg = _case(t1)
         policy = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
         p1 = brm.bermudan_price(cfg, policy, level=1, m=M_DESK, seed=SEED)
-        pe = brm.euler_bermudan_price(cfg, policy, m=M_DESK, seed=SEED)
+        pe = brm.bermudan_price(cfg, policy, level="euler", m=M_DESK, seed=SEED)
         d1 = brm.bermudan_delta_fd(cfg, policy, cfg.n - 1, H, level=1, m=M_DESK, seed=SEED)
-        de = brm.euler_bermudan_delta_fd(cfg, policy, cfg.n - 1, H, m=M_DESK, seed=SEED)
+        de = brm.bermudan_delta_fd(cfg, policy, cfg.n - 1, H, level="euler", m=M_DESK,
+                                    seed=SEED)
         for label, a, b in (("price", p1, pe), ("delta", d1, de)):
             gate = 0.005 * abs(b.value) + 3.0 * math.hypot(a.sd, b.sd)
             gap = abs(a.value - b.value)

@@ -194,7 +194,7 @@ def run_rule(cfg, thresholds, rows):
         thresholds=thresholds,
     )
     rng = mc.rng_for(0, 0, mc.STREAM_CONT)
-    (pay,), stop, _ = brm._run_policy(cfg, pol, [rows], rng, cfg.t1)
+    (pay,), stop, _ = brm._run_policy(cfg, pol, [rows], rng)
     return pay, stop
 
 
@@ -288,6 +288,14 @@ class TestOneDateDegeneracy:
         assert b.value == e.value
         assert b.sd == e.sd
 
+    def test_fit_walks_the_oracle_paths(self):
+        # the fit draws its paths with the Euler oracle's head, on the same
+        # generator cell: at one date its objective is the oracle's price
+        cfg = case_cfg(exercise=(1,))
+        pol = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
+        e = brm.bermudan_price(cfg, pol, level="euler", m=10_000, seed=101)
+        assert_allclose(report_scale(cfg) * pol.objectives[0], e.value, rtol=1e-12, atol=0.0)
+
 
 class TestBermudanPricing:
     def test_dominates_european(self):
@@ -298,13 +306,13 @@ class TestBermudanPricing:
     def test_agrees_with_euler_reference(self):
         cfg = case_cfg()
         b = case_price()
-        e = brm.euler_bermudan_price(cfg, case_policy(), m=20_000, seed=3)
+        e = brm.bermudan_price(cfg, case_policy(), level="euler", m=20_000, seed=3)
         assert abs(b.value - e.value) < combined_gate(b, e)
 
     def test_agrees_with_euler_reference_t1_2(self):
         cfg = case_cfg(t1=2.0)
         b = case_price(t1=2.0)
-        e = brm.euler_bermudan_price(cfg, case_policy(2.0), m=20_000, seed=3)
+        e = brm.bermudan_price(cfg, case_policy(2.0), level="euler", m=20_000, seed=3)
         assert abs(b.value - e.value) < combined_gate(b, e)
 
     def test_beats_premium_free_policy(self):
@@ -386,8 +394,8 @@ class TestBermudanDelta:
         cfg = case_cfg()
         d = brm.bermudan_delta_fd(cfg, case_policy(), i=18, h=3.5e-5, level=1,
                                   m=10_000, seed=7)
-        de = brm.euler_bermudan_delta_fd(cfg, case_policy(), i=18, h=3.5e-5,
-                                         m=10_000, seed=3)
+        de = brm.bermudan_delta_fd(cfg, case_policy(), i=18, h=3.5e-5, level="euler",
+                                   m=10_000, seed=3)
         assert abs(d.value - de.value) < combined_gate(d, de)
 
     def test_ess_pools_both_clouds(self):
@@ -479,7 +487,7 @@ class TestRunningRowsTableau:
         z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
         states = est.anchored_libor_pair(cfg, cfg.t1, 1, cfg.l0).draw(z)
         rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-        _, stop, _ = brm._run_policy(cfg, pol, [states], rng, cfg.t1)
+        _, stop, _ = brm._run_policy(cfg, pol, [states], rng)
         steps = np.round(np.diff(pol.dates) / cfg.dt_berm).astype(np.int64)
         running = np.array([np.count_nonzero((stop < 0) | (stop >= k))
                             for k in range(1, len(pol.dates))])
@@ -491,7 +499,7 @@ class TestRunningRowsTableau:
 
     def test_law_matches_every_row_reference(self):
         cfg, pol = case_cfg(), case_policy()
-        got = brm.euler_bermudan_price(cfg, pol, m=20_000, seed=5)
+        got = brm.bermudan_price(cfg, pol, level="euler", m=20_000, seed=5)
         value, sd = every_row_reference(cfg, pol, m=20_000, seed=5)
         assert abs(got.value - value) < 4.0 * np.hypot(got.sd, sd)
 
@@ -503,7 +511,7 @@ def rebuilt_stops(cfg, policy, level, anchors, m, seed):
     zetas = [pair.draw(z) for pair in pairs]
     w = np.exp(pairs[0].log_weight(zetas[0]))
     rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-    _, stop, differ = brm._run_policy(cfg, policy, zetas, rng, cfg.t1, audit=True)
+    _, stop, differ = brm._run_policy(cfg, policy, zetas, rng, audit=True)
     return w, stop, differ
 
 
@@ -591,7 +599,7 @@ class TestStopAudit:
         runs = []
         for audit in (False, True):
             rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            pays, stop, differ = brm._run_policy(cfg, pol, zetas, rng, cfg.t1, audit=audit)
+            pays, stop, differ = brm._run_policy(cfg, pol, list(zetas), rng, audit=audit)
             runs.append((pays, stop, differ, rng.standard_normal(8)))
         (pays, stop, differ, after), (pays_a, stop_a, differ_a, after_a) = runs
         assert differ is None
@@ -654,7 +662,7 @@ class TestPrunedTrigger:
             monkeypatch.setattr(brm, "_trigger", trigger)
             priced.append(0)
             rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            runs.append((*brm._run_policy(cfg, pol, zetas, rng, cfg.t1, audit=True),
+            runs.append((*brm._run_policy(cfg, pol, list(zetas), rng, audit=True),
                          rng.standard_normal(8)))
         (pays, stop, differ, after), (pays_u, stop_u, differ_u, after_u) = runs
         assert np.array_equal(stop, stop_u)

@@ -94,6 +94,55 @@ class TestBadConfig:
         assert err.count("\n") == 1 and "none.cfg" in err
 
 
+def config_with_dates(tmp_path, line):
+    """The case study's config file with its exercise_dates line replaced."""
+    path = tmp_path / "dates.cfg"
+    text = Path("configs/case_study.cfg").read_text()
+    path.write_text(text.replace("exercise_dates = 1, 3, 5, 7, 9, 11, 13, 15, 17, 19", line))
+    return str(path)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("started work on a refused config")
+
+
+class TestExerciseDates:
+    @pytest.mark.parametrize("argv", [
+        ["table", "3"],
+        ["table", "4"],
+        ["calibrate-policy"],
+        ["bench", "--estimators", "bermudan"],
+    ])
+    def test_bermudan_command_needs_dates(self, capsys, monkeypatch, tmp_path, argv):
+        # refused in one line before any work, not by a traceback from the
+        # policy fit or a header-only CSV
+        for owner, name in ((harness, "run_table"), (harness, "run_bench"),
+                            (brm, "calibrate_policy")):
+            monkeypatch.setattr(owner, name, no_work)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--config", config_with_dates(tmp_path, "")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "declares no exercise_dates" in err
+
+    def test_european_commands_run_without_dates(self, capsys, tmp_path):
+        path = config_with_dates(tmp_path, "")
+        assert cli.main(["table", "1", "--config", path, "--samples", "1000",
+                         "--level", "lgn"]) == 0
+        assert "european_price" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dates", ["3, 1", "1, 1, 3"])
+    @pytest.mark.parametrize("argv", [["calibrate-policy"], ["table", "3"]])
+    def test_unordered_dates_refused(self, capsys, monkeypatch, tmp_path, argv, dates):
+        monkeypatch.setattr(brm, "calibrate_policy", no_work)
+        path = config_with_dates(tmp_path, f"exercise_dates = {dates}")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--config", path])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exercise_indices must be strictly increasing" in err
+
+
 class TestFlagsPerSubcommand:
     # a subcommand offers only the shared flags it reads
     @pytest.mark.parametrize("argv", [

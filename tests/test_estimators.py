@@ -448,8 +448,8 @@ def _bump_estimators():
         "variance_audit": lambda h: est.variance_audit(inputs(h)),
         "euler_delta_fd": lambda h: est.euler_delta_fd(cfg, cfg.t1, payoff, 0, h, 100, 0),
         "bermudan_delta_fd": lambda h: brm.bermudan_delta_fd(cfg, policy, 0, h, m=100),
-        "euler_bermudan_delta_fd": lambda h: brm.euler_bermudan_delta_fd(
-            cfg, policy, 0, h, m=100),
+        "euler_bermudan_delta_fd": lambda h: brm.bermudan_delta_fd(
+            cfg, policy, 0, h, level="euler", m=100),
         "stopping_disagreement": lambda h: brm.stopping_disagreement(cfg, policy, 0, h, m=100),
     }
 
@@ -545,9 +545,10 @@ def golden_run(name):
         "bermudan_price": lambda: brm.bermudan_price(cfg, flat, level=1, m=2048, seed=7),
         "bermudan_delta_fd": lambda: brm.bermudan_delta_fd(
             cfg, flat, i=18, h=3.5e-5, level=1, m=2048, seed=7),
-        "euler_bermudan_price": lambda: brm.euler_bermudan_price(cfg, flat, m=2048, seed=7),
-        "euler_bermudan_delta_fd": lambda: brm.euler_bermudan_delta_fd(
-            cfg, flat, i=18, h=3.5e-5, m=2048, seed=7),
+        "euler_bermudan_price": lambda: brm.bermudan_price(
+            cfg, flat, level="euler", m=2048, seed=7),
+        "euler_bermudan_delta_fd": lambda: brm.bermudan_delta_fd(
+            cfg, flat, i=18, h=3.5e-5, level="euler", m=2048, seed=7),
     }
     return calls[name]()
 

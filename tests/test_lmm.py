@@ -191,6 +191,13 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             case_cfg(t1=-1.0)
 
+    @pytest.mark.parametrize("indices", [(3, 1), (1, 1, 3)])
+    def test_refuses_unordered_exercise_indices(self, indices):
+        # out of order or repeated, the dates would fail deep inside a
+        # policy fit; refused up front and by name
+        with pytest.raises(ValueError, match=r"^exercise_indices must be strictly increasing"):
+            case_cfg(exercise_indices=indices)
+
     @pytest.mark.parametrize("field, value", [
         ("l0", np.nan), ("vol", np.nan), ("delta", np.nan), ("strike", np.nan),
         ("t1", np.nan), ("t1", np.inf), ("rho_inf", np.nan), ("dt_euro", np.inf),
