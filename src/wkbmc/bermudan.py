@@ -12,7 +12,7 @@ date walker (``_walk_dates``).  ``_continued`` joins the two into one
 head of the batch driver: prices and Deltas reduce its payoffs, and
 the diagnostics read its stops, each path weighted by its importance
 weight.  Thresholds are fitted by a backward sweep over the Euler
-head's own paths.
+head's own paths, each date's the exact in-sample best.
 
 The continuation steps only the rows still running: one stopping rule,
 the first member's exercise decision, cuts a row from the group, and
@@ -258,59 +258,42 @@ def save_policy(policy: AndersenPolicy, path) -> None:
 # threshold calibration on pre-simulated paths
 
 
-def _optimize_threshold(trig, exercised, continued):
-    """Best threshold for one date, later dates' values held fixed.
+def _fit_threshold(trig, exercised, continued):
+    """Exact in-sample best threshold for one date, later dates held fixed.
 
     The objective mean(trig >= H ? exercised : continued) is piecewise
-    constant in H, so candidate thresholds come from trigger quantiles
-    plus guards (always-exercise, never-exercise, zero), refined by a
-    golden-section pass between the best candidate's neighbours.  Ties
-    resolve toward the larger threshold, i.e. toward exercising later.
+    constant in H.  With the rows sorted by descending trigger, any H
+    exercises a leading block that ends between two distinct triggers
+    (or is empty: never exercise), and the block's objective exceeds
+    mean(continued) by the cumulative sum of exercised - continued over
+    it, divided by the row count.  The best block is the argmax.  Ties:
+    0.0 when H = 0 attains the best, otherwise the largest best
+    threshold, the smallest trigger that exercises; never exercising
+    sits just above the largest trigger, as thresholds must be finite.
+    Returns (threshold, objective at it).
     """
-    def objective(thr):
-        return float(np.mean(np.where(trig >= thr, exercised, continued)))
-
-    best = (-np.inf, np.inf)
-
-    def probe(thr):
-        nonlocal best
-        val = objective(thr)
-        if val > best[0] or (val == best[0] and thr > best[1]):
-            best = (val, thr)
-        return val
-
-    grid = np.unique(np.concatenate([
-        np.quantile(trig, np.linspace(0.0, 1.0, 33)),
-        [0.0, np.min(trig) - 1.0, 1e18],
-    ]))
-    vals = np.array([probe(g) for g in grid])
-    kb = int(np.argmax(vals))
-    lo = grid[max(kb - 1, 0)]
-    hi = grid[min(kb + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = probe(c), probe(d)
-    for _ in range(60):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = probe(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = probe(d)
-    return best[1], best[0]
+    order = np.argsort(trig)[::-1]
+    t = trig[order]
+    gain = np.concatenate(([0.0], np.cumsum(exercised[order] - continued[order])))
+    ends = np.flatnonzero(np.concatenate(([True], t[1:] < t[:-1], [True])))
+    j = ends[np.argmax(gain[ends])]  # first maximum: the fewest rows exercised
+    if gain[np.count_nonzero(trig >= 0.0)] == gain[j]:  # the block H = 0 exercises
+        thr = 0.0
+    else:
+        thr = float(t[j - 1]) if j else float(np.nextafter(t[0], np.inf))
+    return thr, float(np.mean(np.where(trig >= thr, exercised, continued)))
 
 
 def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> AndersenPolicy:
     """Fit the per-date thresholds on dedicated Euler paths.
 
-    The paths are the Euler oracle's, walked on through the dates.  Uses
-    a backward sweep: at each date the threshold maximises the average
+    The paths are the Euler oracle's, walked on through the dates, with
+    the full trigger at every date.  Uses a backward sweep: at each date
+    the threshold is the exact in-sample maximiser of the average
     realised payoff over the path set with all later thresholds already
-    fixed.  The calibration seed must be kept disjoint from evaluation
-    seeds (no foresight between fitting and pricing).
+    fixed (one sort and one cumulative sum per date, see
+    ``_fit_threshold``).  The calibration seed must be kept disjoint
+    from evaluation seeds (no foresight between fitting and pricing).
     """
     indices = cfg.exercise_indices
     if not indices:
@@ -336,9 +319,7 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
     thresholds = np.empty(K)
     objectives = np.empty(K)
     for k in reversed(range(K)):
-        thresholds[k], objectives[k] = _optimize_threshold(
-            trigger[k], intrinsic[k], value
-        )
+        thresholds[k], objectives[k] = _fit_threshold(trigger[k], intrinsic[k], value)
         value = np.where(trigger[k] >= thresholds[k], intrinsic[k], value)
     if np.any(np.diff(objectives) > 1e-12):
         raise RuntimeError("backward sweep objective decreased; calibration is broken")

@@ -128,9 +128,10 @@ def test_criterion_5_bermudan_tables():
     # dominance over the European, and the benchmark magnitudes at full M
     rows = []
     ok = True
+    fits = {}
     for t1 in (1.0, 2.0):
         cfg = _case(t1)
-        policy = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
+        policy = fits[t1] = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
         p1 = brm.bermudan_price(cfg, policy, level=1, m=M_DESK, seed=SEED)
         pe = brm.bermudan_price(cfg, policy, level="euler", m=M_DESK, seed=SEED)
         d1 = brm.bermudan_delta_fd(cfg, policy, cfg.n - 1, H, level=1, m=M_DESK, seed=SEED)
@@ -148,8 +149,7 @@ def test_criterion_5_bermudan_tables():
             ok = False
             rows.append(f"T1={t1:g}: bermudan {p1.value:.2f} under european {euro.value:.2f}")
 
-    cfg = _case(1.0)
-    policy = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
+    cfg, policy = _case(1.0), fits[1.0]
     p_full = brm.bermudan_price(cfg, policy, level=1, m=M_FULL, seed=SEED)
     d_full = brm.bermudan_delta_fd(cfg, policy, cfg.n - 1, H, level=1, m=M_FULL, seed=SEED)
     for label, r, target in (("price", p_full, 351.2), ("delta", d_full, 2709.2)):

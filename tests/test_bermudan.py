@@ -218,21 +218,21 @@ class TestStoppingTime:
 #: (thresholds, objectives) of ``case_policy(t1)``.
 GOLDEN_POLICY = {
     1.0: (
-        [0.011769896021462847, 0.009471456963716802, 0.008575826162568256,
-         0.00581695112598723, 0.003564437410009767, 0.0018084010157449436,
-         -2.7603939928586894e-05, -2.425702909434613e-07, -8.208384607838895e-06, 0.0],
-        [0.05044873142694085, 0.04980699574291984, 0.04737990135466406,
-         0.043919277082335735, 0.03881290661132498, 0.03285145041390784,
-         0.026821006158574915, 0.020165948528596846, 0.012395403144321545,
+        [0.011769896021463389, 0.008576731979351965, 0.008533707290903941,
+         0.00567854743370208, 0.003564437410009877, 0.0008291847673226049,
+         0.0002901917265622604, 0.00035835029188353504, 0.0005722442050892416, 0.0],
+        [0.05048788644032271, 0.0498562122806522, 0.04741633691706994,
+         0.043942565767729834, 0.03882170671853065, 0.032870828085189846,
+         0.026830187915175656, 0.02016948310974181, 0.012396373906474,
          0.004306847340399569],
     ),
     10.0: (
-        [0.004479923362008977, 0.0035730177523635867, 0.010497165075225849,
-         0.004836997951327528, 0.0036763794546861724, -2.0700433237709215e-05,
-         0.00177504871329898, 0.0, -3.0439755732905378e-05, 0.0],
-        [0.09605548450958709, 0.08839411232638357, 0.07880952765443132,
-         0.06994888879764584, 0.060136445232901486, 0.05029624501687274,
-         0.04015040256148368, 0.028365786263400493, 0.016977804771439627,
+        [0.004479923362009419, 0.003573017752364571, 0.010497165075227216,
+         0.004692777677355334, 0.0019593395436096166, 0.0006739381192703876,
+         0.0011132802745456305, 0.0006223032010082572, 0.00012716055337209497, 0.0],
+        [0.0961046638152971, 0.0884299301715026, 0.07885079803557232,
+         0.06998263542923985, 0.06017331306194765, 0.050324662450878195,
+         0.04015631303368695, 0.02836861919824031, 0.01698053566790945,
          0.005882003722244475],
     ),
 }
@@ -269,11 +269,57 @@ class TestCalibration:
     def test_golden_policy_fit(self, t1):
         # the ten-date case study at seed 101 on 10k paths: any change to
         # the calibration paths (stream, step grid, batch split) or to the
-        # threshold search moves these far beyond 1e-12
+        # threshold fit moves these far beyond 1e-12
         thresholds, objectives = GOLDEN_POLICY[t1]
         pol = case_policy(t1)
         assert_allclose(pol.thresholds, thresholds, rtol=1e-12, atol=0.0)
         assert_allclose(pol.objectives, objectives, rtol=1e-12, atol=0.0)
+
+
+def fit_case(seed):
+    """Small (trigger, exercised, continued) arrays for the threshold fit.
+
+    Triggers repeat and include zero; a share of rows gains nothing by
+    exercising.  Every value is a multiple of 1/8 and every sum is
+    exact, so objectives that tie in exact arithmetic tie in floats.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    trig = rng.integers(-4, 5, n) / 8.0
+    exercised = rng.integers(0, 8, n) / 8.0
+    continued = np.where(rng.random(n) < 0.3, exercised,
+                         rng.integers(0, 8, n) / 8.0 + rng.integers(-2, 2) / 8.0)
+    return trig, exercised, continued
+
+
+class TestThresholdFit:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force(self, seed):
+        trig, ex, co = fit_case(seed)
+        thr, obj = brm._fit_threshold(trig, ex, co)
+        # every distinct trigger, zero, and never exercising
+        cands = np.append(np.unique(np.append(trig, 0.0)), np.inf)
+        objs = np.array([np.mean(np.where(trig >= h, ex, co)) for h in cands])
+        best = objs.max()
+        assert obj == best
+        assert obj == np.mean(np.where(trig >= thr, ex, co))
+        assert obj >= np.mean(co)
+        if objs[cands == 0.0][0] == best:
+            assert thr == 0.0
+        elif objs[-1] == best:
+            # never exercise: finite, above every trigger
+            assert np.isfinite(thr) and thr > trig.max()
+        else:
+            assert thr == cands[objs == best].max()
+
+    def test_cases_cover_every_tie_rule(self):
+        # the seeds above reach all three branches of the tie rule
+        kinds = set()
+        for seed in range(40):
+            trig, ex, co = fit_case(seed)
+            thr, _ = brm._fit_threshold(trig, ex, co)
+            kinds.add("zero" if thr == 0.0 else "never" if thr > trig.max() else "trigger")
+        assert kinds == {"zero", "never", "trigger"}
 
 
 class TestOneDateDegeneracy:
@@ -433,12 +479,12 @@ class TestBermudanDelta:
 #: generator or to the trigger moves them far beyond 1e-12, and a change
 #: to the level-1 kernel's Taylor data moves them past it too.
 GOLDEN_FREQUENCIES = [
-    0.06103076104215182, 0.09028958582167804, 0.07568335218788254,
-    0.07018025603107973, 0.06479293605325567, 0.05396880743276184,
-    0.16003352646588295, 0.05389844372105625, 0.18432682580063534,
-    0.18579550544361603, 0.0,
+    0.06103076104215171, 0.09712895496136635, 0.06963795238281333,
+    0.06767531921870439, 0.0643685988368181, 0.061790967406206536,
+    0.0492665415121278, 0.046077473312573024, 0.04345495812504345,
+    0.43956847320219533, 0.0,
 ]
-GOLDEN_DISAGREEMENT = 0.0017090623500204214
+GOLDEN_DISAGREEMENT = 0.00012222065297396727
 
 
 class TestGoldenContinuation:

@@ -222,6 +222,16 @@ class TestCalibratePolicy:
         np.testing.assert_array_equal(thresholds, direct.thresholds)
         assert f"seed={harness.CALIBRATION_SEED}" in lines[1]
 
+    def test_off_grid_t1_exits_2(self, capsys):
+        # T1 = 1.03 is no whole number of dt_berm = 0.05 steps: refused in
+        # one line, not by the fit's traceback
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["calibrate-policy", "--t1", "1.03"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("wkbmc: error: ")
+        assert "T1 = 1.03" in err and "dt_berm = 0.05" in err
+
 
 class TestCalibrateN:
     def test_smoke(self, capsys, monkeypatch, tmp_path):
