@@ -20,13 +20,13 @@ each step draws normals for the rows left alone, handed out in running
 order.  Whether a path still runs depends only on its past, so the
 fresh increments keep every path's law; a stopped path costs no
 further draws.  It also does only the arithmetic a decision reads: on
-the way to tenor date T_i it steps the live rates L_i .. L_n alone (a
-full block of normals is still drawn per row, so the random tableau
-does not depend on which rates are live), and at a date it prices the
-still-alive Europeans only on the rows whose intrinsic value reaches
-the threshold, the only rows that can fire.  The bump-pair audit only
-flags rows where the down branch's own decision differs, so it reads
-the Delta run's paths.
+the way to tenor date T_i it steps the live rates L_i .. L_n alone and
+draws normals for them only, one per live rate and running row, and at
+a date it prices the still-alive Europeans only on the rows whose
+intrinsic value reaches the threshold, the only rows that can fire.
+The bump pair forms each step's increment once and shares it.  The
+bump-pair audit only flags rows where the down branch's own decision
+differs, so it reads the Delta run's paths.
 
 The still-alive European values are deterministic approximations: the
 remaining swap is priced by a frozen-weight lognormal formula for the
@@ -193,8 +193,9 @@ def _walk_dates(cfg: ModelConfig, group, rng, indices):
     On the gap that ends at tenor index i only the rates L_i .. L_n are
     live: the trigger, the payoff at a stop and every later date read
     no other, so only they are stepped and L_1 .. L_{i-1} keep their
-    last values.  Each step still draws the full n normals per row, so
-    the random tableau is the one an every-rate step would use.
+    last values.  Each step draws n - i + 1 normals per row, one per
+    live rate: Gamma is upper triangular, so the live rates' increments
+    read no other normal and keep their law.
     """
     t_prev = cfg.t1
     for k, i in enumerate(indices):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from . import bermudan as brm
 from . import harness, lmm
@@ -129,6 +130,16 @@ def _raw(args) -> dict | None:
     return raw
 
 
+def _check_out(args) -> None:
+    """Refuse an ``--out`` path whose directory does not exist.
+
+    Every command writes its file only after its run, so the refusal
+    comes here, before any work, not as a traceback at the end.
+    """
+    if args.out and not Path(args.out).parent.is_dir():
+        raise ValueError(f"--out {args.out}: {Path(args.out).parent} is not an existing directory")
+
+
 def _levels(args):
     return (args.level,) if args.level else harness.LEVELS
 
@@ -141,6 +152,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         raw = _raw(args)
     except (OSError, ValueError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

@@ -16,9 +16,9 @@ a_ij = gamma_i . gamma_j.  The module provides:
 * the terminal-measure drift, a log-Euler step, and the one path
   stepper (``evolve_log_euler``) behind the Euler oracle, the Bermudan
   continuation and the policy fit; it steps in the row slices of
-  ``mc.row_slices`` on one reused normals buffer, draws a full block
-  of normals for exactly the rows it is handed, and steps only the
-  live rates a caller names (the trailing block is a model of its own),
+  ``mc.row_slices`` on one reused normals buffer, steps only the live
+  rates a caller names (the trailing block is a model of its own) and
+  draws normals for exactly those rates of the rows it is handed,
 * the unit-diffusion coordinates Y = Gamma^{-1} log L in which the
   transition density expansion is carried out,
 * a plain-text configuration format for experiment settings.
@@ -270,20 +270,20 @@ def log_euler_step(
     delta: np.ndarray,
     k_state: np.ndarray,
     dt: float,
-    z: np.ndarray,
+    shock: np.ndarray,
 ) -> np.ndarray:
     """One log-Euler update of K = log L.
 
-    K_i += (mu_i - a_ii / 2) dt + sqrt(dt) (Gamma z)_i with z a matrix
-    of independent standard normals, broadcast over the leading axes of
-    ``k_state``.
+    K_i += (mu_i - a_ii / 2) dt + shock_i, where ``shock`` is the
+    diffusion increment sqrt(dt) Gamma z of a matrix z of independent
+    standard normals, broadcast over the leading axes of ``k_state``.
+    Members of a group that share their normals share the increment, so
+    it is formed once, by the caller.
     """
     step = drift_mu(vs, delta, np.exp(k_state))
     step -= 0.5 * vs.a_diag
     step *= dt
     step += k_state
-    shock = z @ vs.gamma.T
-    shock *= np.sqrt(dt)
     step += shock
     return step
 
@@ -298,33 +298,32 @@ def evolve_log_euler(
 ) -> list:
     """Advance a group of (B, n) rate arrays by ``n_steps`` log-Euler steps.
 
-    Every member sees the same increments (bump-and-revalue stencils
-    share them): each step draws one (B, n) block of standard normals
-    from ``rng`` into one reused buffer, whatever the group size, so a
-    step takes exactly B n normals.  The step itself runs in the
-    cache-sized slices of ``mc.row_slices``, which update the members'
-    log-rates in place.  Returns the final rates, one array per member.
-
     Only the live rates, 0-based columns ``first``.., are logged, stepped
-    and exponentiated: ``cfg.vs.trailing(first)`` is their model, and
-    they read the columns ``first``.. of each normal block.  The block
-    is still drawn whole, so the random tableau does not depend on
-    ``first``.  The rates before ``first`` come back holding the finite
-    values they came in with.
+    and exponentiated: ``cfg.vs.trailing(first)`` is their model.  Each
+    step draws one (B, n - first) block of standard normals from ``rng``
+    into one reused buffer, whatever the group size, so a step takes
+    exactly B (n - first) normals.  The step itself runs in the
+    cache-sized slices of ``mc.row_slices``: each slice forms its
+    diffusion increment sqrt(dt) Gamma z once, and every member adds it
+    to its log-rates in place, so all members see the same increments
+    (bump-and-revalue stencils share them).  Returns the final rates,
+    one array per member; the rates before ``first`` come back holding
+    the finite values they came in with.
     """
     vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
     ks = [np.log(np.asarray(g, dtype=np.float64)[:, first:]) for g in group]
-    z = np.empty((ks[0].shape[0], cfg.n))
+    z = np.empty(ks[0].shape)
     parts = mc.row_slices(z.shape[0])
     for _ in range(n_steps):
         rng.standard_normal(z.shape, out=z)
         for part in parts:
-            zp = z[part, first:]
+            shock = z[part] @ vs.gamma.T
+            shock *= np.sqrt(dt)
             for k in ks:
-                k[part] = log_euler_step(vs, delta, k[part], dt, zp)
+                k[part] = log_euler_step(vs, delta, k[part], dt, shock)
     out = []
     for g, k in zip(group, ks):
-        x = np.empty(z.shape)
+        x = np.empty((z.shape[0], cfg.n))
         x[:, :first] = g[:, :first]
         np.exp(k, out=x[:, first:])
         out.append(x)

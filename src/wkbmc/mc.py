@@ -6,11 +6,11 @@ batch index) cell of the random tableau, each seeded through a
 batch of every estimator therefore draws an independent, reproducible
 stream regardless of execution order.  A draw takes exactly the normals
 its rows need: the Bermudan continuation draws increments only for the
-rows still running, so a cell's stream is consumed in running order.
-Reductions accumulate per-batch partial moments and combine them in
-batch order, which makes totals bit-identical no matter how the batches
-were scheduled.  Inside a batch, every per-row kernel works in the
-cache-sized slices of ``row_slices``.
+live rates of the rows still running, so a cell's stream is consumed
+in running order.  Reductions accumulate per-batch partial moments and
+combine them in batch order, which makes totals bit-identical no matter
+how the batches were scheduled.  Inside a batch, every per-row kernel
+works in the cache-sized slices of ``row_slices``.
 """
 from __future__ import annotations
 

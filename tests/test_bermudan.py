@@ -218,22 +218,22 @@ class TestStoppingTime:
 #: (thresholds, objectives) of ``case_policy(t1)``.
 GOLDEN_POLICY = {
     1.0: (
-        [0.011769896021463389, 0.008576731979351965, 0.008533707290903941,
-         0.00567854743370208, 0.003564437410009877, 0.0008291847673226049,
-         0.0002901917265622604, 0.00035835029188353504, 0.0005722442050892416, 0.0],
-        [0.05048788644032271, 0.0498562122806522, 0.04741633691706994,
-         0.043942565767729834, 0.03882170671853065, 0.032870828085189846,
-         0.026830187915175656, 0.02016948310974181, 0.012396373906474,
-         0.004306847340399569],
+        [0.006154082728259944, 0.0072122679857809235, 0.007801248635815487,
+         0.003770505031693794, 0.00021094917459482665, 0.0009599710126895773,
+         -7.906835060368309e-05, 0.00128081742852472, 0.0, 0.0],
+        [0.04943161351104135, 0.048363822967736295, 0.04592707536825146,
+         0.04260413393737083, 0.037457976361697294, 0.03151695689534004,
+         0.025204708521977173, 0.01870017167020917, 0.011611700334887108,
+         0.004066204863237785],
     ),
     10.0: (
-        [0.004479923362009419, 0.003573017752364571, 0.010497165075227216,
-         0.004692777677355334, 0.0019593395436096166, 0.0006739381192703876,
-         0.0011132802745456305, 0.0006223032010082572, 0.00012716055337209497, 0.0],
-        [0.0961046638152971, 0.0884299301715026, 0.07885079803557232,
-         0.06998263542923985, 0.06017331306194765, 0.050324662450878195,
-         0.04015631303368695, 0.02836861919824031, 0.01698053566790945,
-         0.005882003722244475],
+        [0.014825915145737667, 0.0037873382383996623, 0.007374107063413848,
+         0.007348627627396603, 0.006725746030273733, 0.0022316414319162453,
+         0.0022043522542150307, 0.0002864613386824948, -5.823837461316466e-05, 0.0],
+        [0.0967965293373753, 0.08881071123477191, 0.07919267471934288,
+         0.0693026681102599, 0.058855568660739765, 0.049225584226981665,
+         0.038707585486068175, 0.027774842454908064, 0.016861590473315896,
+         0.005751381987614542],
     ),
 }
 
@@ -479,12 +479,12 @@ class TestBermudanDelta:
 #: generator or to the trigger moves them far beyond 1e-12, and a change
 #: to the level-1 kernel's Taylor data moves them past it too.
 GOLDEN_FREQUENCIES = [
-    0.06103076104215171, 0.09712895496136635, 0.06963795238281333,
-    0.06767531921870439, 0.0643685988368181, 0.061790967406206536,
-    0.0492665415121278, 0.046077473312573024, 0.04345495812504345,
-    0.43956847320219533, 0.0,
+    0.10018287309731155, 0.08790335555014674, 0.06519433214374125,
+    0.07525737897812822, 0.06528766728866765, 0.04824228529377726,
+    0.18877893800647733, 0.03834208543301959, 0.04980186931560656,
+    0.2810092148931239, 0.0,
 ]
-GOLDEN_DISAGREEMENT = 0.00012222065297396727
+GOLDEN_DISAGREEMENT = 0.0008545554523873277
 
 
 class TestGoldenContinuation:
@@ -514,7 +514,8 @@ def every_row_reference(cfg, policy, m, seed):
     t = 0.0
     for kd, date in enumerate(policy.dates):
         for _ in range(int(round((date - t) / cfg.dt_berm))):
-            k = lmm.log_euler_step(cfg.vs, cfg.delta, k, cfg.dt_berm, rng.standard_normal(k.shape))
+            shock = np.sqrt(cfg.dt_berm) * (rng.standard_normal(k.shape) @ cfg.vs.gamma.T)
+            k = lmm.log_euler_step(cfg.vs, cfg.delta, k, cfg.dt_berm, shock)
         t = date
         intrinsic, trig = brm._trigger(cfg, policy.exercise_indices, kd, np.exp(k))
         fire = alive & (trig >= policy.thresholds[kd])
@@ -526,8 +527,9 @@ def every_row_reference(cfg, policy, m, seed):
 
 class TestRunningRowsTableau:
     def test_stopped_rows_draw_nothing(self):
-        # a step into date k draws n normals for each row that had not
-        # stopped before k, and nothing for the others
+        # a step into date k, at tenor index i, draws one normal per live
+        # rate L_i .. L_n for each row that had not stopped before k, and
+        # nothing for the others
         cfg, pol = case_cfg(), case_policy()
         m, seed = 3000, 7
         z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
@@ -535,10 +537,11 @@ class TestRunningRowsTableau:
         rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
         _, stop, _ = brm._run_policy(cfg, pol, [states], rng)
         steps = np.round(np.diff(pol.dates) / cfg.dt_berm).astype(np.int64)
+        width = cfg.n - np.array(pol.exercise_indices[1:]) + 1
         running = np.array([np.count_nonzero((stop < 0) | (stop >= k))
                             for k in range(1, len(pol.dates))])
-        drawn = cfg.n * int(steps @ running)
-        assert 0 < drawn < cfg.n * m * int(steps.sum())
+        drawn = int((steps * width) @ running)
+        assert 0 < drawn < m * int(steps @ width)
         fresh = mc.rng_for(seed, 0, mc.STREAM_CONT)
         fresh.standard_normal(drawn)
         assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
@@ -622,8 +625,8 @@ def every_row_disagreement(cfg, policy, anchors, m, seed):
     t = 0.0
     for kd, date in enumerate(policy.dates):
         for _ in range(int(round((date - t) / cfg.dt_berm))):
-            dz = rng.standard_normal((m, cfg.n))
-            ks = [lmm.log_euler_step(cfg.vs, cfg.delta, k, cfg.dt_berm, dz) for k in ks]
+            shock = np.sqrt(cfg.dt_berm) * (rng.standard_normal((m, cfg.n)) @ cfg.vs.gamma.T)
+            ks = [lmm.log_euler_step(cfg.vs, cfg.delta, k, cfg.dt_berm, shock) for k in ks]
         t = date
         for stop, k in zip(stops, ks):
             _, trig = brm._trigger(cfg, policy.exercise_indices, kd, np.exp(k))
@@ -719,27 +722,46 @@ class TestPrunedTrigger:
 
 
 class TestTableauFence:
-    def test_every_draw_is_a_full_block(self, monkeypatch):
-        # the random tableau: every normal draw of the Bermudan calls is a
-        # (rows, n) block, whichever rates a step reads.  Drawing only the
-        # live rates' columns would be cheaper, but it would move every
-        # number the continuation makes.
+    def test_every_draw_covers_the_live_rates(self, monkeypatch):
+        # the random tableau: every head draw of the Bermudan calls is a
+        # (rows, n) block, and every continuation step on the gap to tenor
+        # index i a (rows, n - i + 1) block, one normal per live rate
+        # L_i .. L_n of each running row, in date order
         cfg = case_cfg()
-        shapes = []
+        indices = cfg.exercise_indices
+        gaps = np.round(np.diff(cfg.tenor[np.array(indices) - 1]) / cfg.dt_berm).astype(int)
+        walk = [cfg.n - i + 1 for i, steps in zip(indices[1:], gaps) for _ in range(steps)]
+        heads = {mc.STREAM_XI: [cfg.n], mc.STREAM_CONT: [],
+                 mc.STREAM_EULER: [cfg.n] * round(cfg.t1 / cfg.dt_berm)}
+        generators = []
         rng_for = mc.rng_for
 
         class Recording:
-            def __init__(self, gen):
-                self._gen = gen
+            def __init__(self, seed, bi, stream):
+                self._gen = rng_for(seed, bi, stream)
+                self.stream, self.shapes = stream, []
+                generators.append(self)
 
             def standard_normal(self, size=None, *args, **kwargs):
-                shapes.append(size)
+                self.shapes.append(size)
                 return self._gen.standard_normal(size, *args, **kwargs)
 
-        monkeypatch.setattr(mc, "rng_for", lambda *a, **k: Recording(rng_for(*a, **k)))
+        monkeypatch.setattr(mc, "rng_for", Recording)
         pol = brm.calibrate_policy(cfg, n_paths=brm._MIN_CALIBRATION_PATHS, seed=3)
         brm.bermudan_price(cfg, pol, level=1, m=2048, seed=7)
         brm.bermudan_delta_fd(cfg, pol, i=18, h=3.5e-5, level=1, m=2048, seed=7)
-        assert len(shapes) > 3 * 180
-        assert all(isinstance(s, tuple) and len(s) == 2 and s[1] == cfg.n and s[0] > 0
-                   for s in shapes)
+        assert sum(len(g.shapes) for g in generators) > 3 * 180
+        for g in generators:
+            assert all(isinstance(s, tuple) and len(s) == 2 and s[0] > 0 for s in g.shapes)
+            head = heads[g.stream]
+            widths = [s[1] for s in g.shapes]
+            assert widths[:len(head)] == head
+            cont = widths[len(head):]
+            # a batch whose rows all stop early ends its walk early
+            assert cont == walk[:len(cont)]
+            rows = [s[0] for s in g.shapes[len(head):]]
+            assert all(a >= b for a, b in zip(rows, rows[1:]))
+        # the fit walks every gap; the priced runs continue from their heads
+        assert any(g.stream == mc.STREAM_EULER and len(g.shapes) == len(heads[g.stream]) + len(walk)
+                   for g in generators)
+        assert any(g.stream == mc.STREAM_CONT and g.shapes for g in generators)

@@ -103,7 +103,26 @@ def config_with_dates(tmp_path, line):
 
 
 def no_work(*args, **kwargs):
-    raise AssertionError("started work on a refused config")
+    raise AssertionError("started work on a refused command line")
+
+
+#: every subcommand, each of which takes ``--out``
+EVERY_COMMAND = [
+    ["calibrate-policy"],
+    ["table", "1", "--samples", "2000", "--level", "1"],
+    ["bench"],
+    ["selftest"],
+    ["explosion-demo"],
+    ["calibrate-n"],
+]
+
+
+def no_run(monkeypatch):
+    """Make every subcommand's run fail if it is reached."""
+    for owner, name in ((harness, "run_table"), (harness, "run_bench"),
+                        (harness, "run_selftest"), (harness, "run_explosion"),
+                        (harness, "calibrate_n"), (brm, "calibrate_policy")):
+        monkeypatch.setattr(owner, name, no_work)
 
 
 class TestExerciseDates:
@@ -116,9 +135,7 @@ class TestExerciseDates:
     def test_bermudan_command_needs_dates(self, capsys, monkeypatch, tmp_path, argv):
         # refused in one line before any work, not by a traceback from the
         # policy fit or a header-only CSV
-        for owner, name in ((harness, "run_table"), (harness, "run_bench"),
-                            (brm, "calibrate_policy")):
-            monkeypatch.setattr(owner, name, no_work)
+        no_run(monkeypatch)
         with pytest.raises(SystemExit) as exit_info:
             cli.main([*argv, "--config", config_with_dates(tmp_path, "")])
         assert exit_info.value.code == 2
@@ -141,6 +158,36 @@ class TestExerciseDates:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "exercise_indices must be strictly increasing" in err
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
+    def test_missing_directory_exits_2_before_work(self, capsys, monkeypatch, tmp_path, argv):
+        # the file is written only after the run, so a directory that is
+        # not there is refused up front, in one line, not by a traceback
+        no_run(monkeypatch)
+        out = tmp_path / "missing" / "f.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("wkbmc: error: --out ")
+        assert f"{out.parent} is not an existing directory" in err
+        assert not out.parent.exists()
+
+    def test_file_as_directory_exits_2(self, capsys, monkeypatch, tmp_path):
+        no_run(monkeypatch)
+        (tmp_path / "plain").write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["calibrate-policy", "--out", str(tmp_path / "plain" / "p.txt")])
+        assert exit_info.value.code == 2
+        assert "is not an existing directory" in capsys.readouterr().err
+
+    def test_bare_file_name_is_accepted(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "run_selftest", lambda **kw: ("all good\n", 0))
+        assert cli.main(["selftest", "--out", "s.txt"]) == 0
+        assert capsys.readouterr().out == "all good\n"
 
 
 class TestFlagsPerSubcommand:

@@ -521,10 +521,10 @@ GOLDEN = {
     "gamma_fd_cross": (15463.399807577529, 1177.9405100877525, 16389, None, None),
     "euler_price": (178.82009576954667, 2.3508268975571323, 16389, np.nan, 1.0),
     "euler_delta_fd": (1767.5675815557393, 15.535185517754707, 16389, np.nan, 1.0),
-    "bermudan_price": (354.25459965575925, 8.952135017340792, 2048, 2047.9715238524634, 1.0102590157440499),
-    "bermudan_delta_fd": (2869.5357527127444, 51.348970029445745, 2048, 2047.971523849042, 1.0102640726348133),
-    "euler_bermudan_price": (346.17708788348443, 9.33070074364335, 2048, np.nan, 1.0),
-    "euler_bermudan_delta_fd": (2815.5951191556874, 52.35645493434882, 2048, np.nan, 1.0),
+    "bermudan_price": (342.26244267618875, 8.921578448974314, 2048, 2047.9715238524634, 1.0102590157440499),
+    "bermudan_delta_fd": (2797.5975731719964, 49.70551038294366, 2048, 2047.971523849042, 1.0102640726348133),
+    "euler_bermudan_price": (342.8072025042409, 8.949181788196626, 2048, np.nan, 1.0),
+    "euler_bermudan_delta_fd": (2809.9466083064353, 51.544717402633495, 2048, np.nan, 1.0),
 }
 
 

@@ -128,26 +128,52 @@ class TestLogEuler:
         ks = [np.log(g) for g in group]
         for _ in range(3):
             z = rng.standard_normal(x.shape)
-            ks = [lmm.log_euler_step(cfg.vs, cfg.delta, k, 0.05, z) for k in ks]
+            shock = np.sqrt(0.05) * (z @ cfg.vs.gamma.T)
+            ks = [lmm.log_euler_step(cfg.vs, cfg.delta, k, 0.05, shock) for k in ks]
         for got, k in zip(stepped, ks):
             assert np.array_equal(got, np.exp(k))
 
     @pytest.mark.parametrize("first", [1, 6, 18])
     def test_live_block_steps_only_its_rates(self, first):
         # the rates before ``first`` come back untouched, the live ones as a
-        # full-width step leaves them (the drift of rate i sums over later
-        # rates only and Gamma is upper triangular), and the generator ends
-        # where a full-width step leaves it: each step draws a whole block
+        # walk of the trailing model on (rows, n - first) normals leaves
+        # them, and the generator ends where that many normals leave it:
+        # each step draws the live rates' columns and no others
         cfg = case_cfg(n=19)
-        x = np.random.default_rng(4).uniform(0.02, 0.05, size=(2 * mc.CHUNK + 5, cfg.n))
+        rows, steps, dt = 2 * mc.CHUNK + 5, 5, 0.05
+        x = np.random.default_rng(4).uniform(0.02, 0.05, size=(rows, cfg.n))
         group = [x, 1.01 * x]
-        full_rng, live_rng = (mc.rng_for(4, 0, mc.STREAM_CONT) for _ in range(2))
-        full = lmm.evolve_log_euler(cfg, group, 5, 0.05, full_rng)
-        live = lmm.evolve_log_euler(cfg, group, 5, 0.05, live_rng, first=first)
-        for start, a, b in zip(group, full, live):
+        rng = mc.rng_for(4, 0, mc.STREAM_CONT)
+        live = lmm.evolve_log_euler(cfg, group, steps, dt, rng, first=first)
+        sub, delta = cfg.vs.trailing(first), cfg.delta[first:]
+        ref_rng = mc.rng_for(4, 0, mc.STREAM_CONT)
+        ks = [np.log(g[:, first:]) for g in group]
+        for _ in range(steps):
+            z = ref_rng.standard_normal((rows, cfg.n - first))
+            ks = [k + (lmm.drift_mu(sub, delta, np.exp(k)) - 0.5 * sub.a_diag) * dt
+                  + np.sqrt(dt) * (z @ sub.gamma.T) for k in ks]
+        for start, k, b in zip(group, ks, live):
             assert np.array_equal(b[:, :first], start[:, :first])
-            assert_allclose(b[:, first:], a[:, first:], rtol=1e-13, atol=0.0)
-        assert np.array_equal(full_rng.standard_normal(8), live_rng.standard_normal(8))
+            assert_allclose(b[:, first:], np.exp(k), rtol=1e-13, atol=0.0)
+        fresh = mc.rng_for(4, 0, mc.STREAM_CONT)
+        fresh.standard_normal(rows * (cfg.n - first) * steps)
+        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+
+    @pytest.mark.parametrize("first", [0, 7])
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_every_member_walks_as_it_would_alone(self, first, members):
+        # the group forms each slice's increment once and every member
+        # adds it: member j of the group ends bit for bit where a group
+        # of that member alone ends on an identically seeded generator
+        cfg = case_cfg(n=19)
+        x = np.random.default_rng(6).uniform(0.02, 0.05, size=(2 * mc.CHUNK + 1, cfg.n))
+        group = [x * (1.0 + 0.01 * j) for j in range(members)]
+        stepped = lmm.evolve_log_euler(cfg, group, 4, 0.05, mc.rng_for(6, 0, mc.STREAM_CONT),
+                                       first=first)
+        for start, got in zip(group, stepped):
+            (alone,) = lmm.evolve_log_euler(cfg, [start], 4, 0.05,
+                                            mc.rng_for(6, 0, mc.STREAM_CONT), first=first)
+            assert np.array_equal(got, alone)
 
     def test_trailing_block_is_a_model_of_its_own(self):
         vs = case_cfg(n=8).vs
