@@ -2,8 +2,9 @@
 
 The one-shot estimator draws the T1 state directly, so pricing a ten
 year option costs the same as a one year option.  The path simulator
-pays per step.  Bermudans keep their multi-year continuation legs in
-both variants, so there the saving is only the head of the path.
+pays per step.  A one-shot Bermudan crosses each gap between exercise
+dates in one weighted draw as well, so its cost follows the number of
+dates, not the maturity.
 """
 from wkbmc import harness
 

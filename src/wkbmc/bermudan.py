@@ -7,26 +7,35 @@ has two stages: a first-date head of ``estimators`` takes it to T1
 (the one-shot proxy draw, importance-weighted by the truncated kernel
 exactly as in the European case, or log-Euler from time zero at
 ``level="euler"``, the validation oracle), and the policy
-(``_run_policy``) continues it on fine log-Euler steps through one
-date walker (``_walk_dates``).  ``_continued`` joins the two into one
-head of the batch driver: prices and Deltas reduce its payoffs, and
-the diagnostics read its stops, each path weighted by its importance
-weight.  Thresholds are fitted by a backward sweep over the Euler
-head's own paths, each date's the exact in-sample best.
+(``_run_policy``) continues it through the dates on the walk that
+``_walker`` picks for the head.  After a one-shot head ("lgn", 0 or 1)
+each gap is crossed as the head crossed [0, T1]: one draw of the live
+rates from the lognormal proxy anchored at the row's own state,
+weighted by a level-1 kernel (``estimators._proxy_transition``),
+whatever the head's level.  A path's weight is its head weight times
+its transition weights up to its stop.  After the Euler head the walk
+goes on in fine log-Euler steps (``_walk_dates``) and weighs nothing.
+``_continued`` joins the two into one head of the batch driver:
+prices and Deltas reduce its payoffs, and the diagnostics read its
+stops, each path counted with its path weight.  Thresholds are fitted
+by a backward sweep over the Euler head's own paths, walked on by
+``_walk_dates``, each date's the exact in-sample best.
 
-The continuation steps only the rows still running: one stopping rule,
+The continuation moves only the rows still running: one stopping rule,
 the first member's exercise decision, cuts a row from the group, and
-each step draws normals for the rows left alone, handed out in running
-order.  Whether a path still runs depends only on its past, so the
-fresh increments keep every path's law; a stopped path costs no
-further draws.  It also does only the arithmetic a decision reads: on
-the way to tenor date T_i it steps the live rates L_i .. L_n alone and
-draws normals for them only, one per live rate and running row, and at
-a date it prices the still-alive Europeans only on the rows whose
-intrinsic value reaches the threshold, the only rows that can fire.
-The bump pair forms each step's increment once and shares it.  The
-bump-pair audit only flags rows where the down branch's own decision
-differs, so it reads the Delta run's paths.
+each gap (each step, on log-Euler) draws normals for the rows left
+alone, handed out in running order.  Whether a path still runs
+depends only on its past, so the fresh normals keep every path's law;
+a stopped path costs no further draws.  It also does only the
+arithmetic a decision reads: on the way to tenor date T_i it moves the
+live rates L_i .. L_n alone and draws normals for them only, one per
+live rate and running row, and at a date it prices the still-alive
+Europeans only on the rows whose intrinsic value reaches the
+threshold, the only rows that can fire.  The bump pair shares every
+block of normals: on a one-shot gap each member re-anchors at its own
+state, on a log-Euler step both add one increment.  The bump-pair
+audit only flags rows where the down branch's own decision differs,
+so it reads the Delta run's paths.
 
 The still-alive European values are deterministic approximations: the
 remaining swap is priced by a frozen-weight lognormal formula for the
@@ -51,6 +60,7 @@ from .estimators import (
     _euler_head,
     _int_steps,
     _one_shot_head,
+    _proxy_transition,
     anchored_libor_pair,
 )
 from .lmm import ModelConfig, evolve_log_euler
@@ -338,59 +348,121 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
 # policy-driven evaluation
 
 
-def _run_policy(cfg, policy, group, rng, audit=False):
+def _walker(cfg: ModelConfig, policy: AndersenPolicy, level):
+    """How a path goes on from date to date after a head at ``level``.
+
+    Returns ``walk(group, rng)``, a generator that moves the list
+    ``group`` to each exercise date in turn, replacing its members in
+    place, and yields (k, transition log weights): one array per member
+    over the rows the group holds, or None for a gap crossed unweighted
+    or a date at T1.  A caller may cut the members in place between
+    dates; only the rows left move on and get normals, handed out in
+    row order.
+
+    At "euler" the walk is ``_walk_dates``: log-Euler on ``dt_berm``,
+    unweighted.  After the one-shot heads ("lgn", 0, 1) each gap to
+    tenor index i is one draw of the live rates L_i .. L_n from the
+    lognormal proxy of ``cfg.vs.trailing(i - 1)``, each row anchored at
+    its own state, weighted by a level-1 kernel of that trailing model
+    built once here at ``cfg.l0``'s trailing block: one (rows, n - i + 1)
+    block of normals per gap, shared by the members, whatever the head's
+    level.
+    """
+    indices = policy.exercise_indices
+    if level == "euler":
+        def walk(group, rng):
+            for k, _ in _walk_dates(cfg, group, rng, indices):
+                yield k, None
+
+        return walk
+
+    legs = []
+    t_prev = cfg.t1
+    for i in indices:
+        date, first = cfg.tenor_date(i), i - 1
+        legs.append(None if date == t_prev else (first, _proxy_transition(
+            cfg.vs.trailing(first), cfg.delta[first:], date - t_prev, cfg.l0[first:])))
+        t_prev = date
+
+    def walk(group, rng):
+        for k, leg in enumerate(legs):
+            lw = None
+            if leg is not None:
+                first, leap = leg
+                z = rng.standard_normal((group[0].shape[0], cfg.n - first))
+                lw = []
+                for b, g in enumerate(group):
+                    x = np.empty(g.shape)
+                    x[:, :first] = g[:, :first]
+                    lw.append(leap(g[:, first:], z, x[:, first:]))
+                    group[b] = x
+            yield k, lw
+
+    return walk
+
+
+def _run_policy(cfg, policy, group, rng, walk, audit=False):
     """Advance a common-increment group from T1 through the exercise dates.
 
-    Exercise decisions come from the first group member only and are
-    applied to every member (the bump pair shares one stopping time);
-    a row the first member stops is cut from the group and stepped no
-    further.  With ``audit`` set, the last member also evaluates its own
-    trigger on the rows still running and flags each row where its
-    decision differs.  A row runs until the first member stops it, so
-    the flag is set exactly when the two members' own stopping times
-    differ, on the very paths the unaudited run takes.  Each trigger
-    prices the Europeans only on the rows whose own intrinsic reaches
-    the date's threshold; the other rows cannot fire, so the decisions
-    and flags are those of full triggers.
+    ``walk`` is a :func:`_walker` walk, drawing from ``rng``.  Exercise
+    decisions come from the first group member only and are applied to
+    every member (the bump pair shares one stopping time); a row the
+    first member stops is cut from the group and moved no further.
+    With ``audit`` set, the last member also evaluates its own trigger
+    on the rows still running and flags each row where its decision
+    differs.  A row runs until the first member stops it, so the flag
+    is set exactly when the two members' own stopping times differ, on
+    the very paths the unaudited run takes.  Each trigger prices the
+    Europeans only on the rows whose own intrinsic reaches the date's
+    threshold; the other rows cannot fire, so the decisions and flags
+    are those of full triggers.
 
     The walk takes over the list ``group``.  Returns (payoffs per
-    member, stop positions, disagreement flags).
+    member, stop positions, disagreement flags, log weights per member):
+    a row's log weight sums its transition log weights up to its stop.
     """
     B = group[0].shape[0]
     payoffs_out = [np.zeros(B) for _ in group]
+    log_w = [np.zeros(B) for _ in group]
     stop_idx = np.full(B, -1, dtype=np.int64)
     differ = np.zeros(B, dtype=bool) if audit else None
     rows = np.arange(B)  # the batch rows the group holds
 
     indices = policy.exercise_indices
-    for k, states in _walk_dates(cfg, group, rng, indices):
+    for k, lw in walk(group, rng):
+        if lw is not None:
+            for acc, lk in zip(log_w, lw):
+                acc[rows] += lk
         floor = policy.thresholds[k]
-        intrinsic, trig = _trigger(cfg, indices, k, states[0], floor)
+        intrinsic, trig = _trigger(cfg, indices, k, group[0], floor)
         fire = trig >= floor
         if audit:
-            _, trig_alt = _trigger(cfg, indices, k, states[-1], floor)
+            _, trig_alt = _trigger(cfg, indices, k, group[-1], floor)
             differ[rows] |= (trig_alt >= floor) != fire
         if fire.any():
             hit = rows[fire]
             stop_idx[hit] = k
             payoffs_out[0][hit] = intrinsic[fire]
             spec = SwaptionSpec(strike=cfg.strike, first_leg=indices[k], style=cfg.payoff_style)
-            for b in range(1, len(states)):
-                payoffs_out[b][hit] = swaption_payoff(cfg.delta, states[b][fire], spec)
+            for b in range(1, len(group)):
+                payoffs_out[b][hit] = swaption_payoff(cfg.delta, group[b][fire], spec)
             keep = ~fire
             rows = rows[keep]
             if not rows.size:
                 break
-            states[:] = [g[keep] for g in states]
-    return payoffs_out, stop_idx, differ
+            group[:] = [g[keep] for g in group]
+    return payoffs_out, stop_idx, differ, log_w
 
 
 def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=False):
     """Driver head: the first-date head at ``level``, then ``policy``.
 
     The first-date head is the one-shot draw at a kernel level, or
-    log-Euler from time zero at "euler".  The states slot holds (stop
-    positions, disagreement flags); the driver's payoff goes unused.
+    log-Euler from time zero at "euler"; :func:`_walker` continues it.
+    The weights are path weights: the head's weight times the
+    transition weights up to the row's stop.  The states slot holds
+    (stop positions, disagreement flags); the driver's payoff goes
+    unused.
     """
     expected = np.array([cfg.tenor_date(i) for i in policy.exercise_indices])
     if np.max(np.abs(expected - policy.dates)) > 1e-9:
@@ -401,10 +473,13 @@ def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=F
         first = _euler_head(cfg, stencil, cfg.t1, cfg.dt_berm)
     else:
         first = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil)
+    walk = _walker(cfg, policy, level)
 
     def head(seed, bi, rows, payoff):
         states, w, _, cont = first(seed, bi, rows, None)
-        pays, stop, differ = _run_policy(cfg, policy, states, cont(), audit)
+        pays, stop, differ, log_w = _run_policy(cfg, policy, states, cont(), walk, audit)
+        if w is not None:
+            w = [wk * np.exp(lk) for wk, lk in zip(w, log_w)]
         wv = pays if w is None else [wk * pk for wk, pk in zip(w, pays)]
         return (stop, differ), w, wv, None
 
@@ -435,14 +510,14 @@ def bermudan_delta_fd(
     """Re-anchored central difference of the Bermudan lower bound.
 
     The bump pair shares the first-date normals, the continuation
-    increments, and the stopping decision (taken from the up branch).
+    normals, and the stopping decision (taken from the up branch).
     """
     stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
     return _estimate(stencil, _continued(cfg, policy, level, stencil), m, seed)
 
 
 def _stops(cfg, policy, level, stencil, m: int, seed: int, audit=False):
-    """Yield (first member's weights, stop positions, flags) per batch.
+    """Yield (first member's path weights, stop positions, flags) per batch.
 
     Euler paths come from the model and weigh one each.
     """
@@ -467,9 +542,9 @@ def stopping_disagreement(
     branch; this diagnostic quantifies how often the down branch,
     deciding for itself, would have stopped elsewhere.  It audits the
     very paths :func:`bermudan_delta_fd` prices at the same arguments.
-    Each pair counts with the up branch's importance weight, so the
-    fraction is one under the model, not under the proxy; Euler paths
-    come from the model and count once each.
+    Each pair counts with the up branch's path weight, so the fraction
+    is one under the model, not under the proxy; Euler paths come from
+    the model and count once each.
     """
     stencil = _delta_stencil(cfg.l0, i, h, partial(report_scale, cfg))
     disagree = total = 0.0
@@ -488,9 +563,10 @@ def exercise_frequencies(
 ) -> np.ndarray:
     """Weighted share of paths stopping at each date; last entry = never.
 
-    Each path counts with its importance weight, so the shares are
-    those of the model, not of the proxy; they sum to one.  Euler paths
-    come from the model and count once each.
+    Each path counts with its path weight (head and transitions up to
+    its stop), so the shares are those of the model, not of the proxy;
+    they sum to one.  Euler paths come from the model and count once
+    each.
     """
     K = policy.dates.shape[0]
     hist = np.zeros(K + 1)

@@ -17,7 +17,9 @@ a batch to each member's states, weights and weighted payoffs on
 shared normals: the weighted one-shot draw, log-Euler from time zero,
 or (for `naive_delta`) one frozen draw that every member only
 reweights; `explosion_demo` has a toy head, and ``bermudan`` one that
-follows an exercise policy from the first date.  Two loops compute
+follows an exercise policy from the first date, crossing each later
+gap with ``_proxy_transition``: the one-shot draw and weight with one
+start state per row.  Two loops compute
 something else and stay separate: `variance_audit` (the bound's norms)
 and `calibrate_policy` (states at every exercise date).
 
@@ -214,6 +216,34 @@ def _one_shot(pair, z: np.ndarray, payoff=None):
         if wf is not None:
             wf[part] = wc * payoff(zc)
     return zeta, w, wf
+
+
+def _proxy_transition(vs, delta: np.ndarray, dt: float, anchor: np.ndarray):
+    """One weighted proxy draw over ``dt`` from a start state per row.
+
+    Row r draws from the proxy frozen at its own start state x_r, and
+    its log weight is ln(p_1 / phi) of the level-1 kernel built once at
+    ``anchor``, whose c_1 surrogate re-centres at x_r (see
+    ``WkbKernel.c1_taylor``): the one-shot method of the first date,
+    with one anchor per row.  Returns ``leap(x, z, out)``, which fills
+    ``out`` with the draws from the start rates ``x`` on the standard
+    normals ``z`` (all (rows, n)) in ``mc.row_slices`` slices and
+    returns the log weights.  Members of a bump group pass the same
+    ``z`` and each re-anchors at its own states.
+    """
+    kernel = make_libor_kernel(vs, delta, anchor, level=1)
+
+    def leap(x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        lw = np.empty(x.shape[0])
+        for part in mc.row_slices(x.shape[0]):
+            proxy = make_proxy(vs, delta, 0.0, dt, x[part])
+            zeta = sample_g(proxy, z[part])
+            kappa = proxy.mean_shift @ vs.gamma_inv.T
+            lw[part] = log_weight_y(kernel, dt, to_y(vs, zeta), kappa, to_y(vs, proxy.anchor))
+            out[part] = zeta
+        return lw
+
+    return leap
 
 
 def _bumped(x: np.ndarray, i: int, h: float | None) -> tuple[np.ndarray, np.ndarray]:

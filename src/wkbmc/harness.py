@@ -244,9 +244,9 @@ def run_bench(
     The point of the sweep: the one-shot estimators price the T1 state
     directly, so their cost stays flat in T1, while anything that
     Euler-steps from time zero pays per step and grows linearly.  The
-    Bermudan rows keep their continuation legs (first date to last
-    exercise) in both variants, so there the gap is the 0-to-T1 head
-    only.  Each cell is the call the price tables (1 and 3) make for it,
+    one-shot Bermudan row crosses each gap between exercise dates in one
+    weighted draw as well, so its cost follows the number of dates, not
+    T1, while the Euler row steps the head and every gap.  Each cell is the call the price tables (1 and 3) make for it,
     warmed up at full size, then reported as its fastest call (see
     ``_timed_cells``).  ``estimators`` is a non-empty collection of
     names in ``BENCH_ESTIMATORS``.

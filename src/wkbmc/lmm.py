@@ -14,8 +14,8 @@ a_ij = gamma_i . gamma_j.  The module provides:
 * the exponentially decaying correlation structure and the square
   factorisation a = Gamma Gamma^T with Gamma upper triangular,
 * the terminal-measure drift, a log-Euler step, and the one path
-  stepper (``evolve_log_euler``) behind the Euler oracle, the Bermudan
-  continuation and the policy fit; it steps in the row slices of
+  stepper (``evolve_log_euler``) behind the Euler oracle, the oracle's
+  Bermudan continuation and the policy fit; it steps in the row slices of
   ``mc.row_slices`` on one reused normals buffer, steps only the live
   rates a caller names (the trailing block is a model of its own) and
   draws normals for exactly those rates of the rows it is handed,

@@ -5,7 +5,7 @@ batch index) cell of the random tableau, each seeded through a
 ``SeedSequence`` whose spawn key is the (stream, batch) pair.  Every
 batch of every estimator therefore draws an independent, reproducible
 stream regardless of execution order.  A draw takes exactly the normals
-its rows need: the Bermudan continuation draws increments only for the
+its rows need: the Bermudan continuation draws normals only for the
 live rates of the rows still running, so a cell's stream is consumed
 in running order.  Reductions accumulate per-batch partial moments and
 combine them in batch order, which makes totals bit-identical no matter
@@ -32,7 +32,7 @@ CHUNK = 1024
 # estimator so that common random numbers line up across estimators
 # that use the same seed.
 STREAM_XI = 0       # proxy draws (or the primary normals of a toy model)
-STREAM_CONT = 1     # post-jump continuation increments (Bermudan)
+STREAM_CONT = 1     # continuation normals after the first date (Bermudan)
 STREAM_EULER = 2    # log-Euler evolution started at time zero
 
 _MASK48 = (1 << 48) - 1

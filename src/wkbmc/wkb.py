@@ -25,7 +25,10 @@ cross-checks) and once in closed form for the Libor drift (used in
 production).  The c_1 segment integral exists once and serves both
 drifts.  In production c_1 is further replaced by its second-order
 Taylor polynomial around the anchor, so that density evaluation costs
-no quadrature per sample.
+no quadrature per sample.  The same Taylor data serves start states
+near the anchor too (the Bermudan continuation starts each row at its
+own state): the polynomial is translated to the row's start and gains
+a first-order term in the start's offset from the anchor.
 """
 from __future__ import annotations
 
@@ -488,6 +491,22 @@ def libor_c1_taylor2(
     return f0, grad, hess
 
 
+def _libor_c1_position_grad(vs: VolStructure, delta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of s -> c_1(x + s, x + s) at s = 0, by central differences.
+
+    Both ends move together, so this is how c_1 at a fixed displacement
+    changes with the start state.  On the diagonal the segment shrinks
+    to a point and c_1(z, z) = R_0(z, z), so the 2n stencil points need
+    no quadrature.  Steps as in :func:`libor_c1_taylor2`.
+    """
+    eps = _TAYLOR_REL_STEP * np.maximum(np.abs(x), 1.0)
+    axis = np.diag(eps)
+    zs = x + np.concatenate([axis, -axis])
+    vals = libor_r0(vs, delta, zs, zs)
+    n = x.shape[0]
+    return (vals[:n] - vals[n:]) / (2.0 * eps)
+
+
 # ---------------------------------------------------------------------------
 # the anchored kernel
 
@@ -499,7 +518,9 @@ class WkbKernel:
     The anchor is the kernel's first argument (the simulation start
     state); for level 1 the second-order coefficient is carried as its
     Taylor polynomial around the anchor, precomputed once so that a
-    density evaluation is quadrature-free.
+    density evaluation is quadrature-free.  ``c1_pos_grad`` is the
+    gradient of c_1 in a start state moved off the anchor together with
+    its end point, which lets the same data serve nearby start states.
     """
 
     level: int
@@ -509,19 +530,33 @@ class WkbKernel:
     c1_value: float | None = None
     c1_grad: np.ndarray | None = None
     c1_hess: np.ndarray | None = None
+    c1_pos_grad: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return self.anchor_y.shape[0]
 
-    def c1_taylor(self, y: np.ndarray) -> np.ndarray:
-        """The quadratic surrogate of c_1(anchor, y)."""
-        d = np.asarray(y, dtype=np.float64) - self.anchor_y
-        return (
+    def c1_taylor(self, y: np.ndarray, start_y: np.ndarray | None = None) -> np.ndarray:
+        """The surrogate of c_1(start, y); the start defaults to the anchor.
+
+        With d = y - start and p = start - anchor, row by row:
+
+            c_1~ = c1_value + d . c1_grad + d' c1_hess d / 2 + p . c1_pos_grad,
+
+        the quadratic in the displacement, translated to the start, plus
+        the first-order change of c_1 with the start's position.  Without
+        the last term the Bermudan continuation's Delta is biased.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        d = y - (self.anchor_y if start_y is None else start_y)
+        out = (
             self.c1_value
             + d @ self.c1_grad
             + 0.5 * np.sum((d @ self.c1_hess) * d, axis=-1)
         )
+        if start_y is not None:
+            out = out + (start_y - self.anchor_y) @ self.c1_pos_grad
+        return out
 
 
 def make_libor_kernel(
@@ -538,9 +573,10 @@ def make_libor_kernel(
         raise ValueError("anchor rates must be positive")
     anchor_y = to_y(vs, anchor_rates)
     delta = np.asarray(delta, dtype=np.float64)
-    c1v = c1g = c1h = None
+    c1v = c1g = c1h = c1p = None
     if level == 1:
         c1v, c1g, c1h = libor_c1_taylor2(vs, delta, anchor_y)
+        c1p = _libor_c1_position_grad(vs, delta, anchor_y)
     return WkbKernel(
         level=level,
         vs=vs,
@@ -549,6 +585,7 @@ def make_libor_kernel(
         c1_value=c1v,
         c1_grad=c1g,
         c1_hess=c1h,
+        c1_pos_grad=c1p,
     )
 
 
@@ -581,26 +618,38 @@ def wkb_log_density_libor(kernel: WkbKernel, dt: float, v: np.ndarray) -> np.nda
     return flat + log_jac
 
 
-def log_weight_y(kernel: WkbKernel, dt: float, y_to: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """ln(p_l / phi) for a proxy with the same anchor and step.
+def log_weight_y(
+    kernel: WkbKernel,
+    dt: float,
+    y_to: np.ndarray,
+    kappa: np.ndarray,
+    start_y: np.ndarray | None = None,
+) -> np.ndarray:
+    """ln(p_l / phi) for a proxy with the same start and step.
 
-    In flat coordinates the proxy is N(anchor + kappa, dt I), so the
-    normalizations, chart Jacobians and the common |y - anchor|^2 part
-    cancel algebraically:
+    The start is the kernel's anchor, shared by every row, or with
+    ``start_y`` one start state per row (flat coordinates, rows
+    matching ``y_to`` and ``kappa``).  In flat coordinates the proxy is
+    N(start + kappa, dt I), so the normalizations, chart Jacobians and
+    the common |y - start|^2 part cancel algebraically:
 
-        ln w = (|kappa|^2 - 2 (y - anchor) . kappa) / (2 dt)
-               + c_0(anchor, y) + dt c_1~(y).
+        ln w = (|kappa|^2 - 2 (y - start) . kappa) / (2 dt)
+               + c_0(start, y) + dt c_1~(start, y).
 
     Expanding the difference of quadratic forms analytically keeps the
     1/dt terms from ever being formed, so there is no cancellation loss
     for small dt.
     """
     y_to = np.asarray(y_to, dtype=np.float64)
-    d = y_to - kernel.anchor_y
-    out = (kappa @ kappa - 2.0 * (d @ kappa)) / (2.0 * dt)
-    out = out + libor_c0(kernel.vs, kernel.delta, kernel.anchor_y, y_to)
+    start = kernel.anchor_y if start_y is None else start_y
+    d = y_to - start
+    if start_y is None:  # one kappa for every row
+        out = (kappa @ kappa - 2.0 * (d @ kappa)) / (2.0 * dt)
+    else:
+        out = (np.sum(kappa * kappa, axis=-1) - 2.0 * np.sum(d * kappa, axis=-1)) / (2.0 * dt)
+    out = out + libor_c0(kernel.vs, kernel.delta, start, y_to)
     if kernel.level >= 1:
-        out = out + dt * kernel.c1_taylor(y_to)
+        out = out + dt * kernel.c1_taylor(y_to, start_y)
     return out
 
 

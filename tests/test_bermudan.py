@@ -194,7 +194,7 @@ def run_rule(cfg, thresholds, rows):
         thresholds=thresholds,
     )
     rng = mc.rng_for(0, 0, mc.STREAM_CONT)
-    (pay,), stop, _ = brm._run_policy(cfg, pol, [rows], rng)
+    (pay,), stop, _, _ = brm._run_policy(cfg, pol, [rows], rng, brm._walker(cfg, pol, 1))
     return pay, stop
 
 
@@ -445,15 +445,13 @@ class TestBermudanDelta:
         assert abs(d.value - de.value) < combined_gate(d, de)
 
     def test_ess_pools_both_clouds(self):
-        # ESS per row pair is m mean(w)^2 / mean(w^2) over all 2m weights
+        # ESS per row pair is m mean(w)^2 / mean(w^2) over all 2m path
+        # weights: each member's head weight times its transition weights
+        # up to the row's stop
         cfg = case_cfg()
         m, seed, h, i = 3000, 6, 3.5e-5, 18
-        z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
-        w = np.concatenate([
-            np.exp(pair.log_weight(pair.draw(z)))
-            for pair in (est.anchored_libor_pair(cfg, cfg.t1, 1, x)
-                         for x in est._bumped(cfg.l0, i, h))
-        ])
+        w, _, _ = rebuilt_stops(cfg, case_policy(), 1, est._bumped(cfg.l0, i, h), m, seed)
+        w = np.concatenate(w)
         want = m * np.mean(w) ** 2 / np.mean(w * w)
         got = brm.bermudan_delta_fd(cfg, case_policy(), i=i, h=h, level=1, m=m, seed=seed).ess
         assert abs(got / want - 1.0) < 1e-9
@@ -471,20 +469,21 @@ class TestBermudanDelta:
 
 #: ``exercise_frequencies`` and ``stopping_disagreement`` of the calibrated
 #: ten-date policy at level 1, seed 7, M = BATCH + 5 (a full batch and a
-#: five-row one).  They pin which rows the continuation steps, where the
-#: up branch stops and where the down branch would decide otherwise.  A
-#: step draws normals for its running rows only, in row order, so a row's
-#: increments depend on how many rows before it still run: any change to
-#: the running set, to the order the normals are handed out in, to the
-#: generator or to the trigger moves them far beyond 1e-12, and a change
-#: to the level-1 kernel's Taylor data moves them past it too.
+#: five-row one).  They pin which rows the continuation moves, where the
+#: up branch stops, where the down branch would decide otherwise and the
+#: path weights each path counts with.  A gap draws normals for its
+#: running rows only, in row order, so a row's draw depends on how many
+#: rows before it still run: any change to the running set, to the order
+#: the normals are handed out in, to the generator or to the trigger
+#: moves them far beyond 1e-12, and a change to a level-1 kernel's
+#: Taylor data moves them past it too.
 GOLDEN_FREQUENCIES = [
-    0.10018287309731155, 0.08790335555014674, 0.06519433214374125,
-    0.07525737897812822, 0.06528766728866765, 0.04824228529377726,
-    0.18877893800647733, 0.03834208543301959, 0.04980186931560656,
-    0.2810092148931239, 0.0,
+    0.10009192951534962, 0.08760610673883445, 0.06709189109674403,
+    0.0738732402922404, 0.06940461281886265, 0.04722350298206989,
+    0.19209542810712565, 0.04048366486754163, 0.04863482492913187,
+    0.27349479865209986, 0.0,
 ]
-GOLDEN_DISAGREEMENT = 0.0008545554523873277
+GOLDEN_DISAGREEMENT = 0.0006715417232654293
 
 
 class TestGoldenContinuation:
@@ -527,24 +526,28 @@ def every_row_reference(cfg, policy, m, seed):
 
 class TestRunningRowsTableau:
     def test_stopped_rows_draw_nothing(self):
-        # a step into date k, at tenor index i, draws one normal per live
+        # the gap into date k, at tenor index i, draws one normal per live
         # rate L_i .. L_n for each row that had not stopped before k, and
-        # nothing for the others
+        # nothing for the others: once per gap after a one-shot head, once
+        # per dt_berm step on log-Euler
         cfg, pol = case_cfg(), case_policy()
         m, seed = 3000, 7
         z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
         states = est.anchored_libor_pair(cfg, cfg.t1, 1, cfg.l0).draw(z)
-        rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-        _, stop, _ = brm._run_policy(cfg, pol, [states], rng)
         steps = np.round(np.diff(pol.dates) / cfg.dt_berm).astype(np.int64)
         width = cfg.n - np.array(pol.exercise_indices[1:]) + 1
-        running = np.array([np.count_nonzero((stop < 0) | (stop >= k))
-                            for k in range(1, len(pol.dates))])
-        drawn = int((steps * width) @ running)
-        assert 0 < drawn < m * int(steps @ width)
-        fresh = mc.rng_for(seed, 0, mc.STREAM_CONT)
-        fresh.standard_normal(drawn)
-        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+        for level in ("lgn", 0, 1, "euler"):
+            rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
+            walk = brm._walker(cfg, pol, level)
+            _, stop, _, _ = brm._run_policy(cfg, pol, [states], rng, walk)
+            blocks = steps if level == "euler" else np.ones_like(steps)
+            running = np.array([np.count_nonzero((stop < 0) | (stop >= k))
+                                for k in range(1, len(pol.dates))])
+            drawn = int((blocks * width) @ running)
+            assert 0 < drawn < m * int(blocks @ width)
+            fresh = mc.rng_for(seed, 0, mc.STREAM_CONT)
+            fresh.standard_normal(drawn)
+            assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
 
     def test_law_matches_every_row_reference(self):
         cfg, pol = case_cfg(), case_policy()
@@ -554,14 +557,19 @@ class TestRunningRowsTableau:
 
 
 def rebuilt_stops(cfg, policy, level, anchors, m, seed):
-    """Up-branch weights, stops and disagreement flags of one batch, from the tableau."""
+    """Members' path weights, stops and disagreement flags of one batch, from the tableau.
+
+    A path weight is the head's importance weight times the exponential
+    of the summed transition log weights up to the row's stop.
+    """
     z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
     pairs = [est.anchored_libor_pair(cfg, cfg.t1, level, x) for x in anchors]
     zetas = [pair.draw(z) for pair in pairs]
-    w = np.exp(pairs[0].log_weight(zetas[0]))
+    heads = [np.exp(pair.log_weight(zeta)) for pair, zeta in zip(pairs, zetas)]
     rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-    _, stop, differ = brm._run_policy(cfg, policy, zetas, rng, audit=True)
-    return w, stop, differ
+    walk = brm._walker(cfg, policy, level)
+    _, stop, differ, log_w = brm._run_policy(cfg, policy, zetas, rng, walk, audit=True)
+    return [h * np.exp(lw) for h, lw in zip(heads, log_w)], stop, differ
 
 
 class TestWeightedDiagnostics:
@@ -573,18 +581,29 @@ class TestWeightedDiagnostics:
         freq = brm.exercise_frequencies(cfg, pol, level=level, m=self.m, seed=self.seed)
         frac = brm.stopping_disagreement(cfg, pol, i=self.i, h=self.h, level=level,
                                          m=self.m, seed=self.seed)
-        w, stop, _ = rebuilt_stops(cfg, pol, level, [cfg.l0], self.m, self.seed)
+        (w,), stop, _ = rebuilt_stops(cfg, pol, level, [cfg.l0], self.m, self.seed)
         bucket = np.where(stop < 0, len(pol.dates), stop)
-        w_up, _, differ = rebuilt_stops(
+        (w_up, _), _, differ = rebuilt_stops(
             cfg, pol, level, est._bumped(cfg.l0, self.i, self.h), self.m, self.seed)
         return freq, frac, (w, bucket), (w_up, differ)
 
-    def test_proxy_level_gives_plain_counts(self):
-        freq, frac, (w, bucket), (_, differ) = self.rebuilt("lgn")
-        assert np.all(w == 1.0)
-        counts = np.bincount(bucket, minlength=freq.shape[0])
-        assert_allclose(freq, counts / self.m, rtol=1e-15, atol=0.0)
-        assert_allclose(frac, np.mean(differ), rtol=1e-15, atol=0.0)
+    def test_proxy_level_weights_only_the_continuation(self):
+        # the "lgn" head weighs one, but its gaps are crossed at level 1,
+        # so a path weighs the product of its transition weights up to its
+        # stop (one for a path stopped at T1); summed in the diagnostics'
+        # own order, the shares agree to the last bit
+        cfg = case_cfg()
+        z = mc.rng_for(self.seed, 0, mc.STREAM_XI).standard_normal((self.m, cfg.n))
+        pair = est.anchored_libor_pair(cfg, cfg.t1, "lgn", cfg.l0)
+        assert np.all(np.exp(pair.log_weight(pair.draw(z))) == 1.0)
+        freq, frac, (w, bucket), (w_up, differ) = self.rebuilt("lgn")
+        moved = bucket > 0
+        assert 0 < moved.sum() < self.m
+        assert np.all(w[~moved] == 1.0) and np.all(w[moved] != 1.0)
+        hist = np.bincount(bucket, weights=w, minlength=freq.shape[0])
+        assert_allclose(freq, hist / hist.sum(), rtol=1e-15, atol=0.0)
+        assert_allclose(frac, float(np.sum(w_up[differ])) / float(np.sum(w_up)),
+                        rtol=1e-15, atol=0.0)
         assert frac > 0.0
 
     def test_level1_weights_each_path(self):
@@ -645,16 +664,19 @@ class TestStopAudit:
         z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
         zetas = [est.anchored_libor_pair(cfg, cfg.t1, 1, x).draw(z)
                  for x in est._bumped(cfg.l0, i, h)]
+        walk = brm._walker(cfg, pol, 1)
         runs = []
         for audit in (False, True):
             rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            pays, stop, differ = brm._run_policy(cfg, pol, list(zetas), rng, audit=audit)
-            runs.append((pays, stop, differ, rng.standard_normal(8)))
-        (pays, stop, differ, after), (pays_a, stop_a, differ_a, after_a) = runs
+            pays, stop, differ, log_w = brm._run_policy(cfg, pol, list(zetas), rng, walk,
+                                                        audit=audit)
+            runs.append((pays, stop, differ, log_w, rng.standard_normal(8)))
+        (pays, stop, differ, log_w, after), (pays_a, stop_a, differ_a, log_w_a, after_a) = runs
         assert differ is None
         assert differ_a.dtype == bool and differ_a.any()
         assert np.array_equal(stop_a, stop)
         assert all(np.array_equal(a, b) for a, b in zip(pays_a, pays))
+        assert all(np.array_equal(a, b) for a, b in zip(log_w_a, log_w))
         assert np.array_equal(after_a, after)
 
     def test_euler_law_matches_every_row_reference(self):
@@ -706,16 +728,18 @@ class TestPrunedTrigger:
             return still_alive(cfg, x, *args)
 
         monkeypatch.setattr(brm, "still_alive_european", counted)
+        walk = brm._walker(cfg, pol, 1)
         runs = []
         for trigger in (TRIGGER, unpruned_trigger):
             monkeypatch.setattr(brm, "_trigger", trigger)
             priced.append(0)
             rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            runs.append((*brm._run_policy(cfg, pol, list(zetas), rng, audit=True),
+            runs.append((*brm._run_policy(cfg, pol, list(zetas), rng, walk, audit=True),
                          rng.standard_normal(8)))
-        (pays, stop, differ, after), (pays_u, stop_u, differ_u, after_u) = runs
+        (pays, stop, differ, log_w, after), (pays_u, stop_u, differ_u, log_w_u, after_u) = runs
         assert np.array_equal(stop, stop_u)
         assert all(np.array_equal(a, b) for a, b in zip(pays, pays_u))
+        assert all(np.array_equal(a, b) for a, b in zip(log_w, log_w_u))
         assert np.array_equal(differ, differ_u) and differ.any()
         assert np.array_equal(after, after_u)
         assert 0 < priced[0] < priced[1]
@@ -724,15 +748,19 @@ class TestPrunedTrigger:
 class TestTableauFence:
     def test_every_draw_covers_the_live_rates(self, monkeypatch):
         # the random tableau: every head draw of the Bermudan calls is a
-        # (rows, n) block, and every continuation step on the gap to tenor
-        # index i a (rows, n - i + 1) block, one normal per live rate
-        # L_i .. L_n of each running row, in date order
+        # (rows, n) block.  On the gap to tenor index i the continuation
+        # draws one normal per live rate L_i .. L_n of each running row,
+        # in date order: one (rows, n - i + 1) block per gap after a
+        # one-shot head ("lgn", 0, 1), one per dt_berm step on log-Euler
+        # (the fit and level="euler")
         cfg = case_cfg()
         indices = cfg.exercise_indices
         gaps = np.round(np.diff(cfg.tenor[np.array(indices) - 1]) / cfg.dt_berm).astype(int)
-        walk = [cfg.n - i + 1 for i, steps in zip(indices[1:], gaps) for _ in range(steps)]
+        per_gap = [cfg.n - i + 1 for i in indices[1:]]
+        per_step = [w for w, steps in zip(per_gap, gaps) for _ in range(steps)]
         heads = {mc.STREAM_XI: [cfg.n], mc.STREAM_CONT: [],
                  mc.STREAM_EULER: [cfg.n] * round(cfg.t1 / cfg.dt_berm)}
+        walks = {mc.STREAM_XI: [], mc.STREAM_CONT: per_gap, mc.STREAM_EULER: per_step}
         generators = []
         rng_for = mc.rng_for
 
@@ -748,9 +776,10 @@ class TestTableauFence:
 
         monkeypatch.setattr(mc, "rng_for", Recording)
         pol = brm.calibrate_policy(cfg, n_paths=brm._MIN_CALIBRATION_PATHS, seed=3)
-        brm.bermudan_price(cfg, pol, level=1, m=2048, seed=7)
+        for level in ("lgn", 0, 1, "euler"):
+            brm.bermudan_price(cfg, pol, level=level, m=2048, seed=7)
         brm.bermudan_delta_fd(cfg, pol, i=18, h=3.5e-5, level=1, m=2048, seed=7)
-        assert sum(len(g.shapes) for g in generators) > 3 * 180
+        assert sum(len(g.shapes) for g in generators) > 2 * len(per_step) + 4 * len(per_gap)
         for g in generators:
             assert all(isinstance(s, tuple) and len(s) == 2 and s[0] > 0 for s in g.shapes)
             head = heads[g.stream]
@@ -758,10 +787,14 @@ class TestTableauFence:
             assert widths[:len(head)] == head
             cont = widths[len(head):]
             # a batch whose rows all stop early ends its walk early
-            assert cont == walk[:len(cont)]
+            assert cont == walks[g.stream][:len(cont)]
             rows = [s[0] for s in g.shapes[len(head):]]
             assert all(a >= b for a, b in zip(rows, rows[1:]))
-        # the fit walks every gap; the priced runs continue from their heads
-        assert any(g.stream == mc.STREAM_EULER and len(g.shapes) == len(heads[g.stream]) + len(walk)
-                   for g in generators)
-        assert any(g.stream == mc.STREAM_CONT and g.shapes for g in generators)
+        # the fit and the Euler oracle walk every gap step by step; the
+        # one-shot runs cross every gap in one block each
+        euler = [g for g in generators if g.stream == mc.STREAM_EULER]
+        assert len(euler) == 2
+        assert all(len(g.shapes) == len(heads[mc.STREAM_EULER]) + len(per_step) for g in euler)
+        cont = [g for g in generators if g.stream == mc.STREAM_CONT]
+        assert len(cont) == 4
+        assert all(len(g.shapes) == len(per_gap) for g in cont)

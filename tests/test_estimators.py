@@ -509,11 +509,12 @@ class TestEulerReference:
 # component 18, the cross Gamma on (2, 7)), Bermudan ones at M = 2048
 # under the premium-free policy.  Any change to the random tableau (the
 # generator, the sample -> normal mapping, the stream of a draw, the rows
-# a continuation step draws for, the batch split or the reduction order)
-# moves these far beyond 1e-12.  Any change to the level-1 kernel's
-# Taylor data (the c_1 stencil, its steps or the arithmetic of the
-# segment averages it integrates) moves every weighted value here past
-# 1e-12 too, and none of the Euler ones.
+# a continuation gap or step draws for, the batch split or the reduction
+# order) moves these far beyond 1e-12.  Any change to the level-1
+# kernel's Taylor data (the c_1 stencil, its steps, its position term or
+# the arithmetic of the segment averages it integrates) moves every
+# weighted value here past 1e-12 too, and none of the Euler ones.  The
+# level-1 Bermudan ESS and largest weight are those of the path weights.
 GOLDEN = {
     "price": (183.19767114459938, 2.375896165081063, 16389, 16388.760669835297, 1.0144357030721658),
     "delta_fd": (1794.2335494984882, 15.593210411706139, 16389, 16388.760669806055, 1.014438366591374),
@@ -521,8 +522,8 @@ GOLDEN = {
     "gamma_fd_cross": (15463.399807577529, 1177.9405100877525, 16389, None, None),
     "euler_price": (178.82009576954667, 2.3508268975571323, 16389, np.nan, 1.0),
     "euler_delta_fd": (1767.5675815557393, 15.535185517754707, 16389, np.nan, 1.0),
-    "bermudan_price": (342.26244267618875, 8.921578448974314, 2048, 2047.9715238524634, 1.0102590157440499),
-    "bermudan_delta_fd": (2797.5975731719964, 49.70551038294366, 2048, 2047.971523849042, 1.0102640726348133),
+    "bermudan_price": (347.0104757725637, 8.823099330401275, 2048, 2047.9069786610478, 1.0257804105971644),
+    "bermudan_delta_fd": (2811.3836854973542, 50.352941311986775, 2048, 2047.9075163485657, 1.034726601558787),
     "euler_bermudan_price": (342.8072025042409, 8.949181788196626, 2048, np.nan, 1.0),
     "euler_bermudan_delta_fd": (2809.9466083064353, 51.544717402633495, 2048, np.nan, 1.0),
 }

@@ -466,6 +466,44 @@ class TestTaylorSurrogate:
         f0, _, _ = wkb.libor_c1_taylor2(cfg.vs, cfg.delta, x)
         assert_allclose(f0, wkb.libor_r0(cfg.vs, cfg.delta, x, x), rtol=1e-12)
 
+    @pytest.mark.parametrize("w", [17, 9, 3])
+    def test_position_term_beats_translation(self, w):
+        # the Bermudan continuation's gap into tenor index i = 20 - w: the
+        # live rates start at the states a seeded batch reaches at the
+        # previous exercise date and draw a one-year step from the proxy
+        # at each row.  Against exact c_1 per row, the kernel built at
+        # l0's block must do better with its position term than with the
+        # quadratic translated to the row's start alone
+        cfg = lmm.ModelConfig(
+            n=19, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035
+        )
+        first = cfg.n - w
+        start, end = cfg.tenor_date(first - 1), cfg.tenor_date(first + 1)
+        rng = np.random.default_rng(11)
+        x = proxy.sample_g(proxy.make_proxy(cfg.vs, cfg.delta, 0.0, start, cfg.l0),
+                           rng.standard_normal((2000, cfg.n)))[:, first:]
+        vs, delta, dt = cfg.vs.trailing(first), cfg.delta[first:], end - start
+        ker = wkb.make_libor_kernel(vs, delta, cfg.l0[first:], level=1)
+        zeta = proxy.sample_g(proxy.make_proxy(vs, delta, 0.0, dt, x),
+                              rng.standard_normal((2000, w)))
+        xy, y = lmm.to_y(vs, x), lmm.to_y(vs, zeta)
+        exact = wkb.libor_c1(vs, delta, xy, y)
+        full = np.mean(np.abs(dt * (ker.c1_taylor(y, xy) - exact)))
+        translated = np.mean(np.abs(dt * (ker.c1_taylor(ker.anchor_y + (y - xy)) - exact)))
+        assert full < translated
+
+    def test_position_gradient_on_the_diagonal(self):
+        # c1_pos_grad is the gradient of c_1(a + s, a + s), taken on R_0
+        # at the 2n diagonal points; the quadrature agrees there
+        cfg = case_cfg(n=5)
+        ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
+        a = ker.anchor_y
+        eps = 1e-3
+        zs = a + eps * np.concatenate([np.eye(5), -np.eye(5)])
+        vals = wkb.libor_c1(cfg.vs, cfg.delta, zs, zs)
+        want = (vals[:5] - vals[5:]) / (2.0 * eps)
+        assert_allclose(ker.c1_pos_grad, want, rtol=1e-5, atol=1e-9)
+
 
 class TestKernel:
     def test_level0_at_anchor(self):
@@ -539,3 +577,32 @@ class TestKernel:
         got = wkb.log_weight_y(ker, 0.8, lmm.to_y(cfg.vs, zeta), kappa)
         want = wkb.wkb_log_density_libor(ker, 0.8, zeta) - proxy.log_density(p, zeta)
         assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_log_weight_with_a_start_per_row(self, level):
+        # per-row starts: row r is weighted as if its own proxy and kernel
+        # were built at its own start.  Level 0 has no surrogate, so that
+        # is exact; at level 1 the surrogate of the kernel built at l0
+        # differs from each row's own by its small c_1 error only
+        cfg = case_cfg(n=6)
+        dt = 0.8
+        rng = np.random.default_rng(5)
+        x = cfg.l0 * np.exp(0.2 * rng.standard_normal((40, 6)))
+        ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=level)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, x)
+        zeta = proxy.sample_g(p, rng.standard_normal((40, 6)))
+        kappa = p.mean_shift @ cfg.vs.gamma_inv.T
+        got = wkb.log_weight_y(ker, dt, lmm.to_y(cfg.vs, zeta), kappa, lmm.to_y(cfg.vs, x))
+        want = np.array([
+            wkb.wkb_log_density_libor(wkb.make_libor_kernel(cfg.vs, cfg.delta, xr, level), dt, zr)
+            - proxy.log_density(proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, xr), zr)
+            for xr, zr in zip(x, zeta)
+        ])
+        assert np.max(np.abs(got - want)) < (1e-12 if level == 0 else 2e-4)
+
+    def test_start_at_the_anchor_changes_nothing(self):
+        cfg = case_cfg(n=6)
+        ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
+        y = ker.anchor_y + 0.3 * np.random.default_rng(2).standard_normal((50, 6))
+        start = np.broadcast_to(ker.anchor_y, y.shape)
+        assert np.array_equal(ker.c1_taylor(y, start), ker.c1_taylor(y))
