@@ -314,17 +314,16 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
             f"calibration needs at least {_MIN_CALIBRATION_PATHS} paths, got {n_paths}"
         )
     K = len(indices)
-    intr = [[] for _ in range(K)]
-    trig = [[] for _ in range(K)]
     head = _euler_head(cfg, [(cfg.l0, 1.0)], cfg.t1, cfg.dt_berm)
-    for bi, lo, hi in mc.batch_slices(n_paths):
+
+    def batch(bi, lo, hi):
         start, _, _, cont = head(seed, bi, hi - lo, None)
-        for k, (states,) in _walk_dates(cfg, start, cont(), indices):
-            ik, tk = _trigger(cfg, indices, k, states)
-            intr[k].append(ik)
-            trig[k].append(tk)
-    intrinsic = [np.concatenate(parts) for parts in intr]
-    trigger = [np.concatenate(parts) for parts in trig]
+        return [_trigger(cfg, indices, k, states)
+                for k, (states,) in _walk_dates(cfg, start, cont(), indices)]
+
+    per_batch = mc.map_batches(batch, n_paths)  # [batch][date] -> (intrinsic, trigger)
+    intrinsic = [np.concatenate([b[k][0] for b in per_batch]) for k in range(K)]
+    trigger = [np.concatenate([b[k][1] for b in per_batch]) for k in range(K)]
 
     value = np.zeros(n_paths)
     thresholds = np.empty(K)
@@ -517,14 +516,17 @@ def bermudan_delta_fd(
 
 
 def _stops(cfg, policy, level, stencil, m: int, seed: int, audit=False):
-    """Yield (first member's path weights, stop positions, flags) per batch.
+    """(first member's path weights, stop positions, flags) per batch, in batch order.
 
     Euler paths come from the model and weigh one each.
     """
     head = _continued(cfg, policy, level, stencil, audit)
-    for bi, lo, hi in mc.batch_slices(m):
+
+    def batch(bi, lo, hi):
         (stop, differ), w, _, _ = head(seed, bi, hi - lo, None)
-        yield (np.ones(hi - lo) if w is None else w[0]), stop, differ
+        return (np.ones(hi - lo) if w is None else w[0]), stop, differ
+
+    return mc.map_batches(batch, m)
 
 
 def stopping_disagreement(

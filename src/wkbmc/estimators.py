@@ -19,9 +19,11 @@ or (for `naive_delta`) one frozen draw that every member only
 reweights; `explosion_demo` has a toy head, and ``bermudan`` one that
 follows an exercise policy from the first date, crossing each later
 gap with ``_proxy_transition``: the one-shot draw and weight with one
-start state per row.  Two loops compute
-something else and stay separate: `variance_audit` (the bound's norms)
-and `calibrate_policy` (states at every exercise date).
+start state per row.  Every batch loop is one ``mc.map_batches`` call:
+``_estimate``'s, `variance_audit`'s (the bound's norms), the Bermudan
+diagnostics' (stops) and `calibrate_policy`'s (states at every exercise
+date).  So the batches of each run at once, one thread per usable CPU,
+with results bit-identical to a serial run.
 
 Also here: the second-moment audit that checks the variance bound the
 re-anchored construction satisfies, the iid-lognormal explosion example
@@ -334,8 +336,9 @@ def _euler_head(cfg: ModelConfig, stencil, t: float, dt: float):
 def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
     """Row mean of sum_k c_k w_k v_k, with the weight health of all members.
 
-    Only the weights and weighted values of a head call are kept, so the
-    members' states die before the next batch: held across batches they
+    The batches run through ``mc.map_batches`` and each reduces its
+    weights and weighted values to partial moments at once, so the
+    members' states die with their batch: held across batches they
     tripled a one-shot Delta's page faults.  ESS is m mean(w)^2 /
     mean(w^2), the moments pooled over every member's weights, so it
     never exceeds m.  One sample has no spread to report, so ``m`` must
@@ -345,13 +348,17 @@ def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
         raise ValueError(f"need at least two samples, got {m}")
     vals = mc.MomentAccumulator()
     wacc = mc.MomentAccumulator()
-    for bi, lo, hi in mc.batch_slices(m):
+
+    def batch(bi, lo, hi):
         w, wv = head(seed, bi, hi - lo, payoff)[1:3]
         vals.add(bi, sum(c * v for (_, c), v in zip(stencil, wv)))
         if w is not None:
             wacc.add(bi, np.concatenate(w))
+        return w is not None
+
+    weighted = mc.map_batches(batch, m)[0]
     mean, sd, count, _ = vals.finalize()
-    if w is None:  # the head has no weights (log-Euler)
+    if not weighted:  # the head has no weights (log-Euler)
         return McResult(value=mean, sd=sd, m=count, seed=seed)
     w_mean, w_sd_of_mean, w_count, w_max = wacc.finalize()
     denom = w_sd_of_mean**2 * w_count + w_mean**2
@@ -508,7 +515,7 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
     lhs = mc.MomentAccumulator()
     accs = {key: mc.MomentAccumulator() for key in _AUDIT_NORMS}
 
-    for bi, lo, hi in mc.batch_slices(inputs.m):
+    def batch(bi, lo, hi):
         z = mc.rng_for(inputs.seed, bi, mc.STREAM_XI).standard_normal((hi - lo, n))
         zeta, w, _ = _one_shot(pair0, z)
 
@@ -535,6 +542,8 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
         lhs.add(bi, grad_sq)
         for (kind, p), acc in accs.items():
             acc.add(bi, values[kind] ** p)
+
+    mc.map_batches(batch, inputs.m)
 
     # (E |X|^p)^(1/p) from the accumulated mean of |X|^p
     norms = {(kind, p): acc.finalize()[0] ** (1.0 / p) for (kind, p), acc in accs.items()}

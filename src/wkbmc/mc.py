@@ -9,10 +9,14 @@ its rows need: the Bermudan continuation draws normals only for the
 live rates of the rows still running, so a cell's stream is consumed
 in running order.  Reductions accumulate per-batch partial moments and
 combine them in batch order, which makes totals bit-identical no matter
-how the batches were scheduled.  Inside a batch, every per-row kernel
-works in the cache-sized slices of ``row_slices``.
+how the batches were scheduled.  That is what lets ``map_batches`` run
+the batches of every loop at once, one thread per usable CPU, with
+results bit-identical to a serial run.  Inside a batch, every per-row
+kernel works in the cache-sized slices of ``row_slices``.
 """
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -84,6 +88,44 @@ def batch_slices(m: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_batches(fn, m: int) -> list:
+    """``[fn(bi, lo, hi) for (bi, lo, hi) in batch_slices(m)]``, batches run at once.
+
+    The batches run on ``min(batches, usable CPUs)`` threads; numpy's
+    random fills, ufuncs and BLAS release the interpreter lock, so they
+    overlap.  Each batch draws from its own cells of the random tableau,
+    so the results, handed back in batch order, are those of a serial
+    run whatever the schedule.  ``fn`` may write shared state only where
+    each batch has its own slot, as ``MomentAccumulator.add`` does.  If
+    a batch raises, the batches not yet started are cancelled and the
+    first failure in batch order is raised once every running batch has
+    ended; no worker thread outlives the call.
+    """
+    slices = batch_slices(m)
+    workers = min(len(slices), _usable_cpus())
+    if workers == 1:
+        return [fn(*s) for s in slices]
+    # imported here so that loading the package stays cheap
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(fn, *s) for s in slices]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # workers take batches in order, so no cancelled batch precedes a failed one
+    return [f.result() for f in futures]
+
+
 class MomentAccumulator:
     """First and second moments accumulated batch by batch.
 
@@ -92,6 +134,8 @@ class MomentAccumulator:
     the partials in batch order with the pairwise update of Chan, Golub
     and LeVeque, so the result neither depends on the order the batches
     were computed in nor loses the variance of values far from zero.
+    Batches may ``add`` from several threads at once: each writes only
+    its own entry.
     """
 
     def __init__(self) -> None:
@@ -137,5 +181,6 @@ __all__ = [
     "rng_for",
     "row_slices",
     "batch_slices",
+    "map_batches",
     "MomentAccumulator",
 ]

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -40,3 +44,41 @@ class TestMomentAccumulator:
         assert abs(sd_mean / (np.std(pooled) / np.sqrt(pooled.size)) - 1.0) < 1e-6
         assert abs(mean / np.mean(pooled) - 1.0) < 1e-15
         assert vmax == np.max(np.abs(pooled))
+
+
+class TestMapBatches:
+    def test_results_in_batch_order(self, monkeypatch):
+        # early batches sleep longest, so later ones finish first; the
+        # results still come back in batch order
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+        finished = []
+
+        def fn(bi, lo, hi):
+            time.sleep(0.05 * (3 - bi))
+            finished.append(bi)
+            return bi, lo, hi
+
+        assert mc.map_batches(fn, 3 * mc.BATCH + 7) == mc.batch_slices(3 * mc.BATCH + 7)
+        assert finished[0] == 3 and finished[-1] == 0
+
+    def test_one_batch_runs_on_the_caller(self):
+        assert mc.map_batches(lambda *s: threading.get_ident(), 5) == [threading.get_ident()]
+
+    def test_shared_accumulator_loses_no_batch(self, monkeypatch):
+        # more workers than cores and a short switch interval: every batch
+        # adds its own partial, so the totals match a serial run bit for bit
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        m = 64 * mc.BATCH
+        rng = np.random.default_rng(3)
+        values = [rng.standard_normal(5) for _ in mc.batch_slices(m)]
+        serial = mc.MomentAccumulator()
+        for bi, v in enumerate(values):
+            serial.add(bi, v)
+        acc = mc.MomentAccumulator()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mc.map_batches(lambda bi, lo, hi: acc.add(bi, values[bi]), m)
+        finally:
+            sys.setswitchinterval(interval)
+        assert acc.finalize() == serial.finalize()
