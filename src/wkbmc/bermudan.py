@@ -29,7 +29,11 @@ depends only on its past, so the fresh normals keep every path's law;
 a stopped path costs no further draws.  It also does only the
 arithmetic a decision reads: on the way to tenor date T_i it moves the
 live rates L_i .. L_n alone and draws normals for them only, one per
-live rate and running row, and at a date it prices the still-alive
+live rate and running row.  At a date it reads those live rates
+alone too: one pass of bond ratios over them gives the intrinsic
+value and the still-alive Europeans (whose quadratic form runs on the
+trailing model ``cfg.vs.trailing(i - 1)``), and the other members'
+payoffs at a stop read only the legs still paid.  It prices the
 Europeans only on the rows whose intrinsic value reaches the
 threshold, the only rows that can fire.  The bump pair shares every
 block of normals: on a one-shot gap each member re-anchors at its own
@@ -64,7 +68,13 @@ from .estimators import (
     anchored_libor_pair,
 )
 from .lmm import ModelConfig, evolve_log_euler
-from .payoffs import SwaptionSpec, bond_ratios, report_scale, swaption_payoff
+from .payoffs import (
+    SwaptionSpec,
+    _payoff_from_ratios,
+    bond_ratios,
+    report_scale,
+    swaption_payoff,
+)
 
 __all__ = [
     "AndersenPolicy",
@@ -94,18 +104,17 @@ def black76(f, k, v):
     f = np.asarray(f, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    intrinsic = np.maximum(f - k, 0.0)
     live = (v > 0.0) & (f > 0.0) & (k > 0.0)
-    fs = np.where(live, f, 1.0)
-    ks = np.where(live, k, 1.0)
-    vs = np.where(live, v, 1.0)
+    every = live.all()
+    fs, ks, vs = (f, k, v) if every else (np.where(live, a, 1.0) for a in (f, k, v))
     d1 = np.log(fs / ks) / vs + 0.5 * vs
-    val = fs * ndtr(d1) - ks * ndtr(d1 - vs)
-    out = np.where(live, val, intrinsic)
+    out = fs * ndtr(d1) - ks * ndtr(d1 - vs)
+    if not every:
+        out = np.where(live, out, np.maximum(f - k, 0.0))
     return out if out.ndim else float(out)
 
 
-def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j, br=None):
+def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j):
     """Deflated value at T_i of the European swaption exercising at T_j.
 
     ``x`` holds the forward rates observed at T_i (leading axes are
@@ -113,8 +122,7 @@ def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j, br=None):
     index or a sequence of them, each with i <= j <= n.  An int ``j``
     gives shape (...), a sequence of J indices shape (..., J), one
     column per index.  At an int j = i this is the intrinsic value
-    exactly; a j = i inside a sequence gets it to rounding.  ``br`` may
-    carry ``bond_ratios(cfg.delta, x)`` when the caller has it.
+    exactly; a j = i inside a sequence gets it to rounding.
 
     The approximation freezes the deflated-bond weights at ``x``.  For
     the sum-style payoff the remaining swap rate is treated as
@@ -122,7 +130,8 @@ def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j, br=None):
     per-leg style each leg is a lognormal call on its own rate.  All
     dates share one pass: the annuity, the floating leg and the
     quadratic form ux' a ux over legs j.. are reversed cumulative sums
-    over the legs, read off at each j.
+    over the legs, read off at each j.  Only the live rates L_i .. L_n
+    are read.
     """
     js = np.atleast_1d(np.asarray(j))
     if js.ndim != 1 or js.size == 0 or not (1 <= i <= js.min() and js.max() <= cfg.n):
@@ -131,24 +140,35 @@ def still_alive_european(cfg: ModelConfig, x: np.ndarray, i: int, j, br=None):
     if np.ndim(j) == 0 and j == i:
         spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
         return swaption_payoff(cfg.delta, x, spec)
-    tau = cfg.tenor[js - 1] - cfg.tenor[i - 1]
-    j0 = js - 1
-    br = bond_ratios(cfg.delta, x) if br is None else br
-    u = cfg.delta * br
+    live = x[..., i - 1:]
+    out = _europeans(cfg, i, js, live, bond_ratios(cfg.delta[i - 1:], live))
+    return out if np.ndim(j) else out[..., 0]
+
+
+def _europeans(cfg: ModelConfig, i: int, js: np.ndarray, x: np.ndarray, br: np.ndarray):
+    """:func:`still_alive_european` at T_i for the indices ``js``, on the live block.
+
+    ``x`` holds the live rates L_i .. L_n at T_i and ``br`` their bond
+    ratios; the trailing model ``cfg.vs.trailing(i - 1)`` is theirs
+    alone, so no earlier rate enters.  Returns one column per index.
+    """
+    first = i - 1
+    tau = cfg.tenor[js - 1] - cfg.tenor[first]
+    j0 = js - i  # columns of the live block
+    u = cfg.delta[first:] * br
     if cfg.payoff_style == "per_leg":
-        out = np.stack([
-            np.sum(u[..., k:] * black76(x[..., k:], cfg.strike, cfg.vol[k:] * math.sqrt(t)),
-                   axis=-1)
+        vol = cfg.vol[first:]
+        return np.stack([
+            np.sum(u[..., k:] * black76(x[..., k:], cfg.strike, vol[k:] * math.sqrt(t)), axis=-1)
             for k, t in zip(j0, tau)
         ], axis=-1)
-    else:
-        ux = u * x
-        quad = ux * (ux * cfg.vs.a_diag + 2.0 * (ux @ cfg.vs.a_upper.T))
-        annuity, floating, quad = (
-            np.cumsum(c[..., ::-1], axis=-1)[..., ::-1][..., j0] for c in (u, ux, quad))
-        v = np.sqrt(tau * quad) / floating
-        out = annuity * black76(floating / annuity, cfg.strike, v)
-    return out if np.ndim(j) else out[..., 0]
+    vs = cfg.vs.trailing(first)
+    ux = u * x
+    quad = ux * (ux * vs.a_diag + 2.0 * (ux @ vs.a_upper.T))
+    annuity, floating, quad = (
+        np.cumsum(c[..., ::-1], axis=-1)[..., ::-1][..., j0] for c in (u, ux, quad))
+    v = np.sqrt(tau * quad) / floating
+    return annuity * black76(floating / annuity, cfg.strike, v)
 
 
 def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray, floor=None):
@@ -165,23 +185,27 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray, floor=None):
     study, the clipped variant stalls several basis points below the
     strictly-future one.
 
-    With a ``floor`` (the threshold the caller compares against), the
-    Europeans are priced only on the rows whose intrinsic reaches it:
-    in IEEE arithmetic fl(a - x) <= a for x >= 0, so no other row can
-    fire.  Those rows report their intrinsic, which stays below the
-    floor.  Without one, every row gets its full trigger.
+    Both read only the live rates L_i .. L_n at tenor index i, and one
+    pass of bond ratios over them serves the intrinsic value and the
+    Europeans.  With a ``floor`` (the threshold the caller compares
+    against), the Europeans are priced only on the rows whose intrinsic
+    reaches it: in IEEE arithmetic fl(a - x) <= a for x >= 0, so no
+    other row can fire.  Those rows report their intrinsic, which stays
+    below the floor.  Without one, every row gets its full trigger.
     """
     i = indices[k]
-    spec = SwaptionSpec(strike=cfg.strike, first_leg=i, style=cfg.payoff_style)
-    intrinsic = swaption_payoff(cfg.delta, states, spec)
+    x = states[:, i - 1:]
+    d = cfg.delta[i - 1:]
+    br = bond_ratios(d, x)
+    intrinsic = _payoff_from_ratios(d, x, br, cfg.strike, cfg.payoff_style)
     later = indices[k + 1:]
     if not later:
         return intrinsic, intrinsic
     rows = slice(None) if floor is None else np.flatnonzero(intrinsic >= floor)
     trig = intrinsic.copy()
-    x = states[rows]
+    x, br = x[rows], br[rows]
     if x.shape[0]:
-        best = still_alive_european(cfg, x, i, later, bond_ratios(cfg.delta, x))
+        best = _europeans(cfg, i, np.asarray(later), x, br)
         trig[rows] -= np.maximum(best.max(axis=-1), 0.0)
     return intrinsic, trig
 

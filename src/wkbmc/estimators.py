@@ -210,7 +210,7 @@ def _one_shot(pair, z: np.ndarray, payoff=None):
     zeta = np.empty(z.shape)
     w = np.empty(rows)
     wf = None if payoff is None else np.empty(rows)
-    for part in mc.row_slices(rows):
+    for part in mc.row_slices(*z.shape):
         zc = pair.draw(z[part])
         wc = np.exp(pair.log_weight(zc))
         zeta[part] = zc
@@ -237,7 +237,7 @@ def _proxy_transition(vs, delta: np.ndarray, dt: float, anchor: np.ndarray):
 
     def leap(x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         lw = np.empty(x.shape[0])
-        for part in mc.row_slices(x.shape[0]):
+        for part in mc.row_slices(*x.shape):
             proxy = make_proxy(vs, delta, 0.0, dt, x[part])
             zeta = sample_g(proxy, z[part])
             kappa = proxy.mean_shift @ vs.gamma_inv.T

@@ -313,7 +313,7 @@ def evolve_log_euler(
     vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
     ks = [np.log(np.asarray(g, dtype=np.float64)[:, first:]) for g in group]
     z = np.empty(ks[0].shape)
-    parts = mc.row_slices(z.shape[0])
+    parts = mc.row_slices(*z.shape)
     for _ in range(n_steps):
         rng.standard_normal(z.shape, out=z)
         for part in parts:

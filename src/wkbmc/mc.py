@@ -12,7 +12,8 @@ combine them in batch order, which makes totals bit-identical no matter
 how the batches were scheduled.  That is what lets ``map_batches`` run
 the batches of every loop at once, one thread per usable CPU, with
 results bit-identical to a serial run.  Inside a batch, every per-row
-kernel works in the cache-sized slices of ``row_slices``.
+kernel works in the cache-sized slices of ``row_slices``, sized by the
+number of entries they hold.
 """
 from __future__ import annotations
 
@@ -24,12 +25,19 @@ import numpy as np
 #: random number mapping never depends on memory pressure or equipment.
 BATCH = 1 << 14
 
-#: Rows evaluated together inside one batch.  A (16384, 19) float64
+#: Rows evaluated together inside one batch at the case study's 19
+#: rates; :func:`row_slices` holds every slice to the same element
+#: count, ``CHUNK * 19``, whatever its width.  A (16384, 19) float64
 #: temporary is 2.5 MB, more than a 2 MiB L2 cache, so elementwise
 #: chains over a whole batch stream from memory.  Per-batch time of
 #: draw, weight and payoff was flat from 512 to 2048 rows per chunk and
-#: twice as high at 4096.  The one-shot weight and the log-Euler step
-#: both work in the slices :func:`row_slices` cuts.
+#: twice as high at 4096.  A narrow block in 1024-row slices pays the
+#: per-call overhead instead: a bump pair's log-Euler step on a batch
+#: cost 92 ns per entry at width 1 against 38 ns at width 19, and 56 ns
+#: at width 1 in slices of ``CHUNK * 19`` entries (2-vCPU Xeon, numpy
+#: 2.4, one BLAS thread).  The one-shot weight, the continuation's
+#: proxy leap and the log-Euler step all work in the slices
+#: :func:`row_slices` cuts.
 CHUNK = 1024
 
 # Stream labels.  One logical purpose per stream, shared by every
@@ -60,14 +68,17 @@ def rng_for(seed: int, batch_index: int, stream: int = STREAM_XI) -> np.random.G
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def row_slices(rows: int) -> list[slice]:
-    """``CHUNK``-row slices of ``rows`` rows, none of them a lone row.
+def row_slices(rows: int, width: int) -> list[slice]:
+    """Slices of ``rows`` rows of ``width`` entries, none of them a lone row.
 
-    A lone row would go through BLAS's matrix-vector product, whose sums
-    can differ in the last bit from the matrix-matrix product that rows
-    in a block get, so a one-row tail joins the slice before it.
+    Each slice holds about ``CHUNK * 19`` entries: ``CHUNK`` rows at
+    the case study's 19 rates, proportionally more rows when fewer rates
+    are live.  Every row's arithmetic is its own, so the cuts move no
+    result.  A lone row would go through BLAS's matrix-vector product,
+    whose sums can differ in the last bit from the matrix-matrix product
+    that rows in a block get, so a one-row tail joins the slice before it.
     """
-    cuts = list(range(0, rows, CHUNK)) + [rows]
+    cuts = list(range(0, rows, max(CHUNK * 19 // width, 2))) + [rows]
     if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
         del cuts[-2]
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]

@@ -62,14 +62,29 @@ def bond_ratios(delta: np.ndarray, L: np.ndarray) -> np.ndarray:
     axes of ``L``.
     """
     g = 1.0 + delta * L
-    suffix = np.cumprod(g[..., ::-1], axis=-1)[..., ::-1]
-    out = np.ones_like(g)
-    out[..., :-1] = suffix[..., 1:]
+    out = np.empty_like(g)
+    out[..., -1] = 1.0
+    np.cumprod(g[..., :0:-1], axis=-1, out=out[..., -2::-1])
     return out
+
+
+def _payoff_from_ratios(d: np.ndarray, L: np.ndarray, br: np.ndarray, strike: float, style: str):
+    """Deflated payoff of the legs ``d``, ``L`` whose bond ratios ``br`` are at hand.
+
+    All three cover the same legs, the first one the first leg paid;
+    a caller that needs the ratios for more than the payoff builds them
+    once and passes them here.
+    """
+    if style == "per_leg":
+        return np.sum(br * d * np.maximum(L - strike, 0.0), axis=-1)
+    return np.maximum(np.sum(br * d * (L - strike), axis=-1), 0.0)
 
 
 def swaption_payoff(delta: np.ndarray, L: np.ndarray, spec: SwaptionSpec) -> np.ndarray:
     """Deflated payer-swaption payoff at its exercise date.
+
+    The bond ratios of the paid legs read only the rates from
+    ``first_leg`` on, so no earlier rate is touched.
 
     Parameters
     ----------
@@ -83,13 +98,9 @@ def swaption_payoff(delta: np.ndarray, L: np.ndarray, spec: SwaptionSpec) -> np.
     ndarray, shape (...,)
     """
     j0 = spec.first_leg - 1
-    br = bond_ratios(delta, L)[..., j0:]
     d = delta[j0:]
     lj = L[..., j0:]
-    if spec.style == "per_leg":
-        return np.sum(br * d * np.maximum(lj - spec.strike, 0.0), axis=-1)
-    legs = np.sum(br * d * (lj - spec.strike), axis=-1)
-    return np.maximum(legs, 0.0)
+    return _payoff_from_ratios(d, lj, bond_ratios(d, lj), spec.strike, spec.style)
 
 
 def swaption_payoff_grad(delta: np.ndarray, L: np.ndarray, spec: SwaptionSpec) -> np.ndarray:

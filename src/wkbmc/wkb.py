@@ -432,12 +432,22 @@ def libor_r0(vs: VolStructure, delta: np.ndarray, z: np.ndarray, y: np.ndarray) 
 #: Gauss-Legendre nodes of the Libor c_1 segment integral.
 _C1_NODES = 16
 
+#: Gauss-Legendre nodes of the c_1 integrals in libor_c1_taylor2.  Its
+#: stencil segments are about 1e-4 long, so the integrand is a
+#: polynomial of low degree to far below the difference's rounding.
+#: Against ``_C1_NODES`` nodes, at 4 and 19 rates, the value agrees to
+#: 1e-13 and the gradient to 4e-11 relative, and the Hessian moves by
+#: 3e-6 of its largest entry, as much as a 10% change of the difference
+#: step moves it (1.3e-6 to 1.7e-6): the difference's own rounding.
+_STENCIL_NODES = 4
+
 #: Stencil points per c_1 evaluation in libor_c1_taylor2.  With
-#: ``_C1_NODES`` nodes that is 512 (point, node) rows, whose temporaries
-#: stay in a 2 MiB L2 cache; for the 381-point stencil of 19 rates,
-#: 16-128 points per call built the kernel in 22-33 ms against 36-43 ms
-#: for one call over all of them (2-vCPU Xeon, numpy 2.4).
-_STENCIL_CHUNK = 32
+#: ``_STENCIL_NODES`` nodes that is 384 (point, node) rows, whose
+#: temporaries stay in a 2 MiB L2 cache; for the 381-point stencil of
+#: 19 rates, 64-96 points per call built the kernel in a median 6 ms,
+#: 128 points in 7 ms and one call over all of them in 8 ms (2-vCPU
+#: Xeon, numpy 2.4, one BLAS thread).
+_STENCIL_CHUNK = 96
 
 #: Relative central-difference step of libor_c1_taylor2.
 _TAYLOR_REL_STEP = 1e-4
@@ -464,7 +474,8 @@ def libor_c1_taylor2(
 
     which has the O(eps^2) error of the four-point rule at 1 + n^2
     points instead of 1 + 2n^2.  The c_1 evaluations are batched into
-    quadrature calls of ``_STENCIL_CHUNK`` points each.  Returns (value,
+    quadrature calls of ``_STENCIL_CHUNK`` points each, on
+    ``_STENCIL_NODES`` nodes.  Returns (value,
     gradient, Hessian), the Hessian symmetric by construction.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -475,8 +486,9 @@ def libor_c1_taylor2(
     pair = axis[iu] + axis[ju]
     ys = x + np.concatenate([np.zeros((1, n)), axis, -axis, pair, -pair])
 
+    r0 = partial(libor_r0, vs, delta)
     vals = np.concatenate([
-        libor_c1(vs, delta, x, ys[lo : lo + _STENCIL_CHUNK])
+        _c1_quadrature(r0, x, ys[lo : lo + _STENCIL_CHUNK], _STENCIL_NODES)
         for lo in range(0, ys.shape[0], _STENCIL_CHUNK)
     ])
     f0 = float(vals[0])

@@ -137,6 +137,107 @@ class TestStillAliveEuropean:
         assert abs(sae / nested - 1.0) < 0.02
 
 
+def full_width_bond_ratios(delta, x):
+    """Bond ratios over every rate, built from a reversed suffix copy."""
+    g = 1.0 + delta * x
+    suffix = np.cumprod(g[..., ::-1], axis=-1)[..., ::-1]
+    out = np.ones_like(g)
+    out[..., :-1] = suffix[..., 1:]
+    return out
+
+
+def masked_black76(f, k, v):
+    """Black-76 with every entry masked, live or not."""
+    from scipy.special import ndtr
+    f, k, v = (np.asarray(a, dtype=np.float64) for a in (f, k, v))
+    live = (v > 0.0) & (f > 0.0) & (k > 0.0)
+    fs, ks, vs = (np.where(live, a, 1.0) for a in (f, k, v))
+    d1 = np.log(fs / ks) / vs + 0.5 * vs
+    return np.where(live, fs * ndtr(d1) - ks * ndtr(d1 - vs), np.maximum(f - k, 0.0))
+
+
+def full_width_payoff(cfg, x, i):
+    """Intrinsic value at T_i from the bond ratios of all n rates."""
+    br, d, lj = full_width_bond_ratios(cfg.delta, x)[..., i - 1:], cfg.delta[i - 1:], x[..., i - 1:]
+    if cfg.payoff_style == "per_leg":
+        return np.sum(br * d * np.maximum(lj - cfg.strike, 0.0), axis=-1)
+    return np.maximum(np.sum(br * d * (lj - cfg.strike), axis=-1), 0.0)
+
+
+def full_width_europeans(cfg, x, i, js):
+    """Still-alive Europeans at T_i with every array over all n rates."""
+    js = np.asarray(js)
+    tau = cfg.tenor[js - 1] - cfg.tenor[i - 1]
+    j0 = js - 1
+    u = cfg.delta * full_width_bond_ratios(cfg.delta, x)
+    if cfg.payoff_style == "per_leg":
+        return np.stack([
+            np.sum(u[..., k:] * masked_black76(x[..., k:], cfg.strike, cfg.vol[k:] * np.sqrt(t)),
+                   axis=-1)
+            for k, t in zip(j0, tau)
+        ], axis=-1)
+    ux = u * x
+    quad = ux * (ux * cfg.vs.a_diag + 2.0 * (ux @ cfg.vs.a_upper.T))
+    annuity, floating, quad = (
+        np.cumsum(c[..., ::-1], axis=-1)[..., ::-1][..., j0] for c in (u, ux, quad))
+    v = np.sqrt(tau * quad) / floating
+    return annuity * masked_black76(floating / annuity, cfg.strike, v)
+
+
+def full_width_trigger(cfg, indices, k, states, floor=None):
+    """``_trigger`` over all n rates, bond ratios built twice for the priced rows."""
+    i = indices[k]
+    intrinsic = full_width_payoff(cfg, states, i)
+    later = indices[k + 1:]
+    if not later:
+        return intrinsic, intrinsic
+    rows = slice(None) if floor is None else np.flatnonzero(intrinsic >= floor)
+    trig = intrinsic.copy()
+    x = states[rows]
+    if x.shape[0]:
+        trig[rows] -= np.maximum(full_width_europeans(cfg, x, i, later).max(axis=-1), 0.0)
+    return intrinsic, trig
+
+
+class TestLiveBlock:
+    """The trigger and the Europeans read L_i .. L_n alone, bit for bit.
+
+    The oracle is the full-width form: bond ratios, quadratic form and
+    reversed sums over all n rates, the Black-76 masks always applied.
+    """
+
+    @staticmethod
+    def states(cfg, k, rows=1500):
+        date = cfg.tenor_date(cfg.exercise_indices[k])
+        z = np.random.default_rng(k).standard_normal((rows, cfg.n))
+        return cfg.l0 * np.exp(np.sqrt(date) * (z @ cfg.vs.gamma.T))
+
+    @pytest.mark.parametrize("style", ["on_sum", "per_leg"])
+    @pytest.mark.parametrize("t1", [1.0, 10.0])
+    def test_trigger_matches_full_width(self, t1, style):
+        cfg = case_cfg(t1=t1, payoff_style=style)
+        indices, thresholds = cfg.exercise_indices, case_policy(t1).thresholds
+        for k in range(len(indices)):
+            x = self.states(cfg, k)
+            for floor in (None, thresholds[k]):
+                got = brm._trigger(cfg, indices, k, x, floor)
+                want = full_width_trigger(cfg, indices, k, x, floor)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, floor)
+
+    @pytest.mark.parametrize("style", ["on_sum", "per_leg"])
+    @pytest.mark.parametrize("t1", [1.0, 10.0])
+    def test_still_alive_european_matches_full_width(self, t1, style):
+        cfg = case_cfg(t1=t1, payoff_style=style)
+        indices = cfg.exercise_indices
+        for k, i in enumerate(indices):
+            x = self.states(cfg, k)
+            assert np.array_equal(brm.still_alive_european(cfg, x, i, i),
+                                  full_width_payoff(cfg, x, i))
+            js = list(indices[k:])  # a j = i inside the sequence too
+            assert np.array_equal(brm.still_alive_european(cfg, x, i, js),
+                                  full_width_europeans(cfg, x, i, js))
+
+
 class TestPolicyObject:
     def make(self, **kw):
         args = dict(
@@ -406,6 +507,15 @@ class TestBermudanPricing:
         assert a == b
         assert a.value != c.value
 
+    def test_slicing_moves_no_row(self, monkeypatch):
+        # the one-shot draw, its weights and every gap's proxy leap work
+        # row by row, so other slice sizes give the same bits
+        runs = []
+        for chunk in (mc.CHUNK, 37):
+            monkeypatch.setattr(mc, "CHUNK", chunk)
+            runs.append(brm.bermudan_price(case_cfg(), case_policy(), level=1, m=2048, seed=7))
+        assert runs[0] == runs[1]
+
 
 def minor_faults(call):
     """Minor page faults of one ``call()``, after a warm-up call."""
@@ -478,12 +588,12 @@ class TestBermudanDelta:
 #: moves them far beyond 1e-12, and a change to a level-1 kernel's
 #: Taylor data moves them past it too.
 GOLDEN_FREQUENCIES = [
-    0.10009192951534962, 0.08760610673883445, 0.06709189109674403,
-    0.0738732402922404, 0.06940461281886265, 0.04722350298206989,
-    0.19209542810712565, 0.04048366486754163, 0.04863482492913187,
-    0.27349479865209986, 0.0,
+    0.10009192956607864, 0.08760610676514373, 0.06709189110422993,
+    0.07387324029065277, 0.06940461281090661, 0.04722350297534786,
+    0.19209542808233598, 0.04048366486215482, 0.04863482492507892,
+    0.2734947986180707, 0.0,
 ]
-GOLDEN_DISAGREEMENT = 0.0006715417232654293
+GOLDEN_DISAGREEMENT = 0.0006715417231738676
 
 
 class TestGoldenContinuation:
@@ -721,13 +831,13 @@ class TestPrunedTrigger:
         zetas = [est.anchored_libor_pair(cfg, cfg.t1, 1, x).draw(z)
                  for x in est._bumped(cfg.l0, i, h)]
         priced = []
-        still_alive = brm.still_alive_european
+        europeans = brm._europeans
 
-        def counted(cfg, x, *args):
+        def counted(cfg, i, js, x, br):
             priced[-1] += x.shape[0]
-            return still_alive(cfg, x, *args)
+            return europeans(cfg, i, js, x, br)
 
-        monkeypatch.setattr(brm, "still_alive_european", counted)
+        monkeypatch.setattr(brm, "_europeans", counted)
         walk = brm._walker(cfg, pol, 1)
         runs = []
         for trigger in (TRIGGER, unpruned_trigger):

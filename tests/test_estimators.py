@@ -320,20 +320,20 @@ class TestVarianceAudit:
         # only to the agreement of its closed form with finite differences
         cfg = case_cfg()
         rep = est.variance_audit(est.european_inputs(cfg, 1, m=4000, seed=2, h=3.5e-5))
-        assert_allclose(rep.lhs, 4.5227404978958505, rtol=1e-12, atol=0.0)
-        assert_allclose(rep.terms[0], 249.14446830627008, rtol=1e-12, atol=0.0)
-        assert_allclose(rep.terms[1], 0.0533892100537658, rtol=1e-12, atol=0.0)
-        assert_allclose(rep.terms[2], 2.684075168136393, rtol=1e-5, atol=0.0)
+        assert_allclose(rep.lhs, 4.522740462527176, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[0], 249.14446824806944, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[1], 0.0533891788499879, rtol=1e-12, atol=0.0)
+        assert_allclose(rep.terms[2], 2.684075035786515, rtol=1e-5, atol=0.0)
         want = {
             "u@6": 0.11529377795914163,
             "u@8": 0.14049850978075748,
             "du@6": 2.3798999323848338,
             "jac@6": 4.689494974724139,
             "jac@8": 4.815552646338011,
-            "w@6": 1.0000595356537174,
-            "w@8": 1.0000730384620782,
-            "m5@6": 1.0019937814181996,
-            "m6@8": 1.21064766673837,
+            "w@6": 1.0000595355369095,
+            "w@8": 1.0000730383448335,
+            "m5@6": 1.0019934887232969,
+            "m6@8": 1.2106476370322046,
         }
         assert rep.norms.keys() == want.keys()
         for key, value in want.items():
@@ -511,19 +511,23 @@ class TestEulerReference:
 # generator, the sample -> normal mapping, the stream of a draw, the rows
 # a continuation gap or step draws for, the batch split or the reduction
 # order) moves these far beyond 1e-12.  Any change to the level-1
-# kernel's Taylor data (the c_1 stencil, its steps, its position term or
-# the arithmetic of the segment averages it integrates) moves every
-# weighted value here past 1e-12 too, and none of the Euler ones.  The
-# level-1 Bermudan ESS and largest weight are those of the path weights.
+# kernel's Taylor data (the c_1 stencil, its steps, its quadrature order,
+# its position term or the arithmetic of the segment averages it
+# integrates) moves every weighted value here past 1e-12 too, and none
+# of the Euler ones: the 4-node stencil rule that replaced 16 nodes
+# moved the weighted values by at most 1.5e-5 sd.  Neither the size of
+# the row slices nor the trigger's reading of the live rates alone
+# moves any bit.  The level-1 Bermudan ESS and largest weight are those
+# of the path weights.
 GOLDEN = {
-    "price": (183.19767114459938, 2.375896165081063, 16389, 16388.760669835297, 1.0144357030721658),
-    "delta_fd": (1794.2335494984882, 15.593210411706139, 16389, 16388.760669806055, 1.014438366591374),
-    "gamma_fd_diag": (7224.1661992259715, 1108.4518041228073, 16389, None, None),
-    "gamma_fd_cross": (15463.399807577529, 1177.9405100877525, 16389, None, None),
+    "price": (183.1976711289868, 2.3758961649957464, 16389, 16388.760669842784, 1.0144357026271185),
+    "delta_fd": (1794.2337707884244, 15.593212890449143, 16389, 16388.760669820815, 1.0144383662305567),
+    "gamma_fd_diag": (7224.155033377671, 1108.4518107638899, 16389, None, None),
+    "gamma_fd_cross": (15463.409679033386, 1177.9405008179979, 16389, None, None),
     "euler_price": (178.82009576954667, 2.3508268975571323, 16389, np.nan, 1.0),
     "euler_delta_fd": (1767.5675815557393, 15.535185517754707, 16389, np.nan, 1.0),
-    "bermudan_price": (347.0104757725637, 8.823099330401275, 2048, 2047.9069786610478, 1.0257804105971644),
-    "bermudan_delta_fd": (2811.3836854973542, 50.352941311986775, 2048, 2047.9075163485657, 1.034726601558787),
+    "bermudan_price": (347.0104756541639, 8.82309932811761, 2048, 2047.9069786671091, 1.0257804091161433),
+    "bermudan_delta_fd": (2811.384369634182, 50.35295534140029, 2048, 2047.9075163551945, 1.034726601093311),
     "euler_bermudan_price": (342.8072025042409, 8.949181788196626, 2048, np.nan, 1.0),
     "euler_bermudan_delta_fd": (2809.9466083064353, 51.544717402633495, 2048, np.nan, 1.0),
 }

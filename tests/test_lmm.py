@@ -133,6 +133,19 @@ class TestLogEuler:
         for got, k in zip(stepped, ks):
             assert np.array_equal(got, np.exp(k))
 
+    def test_slicing_moves_no_row(self, monkeypatch):
+        # each row's step is its own arithmetic, so a narrow live block
+        # ends bit for bit where it ends in slices of another size
+        cfg = case_cfg(n=19)
+        x = np.random.default_rng(8).uniform(0.02, 0.05, size=(3000, cfg.n))
+        runs = []
+        for chunk in (mc.CHUNK, 37):
+            monkeypatch.setattr(mc, "CHUNK", chunk)
+            runs.append(lmm.evolve_log_euler(cfg, [x, 1.01 * x], 6, 0.05,
+                                             mc.rng_for(8, 0, mc.STREAM_CONT), first=17))
+        assert len(mc.row_slices(3000, 2)) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
     @pytest.mark.parametrize("first", [1, 6, 18])
     def test_live_block_steps_only_its_rates(self, first):
         # the rates before ``first`` come back untouched, the live ones as a

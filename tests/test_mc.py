@@ -29,6 +29,35 @@ class TestRngFor:
             mc.rng_for(7, -1)
 
 
+def chunk_row_cuts(rows):
+    """``CHUNK``-row slices, a lone tail row joined to the slice before it."""
+    cuts = list(range(0, rows, mc.CHUNK)) + [rows]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize("width", [1, 2, 7, 18, 19, 40])
+    @pytest.mark.parametrize("rows", [1, 2, 1023, 1025, 2 * mc.CHUNK + 1, 19457, mc.BATCH + 1])
+    def test_every_row_once_and_no_lone_row(self, rows, width):
+        parts = mc.row_slices(rows, width)
+        covered = np.concatenate([np.arange(rows)[p] for p in parts])
+        assert np.array_equal(covered, np.arange(rows))
+        assert rows == 1 or all(p.stop - p.start > 1 for p in parts)
+        # each slice holds the entries of CHUNK rows of 19 rates, plus at
+        # most one tail row
+        assert all((p.stop - p.start - 1) * width <= mc.CHUNK * 19 for p in parts)
+
+    @pytest.mark.parametrize("rows", [1, 2, 1024, 1025, 2 * mc.CHUNK + 1, 5000, mc.BATCH])
+    def test_full_width_cuts_chunk_rows(self, rows):
+        assert mc.row_slices(rows, 19) == chunk_row_cuts(rows)
+
+    def test_narrow_blocks_get_wider_slices(self):
+        assert [p.stop - p.start for p in mc.row_slices(mc.BATCH, 2)] == [9728, 6656]
+        assert mc.row_slices(mc.BATCH, 1) == [slice(0, mc.BATCH)]
+
+
 class TestMomentAccumulator:
     def test_standard_error_far_from_zero(self):
         # a one-pass s2/m - mean^2 loses every digit of a unit variance
@@ -49,13 +78,20 @@ class TestMomentAccumulator:
 class TestMapBatches:
     def test_results_in_batch_order(self, monkeypatch):
         # early batches sleep longest, so later ones finish first; the
-        # results still come back in batch order
+        # results still come back in batch order.  The earlier batches
+        # start their sleeps only once the last one has finished, so a
+        # late thread start on a busy machine cannot reorder the finish
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
         finished = []
+        last_done = threading.Event()
 
         def fn(bi, lo, hi):
-            time.sleep(0.05 * (3 - bi))
+            if bi < 3:
+                assert last_done.wait(10.0)
+                time.sleep(0.05 * (3 - bi))
             finished.append(bi)
+            if bi == 3:
+                last_done.set()
             return bi, lo, hi
 
         assert mc.map_batches(fn, 3 * mc.BATCH + 7) == mc.batch_slices(3 * mc.BATCH + 7)

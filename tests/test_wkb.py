@@ -418,14 +418,31 @@ class TestTaylorSurrogate:
         ref = four_point_hessian(cfg.vs, cfg.delta, x)
         assert np.max(np.abs(hess - ref)) <= 1e-5 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [4, 19])
+    def test_stencil_order_matches_sixteen_nodes(self, n, monkeypatch):
+        # the stencil segments are about 1e-4 long, so a 4-node rule
+        # integrates them to the difference's own rounding floor
+        cfg = case_cfg(n=n)
+        x = lmm.to_y(cfg.vs, cfg.l0)
+        f0, grad, hess = wkb.libor_c1_taylor2(cfg.vs, cfg.delta, x)
+        monkeypatch.setattr(wkb, "_STENCIL_NODES", wkb._C1_NODES)
+        ref_f0, ref_grad, ref_hess = wkb.libor_c1_taylor2(cfg.vs, cfg.delta, x)
+        assert wkb._C1_NODES == 16
+        assert_allclose(f0, ref_f0, rtol=1e-13, atol=0.0)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-9 * np.max(np.abs(ref_grad))
+        assert np.max(np.abs(hess - ref_hess)) <= 1e-5 * np.max(np.abs(ref_hess))
+
     def test_quadrature_nodes_are_shared_and_read_only(self):
-        nodes, weights = wkb._gauss_legendre_01(16)
-        again = wkb._gauss_legendre_01(16)
-        assert again[0] is nodes
-        assert again[1] is weights
-        for table in (nodes, weights):
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+        assert wkb._STENCIL_NODES == 4
+        for order in (wkb._C1_NODES, wkb._STENCIL_NODES):
+            nodes, weights = wkb._gauss_legendre_01(order)
+            again = wkb._gauss_legendre_01(order)
+            assert nodes.shape == (order,)
+            assert again[0] is nodes
+            assert again[1] is weights
+            for table in (nodes, weights):
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
 
     def test_cubic_remainder(self):
         # below t ~ 1 the remainder drowns in the stencil's own noise,
