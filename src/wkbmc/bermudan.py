@@ -9,12 +9,14 @@ exactly as in the European case, or log-Euler from time zero at
 ``level="euler"``, the validation oracle), and the policy
 (``_run_policy``) continues it through the dates on the walk that
 ``_walker`` picks for the head.  After a one-shot head ("lgn", 0 or 1)
-each gap is crossed as the head crossed [0, T1]: one draw of the live
-rates from the lognormal proxy anchored at the row's own state,
-weighted by a level-1 kernel (``estimators._proxy_transition``),
-whatever the head's level.  A path's weight is its head weight times
-its transition weights up to its stop.  After the Euler head the walk
-goes on in fine log-Euler steps (``_walk_dates``) and weighs nothing.
+each gap is crossed as the head crossed [0, T1], by the same anchored
+pair with its start one state per row instead of one for all rows: one
+draw of the live rates from the lognormal proxy anchored at the row's
+own state, weighted by a level-1 kernel built at l0's trailing block
+(``estimators._proxy_transition``), whatever the head's level.  A
+path's weight is its head weight times its transition weights up to
+its stop.  After the Euler head the walk goes on in fine log-Euler
+steps (``_walk_dates``) and weighs nothing.
 ``_continued`` joins the two into one head of the batch driver:
 prices and Deltas reduce its payoffs, and the diagnostics read its
 stops, each path counted with its path weight.  Thresholds are fitted

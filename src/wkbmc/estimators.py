@@ -18,11 +18,11 @@ shared normals: the weighted one-shot draw, log-Euler from time zero,
 or (for `naive_delta`) one frozen draw that every member only
 reweights; `explosion_demo` has a toy head, and ``bermudan`` one that
 follows an exercise policy from the first date, crossing each later
-gap with ``_proxy_transition``: the one-shot draw and weight with one
-start state per row.  Every batch loop is one ``mc.map_batches`` call:
-``_estimate``'s, `variance_audit`'s (the bound's norms), the Bermudan
-diagnostics' (stops) and `calibrate_policy`'s (states at every exercise
-date).  So the batches of each run at once, one thread per usable CPU,
+gap with ``_proxy_transition``: the same ``AnchoredPair`` draw and
+weight, its start one state per row instead of one for all rows.
+Every batch loop is one ``mc.map_batches`` call: ``_estimate``'s,
+`variance_audit`'s (the bound's norms), the Bermudan diagnostics'
+(stops) and `calibrate_policy`'s (states at every exercise date).  So the batches of each run at once, one thread per usable CPU,
 with results bit-identical to a serial run.
 
 Also here: the second-moment audit that checks the variance bound the
@@ -47,13 +47,7 @@ from .proxy import (
     make_proxy,
     sample_g,
 )
-from .wkb import (
-    WkbKernel,
-    grad_log_weight_y,
-    log_weight_y,
-    make_libor_kernel,
-    wkb_log_density_libor,
-)
+from .wkb import WkbKernel, grad_log_weight_y, log_weight_y, make_libor_kernel
 
 __all__ = [
     "McResult",
@@ -95,10 +89,13 @@ class McResult:
 
 @dataclass(frozen=True)
 class AnchoredPair:
-    """Sampler and density evaluators tied to one anchor state.
+    """Sampler and density evaluators tied to the proxy's start state.
 
-    ``kernel`` None means the proxy itself is the density model, so the
-    importance weights are identically one.
+    The start, ``proxy.anchor``, is one state shared by every row of
+    draws or one state per row.  ``kernel`` None means the proxy itself
+    is the density model, so the importance weights are identically
+    one; otherwise the kernel may be built at another state, whose
+    c_1 surrogate re-centres at the start (see ``WkbKernel.c1_taylor``).
     """
 
     proxy: LognormalProxy
@@ -109,14 +106,19 @@ class AnchoredPair:
         """The proxy's mean shift in flat coordinates."""
         return self.proxy.mean_shift @ self.proxy.vs.gamma_inv.T
 
+    def _flat(self, zeta: np.ndarray):
+        """(y, kappa, start) in flat coordinates, for the weight's formulas."""
+        vs = self.proxy.vs
+        return to_y(vs, zeta), self.kappa, to_y(vs, self.proxy.anchor)
+
     def draw(self, z: np.ndarray) -> np.ndarray:
         return sample_g(self.proxy, z)
 
     def log_weight(self, zeta: np.ndarray) -> np.ndarray:
+        """ln(p / phi) at the draws ``zeta``; ln p is this plus :meth:`log_proxy`."""
         if self.kernel is None:
             return np.zeros(zeta.shape[:-1])
-        y = to_y(self.kernel.vs, zeta)
-        return log_weight_y(self.kernel, self.proxy.dt, y, self.kappa)
+        return log_weight_y(self.kernel, self.proxy.dt, *self._flat(zeta))
 
     def grad_log_weight(self, zeta: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`log_weight` in the rates, in closed form.
@@ -126,14 +128,8 @@ class AnchoredPair:
         """
         if self.kernel is None:
             return np.zeros(zeta.shape)
-        vs = self.kernel.vs
-        gy = grad_log_weight_y(self.kernel, self.proxy.dt, to_y(vs, zeta), self.kappa)
-        return (gy @ vs.gamma_inv) / zeta
-
-    def log_kernel(self, zeta: np.ndarray) -> np.ndarray:
-        if self.kernel is None:
-            return log_density(self.proxy, zeta)
-        return wkb_log_density_libor(self.kernel, self.proxy.dt, zeta)
+        gy = grad_log_weight_y(self.kernel, self.proxy.dt, *self._flat(zeta))
+        return (gy @ self.proxy.vs.gamma_inv) / zeta
 
     def log_proxy(self, zeta: np.ndarray) -> np.ndarray:
         return log_density(self.proxy, zeta)
@@ -223,25 +219,23 @@ def _one_shot(pair, z: np.ndarray, payoff=None):
 def _proxy_transition(vs, delta: np.ndarray, dt: float, anchor: np.ndarray):
     """One weighted proxy draw over ``dt`` from a start state per row.
 
-    Row r draws from the proxy frozen at its own start state x_r, and
-    its log weight is ln(p_1 / phi) of the level-1 kernel built once at
-    ``anchor``, whose c_1 surrogate re-centres at x_r (see
-    ``WkbKernel.c1_taylor``): the one-shot method of the first date,
-    with one anchor per row.  Returns ``leap(x, z, out)``, which fills
-    ``out`` with the draws from the start rates ``x`` on the standard
-    normals ``z`` (all (rows, n)) in ``mc.row_slices`` slices and
-    returns the log weights.  Members of a bump group pass the same
-    ``z`` and each re-anchors at its own states.
+    The one-shot method of the first date, with the pair's start one
+    state per row: row r draws from the proxy frozen at its own start
+    state x_r, weighted by the level-1 kernel built once at ``anchor``.
+    Returns ``leap(x, z, out)``, which fills ``out`` with the draws from
+    the start rates ``x`` on the standard normals ``z`` (all (rows, n))
+    in ``mc.row_slices`` slices and returns the log weights.  Members of
+    a bump group pass the same ``z`` and each re-anchors at its own
+    states.
     """
     kernel = make_libor_kernel(vs, delta, anchor, level=1)
 
     def leap(x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         lw = np.empty(x.shape[0])
         for part in mc.row_slices(*x.shape):
-            proxy = make_proxy(vs, delta, 0.0, dt, x[part])
-            zeta = sample_g(proxy, z[part])
-            kappa = proxy.mean_shift @ vs.gamma_inv.T
-            lw[part] = log_weight_y(kernel, dt, to_y(vs, zeta), kappa, to_y(vs, proxy.anchor))
+            pair = AnchoredPair(make_proxy(vs, delta, 0.0, dt, x[part]), kernel)
+            zeta = pair.draw(z[part])
+            lw[part] = pair.log_weight(zeta)
             out[part] = zeta
         return lw
 
@@ -291,8 +285,9 @@ def _one_shot_head(anchored, stencil):
 def _frozen_cloud_head(anchored, x: np.ndarray, stencil):
     """Head: one draw from the pair at ``x`` that every member reweights.
 
-    Member k weights the shared cloud by exp(log_kernel_k - log_proxy_0):
-    its kernel moves with the bump, the sampler does not.
+    Member k weights the shared cloud by p_k / phi_0, that is
+    exp(log_weight_k + log_proxy_k - log_proxy_0): its kernel moves
+    with the bump, the sampler does not.
     """
     pair0 = anchored(x)
     pairs = [anchored(a) for a, _ in stencil]
@@ -302,7 +297,7 @@ def _frozen_cloud_head(anchored, x: np.ndarray, stencil):
         z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
         zeta = pair0.draw(z)
         lphi = pair0.log_proxy(zeta)
-        w = [np.exp(p.log_kernel(zeta) - lphi) for p in pairs]
+        w = [np.exp(p.log_weight(zeta) + p.log_proxy(zeta) - lphi) for p in pairs]
         f = payoff(zeta)
         return [zeta] * len(w), w, [wk * f for wk in w], None
 
@@ -341,8 +336,8 @@ def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
     members' states die with their batch: held across batches they
     tripled a one-shot Delta's page faults.  ESS is m mean(w)^2 /
     mean(w^2), the moments pooled over every member's weights, so it
-    never exceeds m.  One sample has no spread to report, so ``m`` must
-    be at least two.
+    never exceeds m; a non-finite weight makes it NaN.  One sample has
+    no spread to report, so ``m`` must be at least two.
     """
     if m < 2:
         raise ValueError(f"need at least two samples, got {m}")
@@ -362,7 +357,7 @@ def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
         return McResult(value=mean, sd=sd, m=count, seed=seed)
     w_mean, w_sd_of_mean, w_count, w_max = wacc.finalize()
     denom = w_sd_of_mean**2 * w_count + w_mean**2
-    ess = count * w_mean**2 / denom if denom > 0.0 else float(count)
+    ess = float(count) if denom == 0.0 else count * w_mean**2 / denom
     return McResult(value=mean, sd=sd, m=count, seed=seed, max_weight=w_max, ess=ess)
 
 

@@ -43,9 +43,10 @@ class LognormalProxy:
     vs : VolStructure
     dt : float
         Step length t - s in years.
-    anchor : ndarray, shape (n,)
-        The start state x at which the coefficients are frozen.
-    mean_shift : ndarray, shape (n,)
+    anchor : ndarray, shape (n,) or (rows, n)
+        The start state x at which the coefficients are frozen: one
+        shared by every draw, or one per row of draws.
+    mean_shift : ndarray, the shape of ``anchor``
         E xi over the step.
     """
 
@@ -56,7 +57,7 @@ class LognormalProxy:
 
     @property
     def n(self) -> int:
-        return self.anchor.shape[0]
+        return self.anchor.shape[-1]
 
     @property
     def cov_factor(self) -> np.ndarray:
@@ -78,8 +79,8 @@ def make_proxy(
     if t <= s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
     anchor = np.asarray(anchor, dtype=np.float64)
-    if np.any(anchor <= 0.0):
-        raise ValueError("anchor rates must be positive")
+    if not np.all((anchor > 0.0) & np.isfinite(anchor)):
+        raise ValueError("anchor rates must be positive and finite")
     dt = float(t - s)
     mean = dt * (-0.5 * vs.a_diag + drift_mu(vs, delta, anchor))
     return LognormalProxy(vs=vs, dt=dt, anchor=anchor, mean_shift=mean)

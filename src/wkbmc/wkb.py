@@ -24,11 +24,15 @@ drift (closed quadrature forms, used by the toy oracles and
 cross-checks) and once in closed form for the Libor drift (used in
 production).  The c_1 segment integral exists once and serves both
 drifts.  In production c_1 is further replaced by its second-order
-Taylor polynomial around the anchor, so that density evaluation costs
-no quadrature per sample.  The same Taylor data serves start states
-near the anchor too (the Bermudan continuation starts each row at its
-own state): the polynomial is translated to the row's start and gains
-a first-order term in the start's offset from the anchor.
+Taylor polynomial around the kernel's anchor, so that density
+evaluation costs no quadrature per sample.  Production never forms the
+density itself, only its log ratio to the lognormal proxy started at
+the same state, ``log_weight_y``.  That start is always explicit: one
+state shared by every row (a draw from the anchor at time zero) or one
+per row (the Bermudan continuation starts each row at its own state).
+The Taylor data serves either: the polynomial is translated to the
+start and gains a first-order term in the start's offset from the
+anchor, zero at the anchor itself.
 """
 from __future__ import annotations
 
@@ -58,8 +62,6 @@ __all__ = [
     "libor_c1_taylor2",
     "WkbKernel",
     "make_libor_kernel",
-    "wkb_log_density_y",
-    "wkb_log_density_libor",
     "log_weight_y",
     "grad_log_weight_y",
 ]
@@ -527,8 +529,9 @@ def _libor_c1_position_grad(vs: VolStructure, delta: np.ndarray, x: np.ndarray) 
 class WkbKernel:
     """Anchored evaluator of the truncated density.
 
-    The anchor is the kernel's first argument (the simulation start
-    state); for level 1 the second-order coefficient is carried as its
+    The anchor is the state the Taylor data is taken at; every
+    evaluation names its start state, the anchor itself or states near
+    it.  For level 1 the second-order coefficient is carried as its
     Taylor polynomial around the anchor, precomputed once so that a
     density evaluation is quadrature-free.  ``c1_pos_grad`` is the
     gradient of c_1 in a start state moved off the anchor together with
@@ -544,31 +547,25 @@ class WkbKernel:
     c1_hess: np.ndarray | None = None
     c1_pos_grad: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return self.anchor_y.shape[0]
-
-    def c1_taylor(self, y: np.ndarray, start_y: np.ndarray | None = None) -> np.ndarray:
-        """The surrogate of c_1(start, y); the start defaults to the anchor.
+    def c1_taylor(self, y: np.ndarray, start_y: np.ndarray) -> np.ndarray:
+        """The surrogate of c_1(start, y), with one start or one per row.
 
         With d = y - start and p = start - anchor, row by row:
 
             c_1~ = c1_value + d . c1_grad + d' c1_hess d / 2 + p . c1_pos_grad,
 
         the quadratic in the displacement, translated to the start, plus
-        the first-order change of c_1 with the start's position.  Without
-        the last term the Bermudan continuation's Delta is biased.
+        the first-order change of c_1 with the start's position, which
+        vanishes at the anchor.  Without the last term the Bermudan
+        continuation's Delta is biased.
         """
-        y = np.asarray(y, dtype=np.float64)
-        d = y - (self.anchor_y if start_y is None else start_y)
-        out = (
+        d = np.asarray(y, dtype=np.float64) - start_y
+        return (
             self.c1_value
             + d @ self.c1_grad
             + 0.5 * np.sum((d @ self.c1_hess) * d, axis=-1)
+            + (start_y - self.anchor_y) @ self.c1_pos_grad
         )
-        if start_y is not None:
-            out = out + (start_y - self.anchor_y) @ self.c1_pos_grad
-        return out
 
 
 def make_libor_kernel(
@@ -581,8 +578,8 @@ def make_libor_kernel(
     if level not in (0, 1):
         raise ValueError(f"truncation level must be 0 or 1, got {level}")
     anchor_rates = np.asarray(anchor_rates, dtype=np.float64)
-    if np.any(anchor_rates <= 0.0):
-        raise ValueError("anchor rates must be positive")
+    if not np.all((anchor_rates > 0.0) & np.isfinite(anchor_rates)):
+        raise ValueError("anchor rates must be positive and finite")
     anchor_y = to_y(vs, anchor_rates)
     delta = np.asarray(delta, dtype=np.float64)
     c1v = c1g = c1h = c1p = None
@@ -601,82 +598,55 @@ def make_libor_kernel(
     )
 
 
-def wkb_log_density_y(kernel: WkbKernel, dt: float, y_to: np.ndarray) -> np.ndarray:
-    """log p_l(anchor, y_to) over a step ``dt`` in flat coordinates.
-
-    The density starts at the kernel's own anchor, the only start state
-    its Taylor data is valid for.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"need a positive step, got dt={dt}")
-    y_to = np.asarray(y_to, dtype=np.float64)
-    d2 = np.sum((y_to - kernel.anchor_y) ** 2, axis=-1)
-    phase = libor_c0(kernel.vs, kernel.delta, kernel.anchor_y, y_to)
-    if kernel.level >= 1:
-        phase = phase + dt * kernel.c1_taylor(y_to)
-    return -0.5 * kernel.n * np.log(2.0 * np.pi * dt) - d2 / (2.0 * dt) + phase
-
-
-def wkb_log_density_libor(kernel: WkbKernel, dt: float, v: np.ndarray) -> np.ndarray:
-    """log p^L over rate vectors: the flat density plus the chart Jacobian.
-
-    Y = Gamma^{-1} log L is triangular, so |dY/dL| = prod_i Gamma^{-1}_ii / L_i.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(v <= 0.0):
-        raise ValueError("rate vectors must be positive")
-    flat = wkb_log_density_y(kernel, dt, to_y(kernel.vs, v))
-    log_jac = -np.sum(np.log(v), axis=-1) - np.sum(np.log(np.diag(kernel.vs.gamma)))
-    return flat + log_jac
-
-
 def log_weight_y(
     kernel: WkbKernel,
     dt: float,
     y_to: np.ndarray,
     kappa: np.ndarray,
-    start_y: np.ndarray | None = None,
+    start_y: np.ndarray,
 ) -> np.ndarray:
     """ln(p_l / phi) for a proxy with the same start and step.
 
-    The start is the kernel's anchor, shared by every row, or with
-    ``start_y`` one start state per row (flat coordinates, rows
-    matching ``y_to`` and ``kappa``).  In flat coordinates the proxy is
-    N(start + kappa, dt I), so the normalizations, chart Jacobians and
-    the common |y - start|^2 part cancel algebraically:
+    ``start_y`` is one start state shared by every row, or one per row
+    (flat coordinates, rows matching ``y_to``), and ``kappa`` the
+    proxy's mean shift from it, likewise.  In flat coordinates the proxy
+    is N(start + kappa, dt I), so the normalizations, chart Jacobians
+    and the common |y - start|^2 part cancel algebraically:
 
         ln w = (|kappa|^2 - 2 (y - start) . kappa) / (2 dt)
                + c_0(start, y) + dt c_1~(start, y).
 
     Expanding the difference of quadratic forms analytically keeps the
     1/dt terms from ever being formed, so there is no cancellation loss
-    for small dt.
+    for small dt.  The full log density is this plus the proxy's.
     """
     y_to = np.asarray(y_to, dtype=np.float64)
-    start = kernel.anchor_y if start_y is None else start_y
-    d = y_to - start
-    if start_y is None:  # one kappa for every row
-        out = (kappa @ kappa - 2.0 * (d @ kappa)) / (2.0 * dt)
-    else:
-        out = (np.sum(kappa * kappa, axis=-1) - 2.0 * np.sum(d * kappa, axis=-1)) / (2.0 * dt)
-    out = out + libor_c0(kernel.vs, kernel.delta, start, y_to)
+    dot = partial(np.einsum, "...i,...i->...")  # row by row, either side broadcast
+    out = (dot(kappa, kappa) - 2.0 * dot(y_to - start_y, kappa)) / (2.0 * dt)
+    out = out + libor_c0(kernel.vs, kernel.delta, start_y, y_to)
     if kernel.level >= 1:
         out = out + dt * kernel.c1_taylor(y_to, start_y)
     return out
 
 
-def grad_log_weight_y(kernel: WkbKernel, dt: float, y_to: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+def grad_log_weight_y(
+    kernel: WkbKernel,
+    dt: float,
+    y_to: np.ndarray,
+    kappa: np.ndarray,
+    start_y: np.ndarray,
+) -> np.ndarray:
     """Gradient of :func:`log_weight_y` in ``y_to``, in closed form.
 
-    c_0 is a line integral, so c_0(anchor, y) = -c_0(y, anchor) and its
+    c_0 is a line integral, so c_0(start, y) = -c_0(y, start) and its
     gradient in y is minus :func:`libor_c0_grad` with the arguments
     swapped:
 
-        grad ln w = -kappa / dt - grad_1 c_0(y, anchor)
-                    + dt (c1_grad + (y - anchor) c1_hess).
+        grad ln w = -kappa / dt - grad_1 c_0(y, start)
+                    + dt (c1_grad + (y - start) c1_hess).
     """
     y_to = np.asarray(y_to, dtype=np.float64)
-    out = -kappa / dt - libor_c0_grad(kernel.vs, kernel.delta, y_to, kernel.anchor_y)
+    out = -kappa / dt - libor_c0_grad(kernel.vs, kernel.delta, y_to, start_y)
     if kernel.level >= 1:
-        out = out + dt * (kernel.c1_grad + (y_to - kernel.anchor_y) @ kernel.c1_hess)
+        out = out + dt * (kernel.c1_grad + (y_to - start_y) @ kernel.c1_hess)
     return out

@@ -54,23 +54,48 @@ class TestAnchoredPair:
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("t1", [1.0, 10.0])
     def test_grad_log_weight_matches_fd(self, level, t1):
+        # one anchor for every row, and one per row around the kernel's
         cfg = case_cfg(t1=t1)
-        pair = est.anchored_libor_pair(cfg, t1, level)
-        zeta = pair.draw(np.random.default_rng(11).standard_normal((64, cfg.n)))
-        got = pair.grad_log_weight(zeta)
-        for j in range(cfg.n):
-            step = 1e-5 * zeta[:, j]
-            up, dn = zeta.copy(), zeta.copy()
-            up[:, j] += step
-            dn[:, j] -= step
-            fd = (pair.log_weight(up) - pair.log_weight(dn)) / (2.0 * step)
-            assert_allclose(got[:, j], fd, rtol=1e-5, atol=1e-6)
+        rng = np.random.default_rng(11)
+        starts = cfg.l0 * np.exp(0.1 * rng.standard_normal((64, cfg.n)))
+        shared = est.anchored_libor_pair(cfg, t1, level)
+        per_row = est.AnchoredPair(
+            proxy.make_proxy(cfg.vs, cfg.delta, 0.0, t1, starts), shared.kernel
+        )
+        for pair in (shared, per_row):
+            zeta = pair.draw(rng.standard_normal((64, cfg.n)))
+            got = pair.grad_log_weight(zeta)
+            for j in range(cfg.n):
+                step = 1e-5 * zeta[:, j]
+                up, dn = zeta.copy(), zeta.copy()
+                up[:, j] += step
+                dn[:, j] -= step
+                fd = (pair.log_weight(up) - pair.log_weight(dn)) / (2.0 * step)
+                assert_allclose(got[:, j], fd, rtol=1e-5, atol=1e-6)
 
     def test_grad_log_weight_zero_without_kernel(self):
         cfg = case_cfg()
         pair = est.anchored_libor_pair(cfg, 1.0, "lgn")
         zeta = pair.draw(np.random.default_rng(12).standard_normal((8, cfg.n)))
         assert np.array_equal(pair.grad_log_weight(zeta), np.zeros((8, cfg.n)))
+
+    @pytest.mark.parametrize("first", [0, 12])
+    def test_transition_from_the_anchor_is_the_head(self, first):
+        # a continuation leg whose rows all start at the kernel's anchor
+        # is the one-shot head: one anchor is the broadcast case of one
+        # per row, equal up to the rounding of row-wise products
+        cfg = case_cfg()
+        vs, delta, l0, dt = cfg.vs.trailing(first), cfg.delta[first:], cfg.l0[first:], 0.75
+        head = est.AnchoredPair(
+            proxy.make_proxy(vs, delta, 0.0, dt, l0), wkb.make_libor_kernel(vs, delta, l0)
+        )
+        z = np.random.default_rng(13).standard_normal((mc.BATCH - 3, cfg.n - first))
+        leap = est._proxy_transition(vs, delta, dt, l0)
+        zeta = np.empty(z.shape)
+        lw = leap(np.broadcast_to(l0, z.shape), z, zeta)
+        want = head.draw(z)
+        assert_allclose(zeta, want, rtol=1e-13, atol=0.0)
+        assert_allclose(np.exp(lw), np.exp(head.log_weight(want)), rtol=1e-13, atol=0.0)
 
 
 class TestPrice:
@@ -119,6 +144,24 @@ class TestPrice:
         assert r_l1.max_weight < 1.2
         assert r_l1.ess > 0.99 * r_l1.m
 
+    def test_nan_weight_makes_ess_nan(self):
+        # a NaN weight poisons the pooled moments, and the ESS must say
+        # so instead of reporting a perfect m
+        class NanRowPair(est.AnchoredPair):
+            def log_weight(self, zeta):
+                out = np.zeros(zeta.shape[:-1])
+                out[0] = np.nan
+                return out
+
+        cfg = case_cfg(n=3)
+        inp = est.EstimatorInputs(
+            anchored=lambda x: NanRowPair(proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 0.5, x)),
+            payoff=const_payoff(1.0), anchor=cfg.l0, m=100, seed=0,
+        )
+        r = est.price(inp)
+        assert np.isnan(r.value)
+        assert np.isnan(r.ess)
+
     def test_rejects_degenerate_sample_count(self):
         with pytest.raises(ValueError):
             est.price(toy_inputs("lgn", const_payoff(1.0), m=1))
@@ -141,9 +184,10 @@ class TestOneShot:
         z = np.random.default_rng(8).standard_normal((mc.BATCH - 3, cfg.n))
         zeta, w, wf = est._one_shot(pair, z, inp.payoff)
         whole = pair.draw(z)
-        w_whole = np.exp(
-            wkb.log_weight_y(pair.kernel, pair.proxy.dt, lmm.to_y(cfg.vs, whole), pair.kappa)
-        )
+        w_whole = np.exp(wkb.log_weight_y(
+            pair.kernel, pair.proxy.dt, lmm.to_y(cfg.vs, whole), pair.kappa,
+            lmm.to_y(cfg.vs, cfg.l0),
+        ))
         assert_allclose(zeta, whole, rtol=1e-12)
         assert_allclose(w, w_whole, rtol=1e-12)
         assert_allclose(wf, w_whole * inp.payoff(whole), rtol=1e-12, atol=0.0)
@@ -222,15 +266,17 @@ class TestNaiveDelta:
         assert r.sd > 0.0
 
     def test_ess_pools_both_reweightings_of_one_cloud(self):
-        # one cloud from the unbumped proxy, weighted once per bumped kernel
+        # one cloud from the unbumped proxy, weighted once per bumped
+        # kernel: ln p_k = log_weight_k + log_proxy_k, over phi_0
         cfg = case_cfg()
         m, seed, h, i = 3000, 6, 3.5e-5, 18
         inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h, t=2.0)
         pair0 = inp.anchored(cfg.l0)
         zeta = pair0.draw(mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n)))
+        pairs = [inp.anchored(a) for a in est._bumped(cfg.l0, i, h)]
         w = np.concatenate([
-            np.exp(inp.anchored(a).log_kernel(zeta) - pair0.log_proxy(zeta))
-            for a in est._bumped(cfg.l0, i, h)
+            np.exp(p.log_weight(zeta) + p.log_proxy(zeta) - pair0.log_proxy(zeta))
+            for p in pairs
         ])
         got = est.naive_delta(inp, i)
         assert_allclose(got.ess, m * np.mean(w) ** 2 / np.mean(w * w), rtol=1e-9)
@@ -356,14 +402,9 @@ class TestVarianceAudit:
             def draw(self, z):
                 return self.fixed.draw(z)
 
-            def log_kernel(self, zeta):
-                return self.inner.log_proxy(zeta)
-
-            def log_proxy(self, zeta):
-                return self.fixed.log_proxy(zeta)
-
             def log_weight(self, zeta):
-                return self.log_kernel(zeta) - self.log_proxy(zeta)
+                # the kernel is the proxy at the bumped anchor
+                return self.inner.log_proxy(zeta) - self.fixed.log_proxy(zeta)
 
             def grad_log_weight(self, zeta):
                 # the audit asks only the unbumped pair, whose kernel and

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wkbmc
@@ -29,13 +30,19 @@ def test_every_export_resolves(module):
     assert missing == []
 
 
-def test_trace_sites_resolve():
-    # perfbench --trace 1 patches these attributes where the package's
-    # callers look them up; a rename must fail here, not in the benchmark
+def load_tracing():
+    """perfbench's span tracer, loaded read-only from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_sites_resolve():
+    # perfbench --trace 1 patches these attributes where the package's
+    # callers look them up; a rename must fail here, not in the benchmark
+    tracing = load_tracing()
     missing = []
     for owner_path, attr, _, _ in tracing.SITES:
         owner = wkbmc
@@ -46,6 +53,30 @@ def test_trace_sites_resolve():
     if not callable(getattr(wkbmc.mc, "rng_for", None)):
         missing.append("mc.rng_for")
     assert missing == []
+
+
+def test_one_shot_sites_record_calls():
+    # a site the package no longer calls through would resolve and still
+    # record nothing: the level-1 European head and the Bermudan
+    # continuation must both reach every one-shot site
+    from wkbmc import bermudan as brm
+    from wkbmc import estimators as est
+    from wkbmc import lmm
+
+    cfg = lmm.ModelConfig(n=19, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3,
+                          strike=0.035, exercise_indices=tuple(range(1, 20, 2)))
+    flat = brm.AndersenPolicy(cfg.exercise_indices, cfg.exercise_dates, np.zeros(10))
+    tracer = load_tracing().Tracer()
+    with tracer.installed(wkbmc):
+        tracer.call("estimators.price",
+                    lambda: est.price(est.european_inputs(cfg, 1, m=2000, seed=7)))
+        tracer.call("bermudan.bermudan_price",
+                    lambda: brm.bermudan_price(cfg, flat, level=1, m=2000, seed=7))
+    totals = tracer.layer_totals()
+    sites = ["proxy.sample_g", "lmm.to_y", "wkb.log_weight_y", "wkb.libor_c0",
+             "wkb.WkbKernel.c1_taylor", "wkb.make_libor_kernel"]
+    assert [name for name in sites if totals[name]["calls"] == 0] == []
+    assert totals["estimators.driver"]["calls"] == totals["bermudan.driver"]["calls"] == 1
 
 
 ROOT = Path(__file__).resolve().parents[1]

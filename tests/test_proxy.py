@@ -31,6 +31,11 @@ class TestMoments:
             proxy.make_proxy(cfg.vs, cfg.delta, 0.5, 0.5, cfg.l0)
         with pytest.raises(ValueError):
             proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, -cfg.l0)
+        for bad in (np.nan, np.inf):
+            anchor = cfg.l0.copy()
+            anchor[1] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, anchor)
 
 
 class TestSampling:

@@ -506,7 +506,8 @@ class TestTaylorSurrogate:
         xy, y = lmm.to_y(vs, x), lmm.to_y(vs, zeta)
         exact = wkb.libor_c1(vs, delta, xy, y)
         full = np.mean(np.abs(dt * (ker.c1_taylor(y, xy) - exact)))
-        translated = np.mean(np.abs(dt * (ker.c1_taylor(ker.anchor_y + (y - xy)) - exact)))
+        a = ker.anchor_y
+        translated = np.mean(np.abs(dt * (ker.c1_taylor(a + (y - xy), a) - exact)))
         assert full < translated
 
     def test_position_gradient_on_the_diagonal(self):
@@ -522,12 +523,26 @@ class TestTaylorSurrogate:
         assert_allclose(ker.c1_pos_grad, want, rtol=1e-5, atol=1e-9)
 
 
+def log_kernel(ker, p, v):
+    """ln p_l(x, v) over rate vectors, started where the proxy ``p`` is: ln w + ln phi."""
+    vs = p.vs
+    kappa = p.mean_shift @ vs.gamma_inv.T
+    lw = wkb.log_weight_y(ker, p.dt, lmm.to_y(vs, v), kappa, lmm.to_y(vs, p.anchor))
+    return lw + proxy.log_density(p, v)
+
+
+def log_jacobian(vs, v):
+    """ln |dY/dL| of the chart Y = Gamma^{-1} log L at the rates ``v``."""
+    return -np.sum(np.log(v), axis=-1) - np.sum(np.log(np.diag(vs.gamma)))
+
+
 class TestKernel:
     def test_level0_at_anchor(self):
         cfg = case_cfg(n=4)
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=0)
         dt = 0.3
-        got = np.exp(wkb.wkb_log_density_y(ker, dt, ker.anchor_y))
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, cfg.l0)
+        got = np.exp(log_kernel(ker, p, cfg.l0) - log_jacobian(cfg.vs, cfg.l0))
         assert_allclose(got, (2 * np.pi * dt) ** -2.0, rtol=1e-13)
 
     def test_level1_at_anchor(self):
@@ -535,16 +550,10 @@ class TestKernel:
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
         dt = 0.3
         x = ker.anchor_y
-        got = wkb.wkb_log_density_y(ker, dt, x)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, cfg.l0)
+        got = log_kernel(ker, p, cfg.l0) - log_jacobian(cfg.vs, cfg.l0)
         r0 = wkb.libor_r0(cfg.vs, cfg.delta, x, x)
         assert_allclose(got, -2.0 * np.log(2 * np.pi * dt) + dt * r0, rtol=1e-12)
-
-    def test_anchor_mismatch_raises(self):
-        cfg = case_cfg(n=3)
-        ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0)
-        for dt in (0.0, -0.5):
-            with pytest.raises(ValueError, match="positive step"):
-                wkb.wkb_log_density_y(ker, dt, ker.anchor_y)
 
     def test_constructor_validation(self):
         cfg = case_cfg(n=3)
@@ -552,6 +561,11 @@ class TestKernel:
             wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=2)
         with pytest.raises(ValueError):
             wkb.make_libor_kernel(cfg.vs, cfg.delta, -cfg.l0)
+        for bad in (np.nan, np.inf):
+            anchor = cfg.l0.copy()
+            anchor[1] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                wkb.make_libor_kernel(cfg.vs, cfg.delta, anchor)
 
     def test_single_rate_is_exact_lognormal(self):
         # one rate has constant flat-coordinate drift, so the level-1
@@ -562,7 +576,7 @@ class TestKernel:
         ker = wkb.make_libor_kernel(vs, delta, x, level=1)
         dt = 2.0
         v = np.linspace(0.01, 0.09, 25)[:, None]
-        got = wkb.wkb_log_density_libor(ker, dt, v)
+        got = log_kernel(ker, proxy.make_proxy(vs, delta, 0.0, dt, x), v)
         ln = stats.lognorm(s=0.2 * np.sqrt(dt), scale=0.035 * np.exp(-0.5 * 0.04 * dt))
         assert np.max(np.abs(got - ln.logpdf(v[:, 0]))) < 1e-10
 
@@ -573,27 +587,29 @@ class TestKernel:
             n=19, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035
         )
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 1.0, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, cfg.l0)
         rng = np.random.default_rng(42)
         m = 100_000
         zeta = proxy.sample_g(p, rng.standard_normal((m, 19)))
-        ratio = np.exp(
-            wkb.wkb_log_density_libor(ker, 1.0, zeta)
-            - proxy.log_density(p, zeta)
-        )
+        ratio = np.exp(log_kernel(ker, p, zeta) - proxy.log_density(p, zeta))
         err = abs(ratio.mean() - 1.0)
         assert err < max(0.01, 4 * ratio.std() / np.sqrt(m)), (ratio.mean(), ratio.std())
 
     def test_log_weight_matches_density_ratio(self):
+        # ln w + ln phi against the truncated density written out:
+        # the flat Gaussian with phase c_0 + dt c_1~, plus the chart
+        # Jacobian, so the cancellations inside log_weight_y are exact
         cfg = case_cfg(n=6)
+        dt = 0.8
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.8, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, cfg.l0)
         rng = np.random.default_rng(3)
         zeta = proxy.sample_g(p, rng.standard_normal((200, 6)))
-        kappa = p.mean_shift @ cfg.vs.gamma_inv.T
-        got = wkb.log_weight_y(ker, 0.8, lmm.to_y(cfg.vs, zeta), kappa)
-        want = wkb.wkb_log_density_libor(ker, 0.8, zeta) - proxy.log_density(p, zeta)
-        assert np.max(np.abs(got - want)) < 1e-10
+        x, y = ker.anchor_y, lmm.to_y(cfg.vs, zeta)
+        phase = wkb.libor_c0(cfg.vs, cfg.delta, x, y) + dt * ker.c1_taylor(y, x)
+        flat = -3.0 * np.log(2 * np.pi * dt) - np.sum((y - x) ** 2, axis=-1) / (2 * dt) + phase
+        want = flat + log_jacobian(cfg.vs, zeta)
+        assert np.max(np.abs(log_kernel(ker, p, zeta) - want)) < 1e-10
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_log_weight_with_a_start_per_row(self, level):
@@ -608,11 +624,10 @@ class TestKernel:
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=level)
         p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, x)
         zeta = proxy.sample_g(p, rng.standard_normal((40, 6)))
-        kappa = p.mean_shift @ cfg.vs.gamma_inv.T
-        got = wkb.log_weight_y(ker, dt, lmm.to_y(cfg.vs, zeta), kappa, lmm.to_y(cfg.vs, x))
+        got = log_kernel(ker, p, zeta)
         want = np.array([
-            wkb.wkb_log_density_libor(wkb.make_libor_kernel(cfg.vs, cfg.delta, xr, level), dt, zr)
-            - proxy.log_density(proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, xr), zr)
+            log_kernel(wkb.make_libor_kernel(cfg.vs, cfg.delta, xr, level),
+                       proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, xr), zr)
             for xr, zr in zip(x, zeta)
         ])
         assert np.max(np.abs(got - want)) < (1e-12 if level == 0 else 2e-4)
@@ -622,4 +637,4 @@ class TestKernel:
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
         y = ker.anchor_y + 0.3 * np.random.default_rng(2).standard_normal((50, 6))
         start = np.broadcast_to(ker.anchor_y, y.shape)
-        assert np.array_equal(ker.c1_taylor(y, start), ker.c1_taylor(y))
+        assert np.array_equal(ker.c1_taylor(y, start), ker.c1_taylor(y, ker.anchor_y))
