@@ -7,41 +7,41 @@ has two stages: a first-date head of ``estimators`` takes it to T1
 (the one-shot proxy draw, importance-weighted by the truncated kernel
 exactly as in the European case, or log-Euler from time zero at
 ``level="euler"``, the validation oracle), and the policy
-(``_run_policy``) continues it through the dates on the walk that
-``_walker`` picks for the head.  After a one-shot head ("lgn", 0 or 1)
-each gap is crossed as the head crossed [0, T1], by the same anchored
-pair with its start one state per row instead of one for all rows: one
-draw of the live rates from the lognormal proxy anchored at the row's
-own state, weighted by a level-1 kernel built at l0's trailing block
-(``estimators._proxy_transition``), whatever the head's level.  A
-path's weight is its head weight times its transition weights up to
-its stop.  After the Euler head the walk goes on in fine log-Euler
-steps (``_walk_dates``) and weighs nothing.
-``_continued`` joins the two into one head of the batch driver:
-prices and Deltas reduce its payoffs, and the diagnostics read its
-stops, each path counted with its path weight.  Thresholds are fitted
-by a backward sweep over the Euler head's own paths, walked on by
-``_walk_dates``, each date's the exact in-sample best.
+(``_run_policy``) continues it through the dates on a list of legs,
+one per date, built once per call by ``_legs``.  After a one-shot head
+("lgn", 0 or 1) each leg crosses its gap as the head crossed [0, T1],
+by the same anchored pair with its start one state per row instead of
+one for all rows: one draw of the live rates from the lognormal proxy
+anchored at the row's own state, weighted by a level-1 kernel built at
+l0's trailing block (``estimators._proxy_transition``), whatever the
+head's level.  A path's weight is its head weight times its transition
+weights up to its stop.  After the Euler head each leg is fine
+log-Euler steps and weighs nothing.  ``_continued`` joins the two into
+one head of the batch driver: prices and Deltas reduce its payoffs,
+and the diagnostics read its stops, each path counted with its path
+weight.  Thresholds are fitted by a backward sweep over the Euler
+head's own paths, moved on by the same log-Euler legs, each date's the
+exact in-sample best.
 
 The continuation moves only the rows still running: one stopping rule,
 the first member's exercise decision, cuts a row from the group, and
-each gap (each step, on log-Euler) draws normals for the rows left
-alone, handed out in running order.  Whether a path still runs
-depends only on its past, so the fresh normals keep every path's law;
-a stopped path costs no further draws.  It also does only the
-arithmetic a decision reads: on the way to tenor date T_i it moves the
-live rates L_i .. L_n alone and draws normals for them only, one per
-live rate and running row.  At a date it reads those live rates
-alone too: one pass of bond ratios over them gives the intrinsic
-value and the still-alive Europeans (whose quadratic form runs on the
-trailing model ``cfg.vs.trailing(i - 1)``), and the other members'
-payoffs at a stop read only the legs still paid.  It prices the
-Europeans only on the rows whose intrinsic value reaches the
-threshold, the only rows that can fire.  The bump pair shares every
-block of normals: on a one-shot gap each member re-anchors at its own
-state, on a log-Euler step both add one increment.  The bump-pair
-audit only flags rows where the down branch's own decision differs,
-so it reads the Delta run's paths.
+each leg draws normals for the rows left alone, in running order.
+Whether a path still runs depends only on its past, so the fresh
+normals keep every path's law; a stopped path costs no further draws.
+It also does only the arithmetic a decision reads: on the way to tenor
+date T_i a leg moves the live rates L_i .. L_n alone and draws normals
+for them only, one per live rate and running row (Gamma is upper
+triangular, so their increments read no other normal).  At a date it
+reads those live rates alone too: one pass of bond ratios over them
+gives the intrinsic value and the still-alive Europeans (whose
+quadratic form runs on the trailing model ``cfg.vs.trailing(i - 1)``),
+and the other members' payoffs at a stop read only the legs still
+paid.  It prices the Europeans only on the rows whose intrinsic value
+reaches the threshold, the only rows that can fire.  The bump pair
+shares every block of normals: on a one-shot leg each member
+re-anchors at its own state, on a log-Euler step both add one
+increment.  The bump-pair audit only flags rows where the down
+branch's own decision differs, so it reads the Delta run's paths.
 
 The still-alive European values are deterministic approximations: the
 remaining swap is priced by a frozen-weight lognormal formula for the
@@ -212,37 +212,6 @@ def _trigger(cfg: ModelConfig, indices, k: int, states: np.ndarray, floor=None):
     return intrinsic, trig
 
 
-def _walk_dates(cfg: ModelConfig, group, rng, indices):
-    """Yield (k, group) at each exercise date, stepping the group on ``dt_berm``.
-
-    The group starts at T1, where every first-date head leaves it;
-    ``indices`` are the dates' 1-based tenor indices.  Every gap must be
-    a whole number of steps, and a date at T1 yields the group untouched.
-
-    The walk takes over the list ``group`` and yields it, replacing its
-    members in place as it steps, so no state outlives its step.  A
-    caller may cut the members in place between dates: only the rows
-    left are stepped on and get normals, handed out in row order.  The
-    rows a caller keeps at a date depend only on the path so far, so
-    fresh iid increments for them keep every path's law.
-
-    On the gap that ends at tenor index i only the rates L_i .. L_n are
-    live: the trigger, the payoff at a stop and every later date read
-    no other, so only they are stepped and L_1 .. L_{i-1} keep their
-    last values.  Each step draws n - i + 1 normals per row, one per
-    live rate: Gamma is upper triangular, so the live rates' increments
-    read no other normal and keep their law.
-    """
-    t_prev = cfg.t1
-    for k, i in enumerate(indices):
-        date = cfg.tenor_date(i)
-        steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
-        if steps:
-            group[:] = evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, first=i - 1)
-        t_prev = date
-        yield k, group
-
-
 # ---------------------------------------------------------------------------
 # the policy object and its plain-text persistence
 
@@ -324,13 +293,14 @@ def _fit_threshold(trig, exercised, continued):
 def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> AndersenPolicy:
     """Fit the per-date thresholds on dedicated Euler paths.
 
-    The paths are the Euler oracle's, walked on through the dates, with
-    the full trigger at every date.  Uses a backward sweep: at each date
-    the threshold is the exact in-sample maximiser of the average
-    realised payoff over the path set with all later thresholds already
-    fixed (one sort and one cumulative sum per date, see
-    ``_fit_threshold``).  The calibration seed must be kept disjoint
-    from evaluation seeds (no foresight between fitting and pricing).
+    The paths are the Euler oracle's, moved on through the dates by the
+    log-Euler :func:`_legs`, with the full trigger at every date and no
+    path stopped.  Uses a backward sweep: at each date the threshold is
+    the exact in-sample maximiser of the average realised payoff over
+    the path set with all later thresholds already fixed (one sort and
+    one cumulative sum per date, see ``_fit_threshold``).  The
+    calibration seed must be kept disjoint from evaluation seeds (no
+    foresight between fitting and pricing).
     """
     indices = cfg.exercise_indices
     if not indices:
@@ -341,11 +311,15 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
         )
     K = len(indices)
     head = _euler_head(cfg, [(cfg.l0, 1.0)], cfg.t1, cfg.dt_berm)
+    legs = _legs(cfg, indices, "euler")
 
     def batch(bi, lo, hi):
-        start, _, _, cont = head(seed, bi, hi - lo, None)
-        return [_trigger(cfg, indices, k, states)
-                for k, (states,) in _walk_dates(cfg, start, cont(), indices)]
+        group, _, _, cont = head(seed, bi, hi - lo, None)
+        rng, out = cont(), []
+        for k, leg in enumerate(legs):
+            group = group if leg is None else leg(group, rng)[0]
+            out.append(_trigger(cfg, indices, k, group[0]))
+        return out
 
     per_batch = mc.map_batches(batch, n_paths)  # [batch][date] -> (intrinsic, trigger)
     intrinsic = [np.concatenate([b[k][0] for b in per_batch]) for k in range(K)]
@@ -373,78 +347,59 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
 # policy-driven evaluation
 
 
-def _walker(cfg: ModelConfig, policy: AndersenPolicy, level):
-    """How a path goes on from date to date after a head at ``level``.
+def _legs(cfg: ModelConfig, indices, level) -> list:
+    """How a path crosses the gaps from T1 to each date of ``indices``.
 
-    Returns ``walk(group, rng)``, a generator that moves the list
-    ``group`` to each exercise date in turn, replacing its members in
-    place, and yields (k, transition log weights): one array per member
-    over the rows the group holds, or None for a gap crossed unweighted
-    or a date at T1.  A caller may cut the members in place between
-    dates; only the rows left move on and get normals, handed out in
-    row order.
-
-    At "euler" the walk is ``_walk_dates``: log-Euler on ``dt_berm``,
-    unweighted.  After the one-shot heads ("lgn", 0, 1) each gap to
-    tenor index i is one draw of the live rates L_i .. L_n from the
-    lognormal proxy of ``cfg.vs.trailing(i - 1)``, each row anchored at
-    its own state, weighted by a level-1 kernel of that trailing model
-    built once here at ``cfg.l0``'s trailing block: one (rows, n - i + 1)
-    block of normals per gap, shared by the members, whatever the head's
-    level.
+    One entry per date: None for a date at T1, else ``leg(group, rng)``,
+    which moves the group's members to the date and returns them with
+    their transition log weights, one array per member (None when
+    unweighted).  A leg to tenor index i moves the live rates L_i .. L_n
+    of the rows it is handed alone, drawing normals for them in row
+    order.  At "euler" it is log-Euler on ``dt_berm``, unweighted, and
+    an off-grid gap is refused here, before any path moves; after the
+    one-shot heads it is ``estimators._proxy_transition``.
     """
-    indices = policy.exercise_indices
-    if level == "euler":
-        def walk(group, rng):
-            for k, _ in _walk_dates(cfg, group, rng, indices):
-                yield k, None
-
-        return walk
-
     legs = []
     t_prev = cfg.t1
     for i in indices:
         date, first = cfg.tenor_date(i), i - 1
-        legs.append(None if date == t_prev else (first, _proxy_transition(
-            cfg.vs.trailing(first), cfg.delta[first:], date - t_prev, cfg.l0[first:])))
+        if date == t_prev:
+            legs.append(None)
+        elif level == "euler":
+            steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
+            legs.append(partial(_euler_leg, cfg, first, steps))
+        else:
+            legs.append(_proxy_transition(cfg, first, date - t_prev))
         t_prev = date
-
-    def walk(group, rng):
-        for k, leg in enumerate(legs):
-            lw = None
-            if leg is not None:
-                first, leap = leg
-                z = rng.standard_normal((group[0].shape[0], cfg.n - first))
-                lw = []
-                for b, g in enumerate(group):
-                    x = np.empty(g.shape)
-                    x[:, :first] = g[:, :first]
-                    lw.append(leap(g[:, first:], z, x[:, first:]))
-                    group[b] = x
-            yield k, lw
-
-    return walk
+    return legs
 
 
-def _run_policy(cfg, policy, group, rng, walk, audit=False):
+def _euler_leg(cfg: ModelConfig, first: int, steps: int, group, rng):
+    """A log-Euler leg: ``steps`` unweighted ``dt_berm`` steps of the live rates."""
+    return evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, first=first), None
+
+
+def _run_policy(cfg, policy, group, rng, legs, audit=False):
     """Advance a common-increment group from T1 through the exercise dates.
 
-    ``walk`` is a :func:`_walker` walk, drawing from ``rng``.  Exercise
-    decisions come from the first group member only and are applied to
-    every member (the bump pair shares one stopping time); a row the
-    first member stops is cut from the group and moved no further.
-    With ``audit`` set, the last member also evaluates its own trigger
-    on the rows still running and flags each row where its decision
-    differs.  A row runs until the first member stops it, so the flag
-    is set exactly when the two members' own stopping times differ, on
-    the very paths the unaudited run takes.  Each trigger prices the
-    Europeans only on the rows whose own intrinsic reaches the date's
-    threshold; the other rows cannot fire, so the decisions and flags
-    are those of full triggers.
+    ``legs`` are the :func:`_legs` of the policy's dates, drawing from
+    ``rng``.  Exercise decisions come from the first group member only
+    and are applied to every member (the bump pair shares one stopping
+    time); a row the first member stops is cut from the group and moved
+    no further, so only the rows still running get normals.  Whether a
+    row runs depends only on its past, so fresh normals keep every
+    path's law.  With ``audit`` set, the last member also evaluates its
+    own trigger on the rows still running and flags each row where its
+    decision differs.  A row runs until the first member stops it, so
+    the flag is set exactly when the two members' own stopping times
+    differ, on the very paths the unaudited run takes.  Each trigger
+    prices the Europeans only on the rows whose own intrinsic reaches
+    the date's threshold; the other rows cannot fire, so the decisions
+    and flags are those of full triggers.
 
-    The walk takes over the list ``group``.  Returns (payoffs per
-    member, stop positions, disagreement flags, log weights per member):
-    a row's log weight sums its transition log weights up to its stop.
+    Returns (payoffs per member, stop positions, disagreement flags, log
+    weights per member): a row's log weight sums its transition log
+    weights up to its stop.
     """
     B = group[0].shape[0]
     payoffs_out = [np.zeros(B) for _ in group]
@@ -454,10 +409,12 @@ def _run_policy(cfg, policy, group, rng, walk, audit=False):
     rows = np.arange(B)  # the batch rows the group holds
 
     indices = policy.exercise_indices
-    for k, lw in walk(group, rng):
-        if lw is not None:
-            for acc, lk in zip(log_w, lw):
-                acc[rows] += lk
+    for k, leg in enumerate(legs):
+        if leg is not None:
+            group, lw = leg(group, rng)
+            if lw is not None:
+                for acc, lk in zip(log_w, lw):
+                    acc[rows] += lk
         floor = policy.thresholds[k]
         intrinsic, trig = _trigger(cfg, indices, k, group[0], floor)
         fire = trig >= floor
@@ -475,7 +432,7 @@ def _run_policy(cfg, policy, group, rng, walk, audit=False):
             rows = rows[keep]
             if not rows.size:
                 break
-            group[:] = [g[keep] for g in group]
+            group = [g[keep] for g in group]
     return payoffs_out, stop_idx, differ, log_w
 
 
@@ -483,7 +440,7 @@ def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=F
     """Driver head: the first-date head at ``level``, then ``policy``.
 
     The first-date head is the one-shot draw at a kernel level, or
-    log-Euler from time zero at "euler"; :func:`_walker` continues it.
+    log-Euler from time zero at "euler"; its :func:`_legs` continue it.
     The weights are path weights: the head's weight times the
     transition weights up to the row's stop.  The states slot holds
     (stop positions, disagreement flags); the driver's payoff goes
@@ -498,11 +455,11 @@ def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=F
         first = _euler_head(cfg, stencil, cfg.t1, cfg.dt_berm)
     else:
         first = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil)
-    walk = _walker(cfg, policy, level)
+    legs = _legs(cfg, policy.exercise_indices, level)
 
     def head(seed, bi, rows, payoff):
         states, w, _, cont = first(seed, bi, rows, None)
-        pays, stop, differ, log_w = _run_policy(cfg, policy, states, cont(), walk, audit)
+        pays, stop, differ, log_w = _run_policy(cfg, policy, states, cont(), legs, audit)
         if w is not None:
             w = [wk * np.exp(lk) for wk, lk in zip(w, log_w)]
         wv = pays if w is None else [wk * pk for wk, pk in zip(w, pays)]

@@ -22,8 +22,9 @@ gap with ``_proxy_transition``: the same ``AnchoredPair`` draw and
 weight, its start one state per row instead of one for all rows.
 Every batch loop is one ``mc.map_batches`` call: ``_estimate``'s,
 `variance_audit`'s (the bound's norms), the Bermudan diagnostics'
-(stops) and `calibrate_policy`'s (states at every exercise date).  So the batches of each run at once, one thread per usable CPU,
-with results bit-identical to a serial run.
+(stops) and `calibrate_policy`'s (triggers at every exercise date).
+Each call runs its batches at once, one thread per usable CPU, with
+results bit-identical to a serial run.
 
 Also here: the second-moment audit that checks the variance bound the
 re-anchored construction satisfies, the iid-lognormal explosion example
@@ -142,7 +143,7 @@ def anchored_libor_pair(cfg: ModelConfig, t: float, level, anchor=None) -> Ancho
     truncation order of the kernel.
     """
     anchor = cfg.l0 if anchor is None else np.asarray(anchor, dtype=np.float64)
-    p = make_proxy(cfg.vs, cfg.delta, 0.0, t, anchor)
+    p = make_proxy(cfg.vs, cfg.delta, t, anchor)
     if level == "lgn":
         return AnchoredPair(proxy=p)
     kernel = make_libor_kernel(cfg.vs, cfg.delta, anchor, level=int(level))
@@ -179,13 +180,11 @@ def european_inputs(
     m: int = 100_000,
     seed: int = 0,
     h: float | None = None,
-    t: float | None = None,
 ) -> EstimatorInputs:
     """Wire up the single-expiry swaption paying at the first tenor date."""
     spec = SwaptionSpec(strike=cfg.strike, first_leg=1, style=cfg.payoff_style)
-    horizon = cfg.t1 if t is None else t
     return EstimatorInputs(
-        anchored=lambda x: anchored_libor_pair(cfg, horizon, level, x),
+        anchored=lambda x: anchored_libor_pair(cfg, cfg.t1, level, x),
         payoff=lambda L: swaption_payoff(cfg.delta, L, spec),
         anchor=cfg.l0,
         m=m,
@@ -216,30 +215,38 @@ def _one_shot(pair, z: np.ndarray, payoff=None):
     return zeta, w, wf
 
 
-def _proxy_transition(vs, delta: np.ndarray, dt: float, anchor: np.ndarray):
-    """One weighted proxy draw over ``dt`` from a start state per row.
+def _proxy_transition(cfg: ModelConfig, first: int, dt: float):
+    """Group mover: one weighted proxy draw of the live rates over ``dt``.
 
     The one-shot method of the first date, with the pair's start one
-    state per row: row r draws from the proxy frozen at its own start
-    state x_r, weighted by the level-1 kernel built once at ``anchor``.
-    Returns ``leap(x, z, out)``, which fills ``out`` with the draws from
-    the start rates ``x`` on the standard normals ``z`` (all (rows, n))
-    in ``mc.row_slices`` slices and returns the log weights.  Members of
-    a bump group pass the same ``z`` and each re-anchors at its own
-    states.
+    state per row: each row draws its live rates (0-based columns
+    ``first``..) from the proxy of ``cfg.vs.trailing(first)`` frozen at
+    its own state, weighted by the level-1 kernel built once here at
+    ``cfg.l0``'s trailing block.  Returns ``leg(group, rng)`` with the
+    contract of ``lmm.evolve_log_euler`` (one (rows, n - first) block of
+    normals from ``rng`` shared by the members, earlier rates carried
+    over), which returns the moved members and their log weights.
     """
-    kernel = make_libor_kernel(vs, delta, anchor, level=1)
+    vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
+    kernel = make_libor_kernel(vs, delta, cfg.l0[first:], level=1)
 
-    def leap(x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        lw = np.empty(x.shape[0])
-        for part in mc.row_slices(*x.shape):
-            pair = AnchoredPair(make_proxy(vs, delta, 0.0, dt, x[part]), kernel)
-            zeta = pair.draw(z[part])
-            lw[part] = pair.log_weight(zeta)
-            out[part] = zeta
-        return lw
+    def leg(group, rng):
+        z = rng.standard_normal((group[0].shape[0], cfg.n - first))
+        moved, log_w = [], []
+        for g in group:
+            x = np.empty(g.shape)
+            x[:, :first] = g[:, :first]
+            lw = np.empty(z.shape[0])
+            for part in mc.row_slices(*z.shape):
+                pair = AnchoredPair(make_proxy(vs, delta, dt, g[part, first:]), kernel)
+                zeta = pair.draw(z[part])
+                lw[part] = pair.log_weight(zeta)
+                x[part, first:] = zeta
+            moved.append(x)
+            log_w.append(lw)
+        return moved, log_w
 
-    return leap
+    return leg
 
 
 def _bumped(x: np.ndarray, i: int, h: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +343,8 @@ def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
     members' states die with their batch: held across batches they
     tripled a one-shot Delta's page faults.  ESS is m mean(w)^2 /
     mean(w^2), the moments pooled over every member's weights, so it
-    never exceeds m; a non-finite weight makes it NaN.  One sample has
-    no spread to report, so ``m`` must be at least two.
+    never exceeds m; a non-finite weight, or all weights zero, makes it
+    NaN.  One sample has no spread to report, so ``m`` must be at least two.
     """
     if m < 2:
         raise ValueError(f"need at least two samples, got {m}")
@@ -357,7 +364,7 @@ def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
         return McResult(value=mean, sd=sd, m=count, seed=seed)
     w_mean, w_sd_of_mean, w_count, w_max = wacc.finalize()
     denom = w_sd_of_mean**2 * w_count + w_mean**2
-    ess = float(count) if denom == 0.0 else count * w_mean**2 / denom
+    ess = float("nan") if denom == 0.0 else count * w_mean**2 / denom
     return McResult(value=mean, sd=sd, m=count, seed=seed, max_weight=w_max, ess=ess)
 
 

@@ -360,7 +360,7 @@ def run_selftest(raw: dict | None = None, seed: int = 0, out=None) -> tuple[str,
     err = float(np.max(np.abs(got - want)))
     checks.append(("constant_drift_oracle", err < 1e-10, f"max |log p - exact| = {err:.2e}"))
 
-    p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, cfg.t1, cfg.l0)
+    p = proxy.make_proxy(cfg.vs, cfg.delta, cfg.t1, cfg.l0)
     z = rng.standard_normal((100, cfg.n))
     zeta = proxy.sample_g(p, z)
     lhs = (

@@ -36,7 +36,7 @@ BATCH = 1 << 14
 #: cost 92 ns per entry at width 1 against 38 ns at width 19, and 56 ns
 #: at width 1 in slices of ``CHUNK * 19`` entries (2-vCPU Xeon, numpy
 #: 2.4, one BLAS thread).  The one-shot weight, the continuation's
-#: proxy leap and the log-Euler step all work in the slices
+#: proxy transition and the log-Euler step all work in the slices
 #: :func:`row_slices` cuts.
 CHUNK = 1024
 

@@ -14,9 +14,9 @@ the sampler and the density together.
 
 The mean shift carries the -|gamma_i|^2 / 2 term of the log-drift, so
 the proxy is a log-Euler step frozen at x.  ``make_proxy`` is the one
-constructor: it checks the step and the anchor and computes the mean
-shift.  Sampler and density read the step only through its length
-dt = t - s, so the proxy keeps that length and not the endpoints.
+constructor: it checks the step length dt = t - s and the anchor and
+computes the mean shift.  Sampler and density read the step only
+through that length, so it takes the length and not the endpoints.
 """
 from __future__ import annotations
 
@@ -68,20 +68,19 @@ class LognormalProxy:
 def make_proxy(
     vs: VolStructure,
     delta: np.ndarray,
-    s: float,
-    t: float,
+    dt: float,
     anchor: np.ndarray,
 ) -> LognormalProxy:
-    """The proxy for the step [s, t] frozen at ``anchor``.
+    """The proxy for a step of length ``dt`` frozen at ``anchor``.
 
-    mean_shift_i = (t-s) (-a_ii/2 - sum_{j>i} a_ij delta_j x_j/(1+delta_j x_j)).
+    mean_shift_i = dt (-a_ii/2 - sum_{j>i} a_ij delta_j x_j/(1+delta_j x_j)).
     """
-    if t <= s:
-        raise ValueError(f"need t > s, got s={s}, t={t}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     anchor = np.asarray(anchor, dtype=np.float64)
     if not np.all((anchor > 0.0) & np.isfinite(anchor)):
         raise ValueError("anchor rates must be positive and finite")
-    dt = float(t - s)
+    dt = float(dt)
     mean = dt * (-0.5 * vs.a_diag + drift_mu(vs, delta, anchor))
     return LognormalProxy(vs=vs, dt=dt, anchor=anchor, mean_shift=mean)
 
@@ -95,8 +94,8 @@ def sample_g(proxy: LognormalProxy, z: np.ndarray) -> np.ndarray:
 def log_density(proxy: LognormalProxy, v: np.ndarray) -> np.ndarray:
     """ln phi(x, v), vectorised over leading axes of ``v``."""
     v = np.asarray(v, dtype=np.float64)
-    if np.any(v <= 0.0):
-        raise ValueError("proxy density is supported on positive rates only")
+    if not np.all((v > 0.0) & np.isfinite(v)):
+        raise ValueError("proxy density is supported on positive finite rates only")
     vs = proxy.vs
     e = np.log(v / proxy.anchor) - proxy.mean_shift
     d = e @ vs.gamma_inv.T

@@ -199,7 +199,7 @@ def test_criterion_7_exact_identities():
     anchors = cfg.l0 * np.exp(0.3 * rng.standard_normal((100, cfg.n)))
     defect = 0.0
     for anchor in anchors:
-        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, cfg.t1, anchor)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, cfg.t1, anchor)
         z = rng.standard_normal((1, cfg.n))
         zeta = proxy.sample_g(p, z)
         lhs = (

@@ -295,7 +295,8 @@ def run_rule(cfg, thresholds, rows):
         thresholds=thresholds,
     )
     rng = mc.rng_for(0, 0, mc.STREAM_CONT)
-    (pay,), stop, _, _ = brm._run_policy(cfg, pol, [rows], rng, brm._walker(cfg, pol, 1))
+    legs = brm._legs(cfg, pol.exercise_indices, 1)
+    (pay,), stop, _, _ = brm._run_policy(cfg, pol, [rows], rng, legs)
     return pay, stop
 
 
@@ -648,8 +649,8 @@ class TestRunningRowsTableau:
         width = cfg.n - np.array(pol.exercise_indices[1:]) + 1
         for level in ("lgn", 0, 1, "euler"):
             rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            walk = brm._walker(cfg, pol, level)
-            _, stop, _, _ = brm._run_policy(cfg, pol, [states], rng, walk)
+            legs = brm._legs(cfg, pol.exercise_indices, level)
+            _, stop, _, _ = brm._run_policy(cfg, pol, [states], rng, legs)
             blocks = steps if level == "euler" else np.ones_like(steps)
             running = np.array([np.count_nonzero((stop < 0) | (stop >= k))
                                 for k in range(1, len(pol.dates))])
@@ -666,6 +667,44 @@ class TestRunningRowsTableau:
         assert abs(got.value - value) < 4.0 * np.hypot(got.sd, sd)
 
 
+class TestLegs:
+    def test_off_grid_gap_is_refused_before_any_batch(self, monkeypatch):
+        # at dt_berm = 0.3 the head's 0.9 years are three steps, but the
+        # gap to the second date is 1.0 / 0.3 steps: the legs refuse it
+        # when they are built, before a batch draws a single path
+        cfg = case_cfg(t1=0.9, dt_berm=0.3)
+        flat = brm.AndersenPolicy(cfg.exercise_indices, cfg.exercise_dates, np.zeros(10))
+        entered = []
+        map_batches = mc.map_batches
+
+        def spy(fn, m):
+            def batch(*args):
+                entered.append(args)
+                return fn(*args)
+
+            return map_batches(batch, m)
+
+        monkeypatch.setattr(mc, "map_batches", spy)
+        with pytest.raises(ValueError, match="gap to exercise date"):
+            brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
+        with pytest.raises(ValueError, match="gap to exercise date"):
+            brm.bermudan_price(cfg, flat, level="euler", m=2048, seed=7)
+        assert entered == []
+
+    @pytest.mark.parametrize("level", [1, "euler"])
+    def test_run_policy_leaves_the_callers_group(self, level):
+        cfg, pol = case_cfg(), case_policy()
+        z = mc.rng_for(7, 0, mc.STREAM_XI).standard_normal((2048, cfg.n))
+        zetas = [est.anchored_libor_pair(cfg, cfg.t1, 1, x).draw(z)
+                 for x in est._bumped(cfg.l0, 18, 3e-4)]
+        copies = [g.copy() for g in zetas]
+        group = list(zetas)
+        rng = mc.rng_for(7, 0, mc.STREAM_CONT)
+        brm._run_policy(cfg, pol, group, rng, brm._legs(cfg, pol.exercise_indices, level))
+        assert len(group) == 2 and all(g is zeta for g, zeta in zip(group, zetas))
+        assert all(np.array_equal(g, c) for g, c in zip(group, copies))
+
+
 def rebuilt_stops(cfg, policy, level, anchors, m, seed):
     """Members' path weights, stops and disagreement flags of one batch, from the tableau.
 
@@ -677,8 +716,8 @@ def rebuilt_stops(cfg, policy, level, anchors, m, seed):
     zetas = [pair.draw(z) for pair in pairs]
     heads = [np.exp(pair.log_weight(zeta)) for pair, zeta in zip(pairs, zetas)]
     rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-    walk = brm._walker(cfg, policy, level)
-    _, stop, differ, log_w = brm._run_policy(cfg, policy, zetas, rng, walk, audit=True)
+    legs = brm._legs(cfg, policy.exercise_indices, level)
+    _, stop, differ, log_w = brm._run_policy(cfg, policy, zetas, rng, legs, audit=True)
     return [h * np.exp(lw) for h, lw in zip(heads, log_w)], stop, differ
 
 
@@ -774,11 +813,11 @@ class TestStopAudit:
         z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
         zetas = [est.anchored_libor_pair(cfg, cfg.t1, 1, x).draw(z)
                  for x in est._bumped(cfg.l0, i, h)]
-        walk = brm._walker(cfg, pol, 1)
+        legs = brm._legs(cfg, pol.exercise_indices, 1)
         runs = []
         for audit in (False, True):
             rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            pays, stop, differ, log_w = brm._run_policy(cfg, pol, list(zetas), rng, walk,
+            pays, stop, differ, log_w = brm._run_policy(cfg, pol, list(zetas), rng, legs,
                                                         audit=audit)
             runs.append((pays, stop, differ, log_w, rng.standard_normal(8)))
         (pays, stop, differ, log_w, after), (pays_a, stop_a, differ_a, log_w_a, after_a) = runs
@@ -838,13 +877,13 @@ class TestPrunedTrigger:
             return europeans(cfg, i, js, x, br)
 
         monkeypatch.setattr(brm, "_europeans", counted)
-        walk = brm._walker(cfg, pol, 1)
+        legs = brm._legs(cfg, pol.exercise_indices, 1)
         runs = []
         for trigger in (TRIGGER, unpruned_trigger):
             monkeypatch.setattr(brm, "_trigger", trigger)
             priced.append(0)
             rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            runs.append((*brm._run_policy(cfg, pol, list(zetas), rng, walk, audit=True),
+            runs.append((*brm._run_policy(cfg, pol, list(zetas), rng, legs, audit=True),
                          rng.standard_normal(8)))
         (pays, stop, differ, log_w, after), (pays_u, stop_u, differ_u, log_w_u, after_u) = runs
         assert np.array_equal(stop, stop_u)

@@ -34,9 +34,9 @@ def toy_inputs(level, payoff, n=3, t=0.5, m=5000, seed=0, h=1e-4, **kw):
 def assert_ess_pools_member_clouds(estimator, stencil):
     # ESS per row is m mean(w)^2 / mean(w^2) over the weights of every
     # stencil member (two clouds for Delta, three for diagonal Gamma)
-    cfg = case_cfg()
+    cfg = case_cfg(t1=2.0)
     m, seed, h, i = 3000, 6, 3.5e-5, 18
-    inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h, t=2.0)
+    inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h)
     up, dn = est._bumped(cfg.l0, i, h)
     anchors = [up, dn] if stencil == "delta" else [up, cfg.l0, dn]
     z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
@@ -60,7 +60,7 @@ class TestAnchoredPair:
         starts = cfg.l0 * np.exp(0.1 * rng.standard_normal((64, cfg.n)))
         shared = est.anchored_libor_pair(cfg, t1, level)
         per_row = est.AnchoredPair(
-            proxy.make_proxy(cfg.vs, cfg.delta, 0.0, t1, starts), shared.kernel
+            proxy.make_proxy(cfg.vs, cfg.delta, t1, starts), shared.kernel
         )
         for pair in (shared, per_row):
             zeta = pair.draw(rng.standard_normal((64, cfg.n)))
@@ -87,14 +87,16 @@ class TestAnchoredPair:
         cfg = case_cfg()
         vs, delta, l0, dt = cfg.vs.trailing(first), cfg.delta[first:], cfg.l0[first:], 0.75
         head = est.AnchoredPair(
-            proxy.make_proxy(vs, delta, 0.0, dt, l0), wkb.make_libor_kernel(vs, delta, l0)
+            proxy.make_proxy(vs, delta, dt, l0), wkb.make_libor_kernel(vs, delta, l0)
         )
-        z = np.random.default_rng(13).standard_normal((mc.BATCH - 3, cfg.n - first))
-        leap = est._proxy_transition(vs, delta, dt, l0)
-        zeta = np.empty(z.shape)
-        lw = leap(np.broadcast_to(l0, z.shape), z, zeta)
+        rows = mc.BATCH - 3
+        z = np.random.default_rng(13).standard_normal((rows, cfg.n - first))
+        leg = est._proxy_transition(cfg, first, dt)
+        start = np.broadcast_to(cfg.l0, (rows, cfg.n))
+        (moved,), (lw,) = leg([start], np.random.default_rng(13))
         want = head.draw(z)
-        assert_allclose(zeta, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(moved[:, :first], start[:, :first])
+        assert_allclose(moved[:, first:], want, rtol=1e-13, atol=0.0)
         assert_allclose(np.exp(lw), np.exp(head.log_weight(want)), rtol=1e-13, atol=0.0)
 
 
@@ -112,7 +114,7 @@ class TestPrice:
         vs = lmm.build_vol_structure(np.array([0.3]), np.eye(1))
         delta = np.array([0.5])
         anchor = np.array([0.04])
-        p = proxy.make_proxy(vs, delta, 0.0, 2.0, anchor)
+        p = proxy.make_proxy(vs, delta, 2.0, anchor)
         kern = wkb.make_libor_kernel(vs, delta, anchor, level=1)
         pair = est.AnchoredPair(proxy=p, kernel=kern)
         z = np.random.default_rng(1).standard_normal((4000, 1))
@@ -126,7 +128,7 @@ class TestPrice:
         delta = np.array([0.5])
         anchor = np.array([0.04])
         dt = 2.0
-        p = proxy.make_proxy(vs, delta, 0.0, dt, anchor)
+        p = proxy.make_proxy(vs, delta, dt, anchor)
         kern = wkb.make_libor_kernel(vs, delta, anchor, level=0)
         pair = est.AnchoredPair(proxy=p, kernel=kern)
         z = np.random.default_rng(2).standard_normal((2000, 1))
@@ -145,22 +147,24 @@ class TestPrice:
         assert r_l1.ess > 0.99 * r_l1.m
 
     def test_nan_weight_makes_ess_nan(self):
-        # a NaN weight poisons the pooled moments, and the ESS must say
-        # so instead of reporting a perfect m
-        class NanRowPair(est.AnchoredPair):
-            def log_weight(self, zeta):
-                out = np.zeros(zeta.shape[:-1])
-                out[0] = np.nan
+        # a NaN weight poisons the pooled moments, and weights that are
+        # all zero leave no effective sample: either way the ESS must
+        # say so instead of reporting a perfect m
+        class BadPair(est.AnchoredPair):
+            def log_weight(self, zeta):  # row 0 at ``first``, the rest at ``rest``
+                out = np.full(zeta.shape[:-1], rest)
+                out[0] = first
                 return out
 
         cfg = case_cfg(n=3)
         inp = est.EstimatorInputs(
-            anchored=lambda x: NanRowPair(proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 0.5, x)),
+            anchored=lambda x: BadPair(proxy.make_proxy(cfg.vs, cfg.delta, 0.5, x)),
             payoff=const_payoff(1.0), anchor=cfg.l0, m=100, seed=0,
         )
-        r = est.price(inp)
-        assert np.isnan(r.value)
-        assert np.isnan(r.ess)
+        for first, rest in ((np.nan, 0.0), (-np.inf, -np.inf)):
+            r = est.price(inp)
+            assert np.isnan(r.value) == np.isnan(first)
+            assert np.isnan(r.ess)
 
     def test_rejects_degenerate_sample_count(self):
         with pytest.raises(ValueError):
@@ -242,18 +246,16 @@ class TestDeltaFd:
         assert gaps[1] < gaps[0]
 
     def test_reanchored_variance_flat_as_horizon_shrinks(self):
-        cfg = case_cfg()
         sds = []
         for t in (0.5, 0.125):
-            inp = est.european_inputs(cfg, 1, m=10_000, seed=5, h=3.5e-5, t=t)
+            inp = est.european_inputs(case_cfg(t1=t), 1, m=10_000, seed=5, h=3.5e-5)
             sds.append(est.delta_fd(inp, 18).sd)
         assert max(sds) / min(sds) < 1.5
 
     def test_fixed_sampler_variance_grows_when_payoff_nonzero_at_anchor(self):
-        cfg = case_cfg(strike=0.02)
         sds = []
         for t in (0.5, 0.125):
-            inp = est.european_inputs(cfg, 1, m=10_000, seed=5, h=3.5e-5, t=t)
+            inp = est.european_inputs(case_cfg(t1=t, strike=0.02), 1, m=10_000, seed=5, h=3.5e-5)
             sds.append(est.naive_delta(inp, 18).sd)
         # quartering the horizon should double the SD
         assert 1.7 < sds[1] / sds[0] < 2.3
@@ -268,9 +270,9 @@ class TestNaiveDelta:
     def test_ess_pools_both_reweightings_of_one_cloud(self):
         # one cloud from the unbumped proxy, weighted once per bumped
         # kernel: ln p_k = log_weight_k + log_proxy_k, over phi_0
-        cfg = case_cfg()
+        cfg = case_cfg(t1=2.0)
         m, seed, h, i = 3000, 6, 3.5e-5, 18
-        inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h, t=2.0)
+        inp = est.european_inputs(cfg, 1, m=m, seed=seed, h=h)
         pair0 = inp.anchored(cfg.l0)
         zeta = pair0.draw(mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n)))
         pairs = [inp.anchored(a) for a in est._bumped(cfg.l0, i, h)]
@@ -310,7 +312,7 @@ class TestGammaFd:
         spec = payoffs.SwaptionSpec(strike=s0, first_leg=1)
 
         def anchored(x):
-            p = proxy.make_proxy(vs, delta, 0.0, t, x)
+            p = proxy.make_proxy(vs, delta, t, x)
             kern = wkb.make_libor_kernel(vs, delta, x, level=1)
             return est.AnchoredPair(proxy=p, kernel=kern)
 
@@ -393,10 +395,10 @@ class TestVarianceAudit:
         class FixedSamplerPair:
             def __init__(self, vs, delta, s, anchor, x0):
                 self.inner = est.AnchoredPair(
-                    proxy=proxy.make_proxy(vs, delta, 0.0, s, anchor)
+                    proxy=proxy.make_proxy(vs, delta, s, anchor)
                 )
                 self.fixed = est.AnchoredPair(
-                    proxy=proxy.make_proxy(vs, delta, 0.0, s, x0)
+                    proxy=proxy.make_proxy(vs, delta, s, x0)
                 )
 
             def draw(self, z):

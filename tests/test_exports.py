@@ -100,16 +100,15 @@ API_USERS = [
 
 def test_bench_and_demo_api_resolves():
     # perfbench and the demos are read only here, never run: every
-    # package attribute they use must exist and take the keywords they
-    # pass, so a deletion that would break the benchmark fails this test
+    # package attribute they use must exist and every call must bind to
+    # its signature, positional and keyword arguments alike, so a
+    # deleted name or a dropped or re-kinded parameter that would break
+    # the benchmark fails this test.  Starred calls are not bound.
     bad = []
-    seen = 0
+    seen = bound = 0
     for path in API_USERS:
         tree = ast.parse(path.read_text(), filename=str(path))
-        calls = {
-            id(node.func): [kw.arg for kw in node.keywords if kw.arg is not None]
-            for node in ast.walk(tree) if isinstance(node, ast.Call)
-        }
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in API_ALIASES):
@@ -120,14 +119,18 @@ def test_bench_and_demo_api_resolves():
             if not hasattr(module, node.attr):
                 bad.append(where)
                 continue
-            keywords = calls.get(id(node), [])
-            if not keywords:
+            call = calls.get(id(node))
+            if call is None or any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    kw.arg is None for kw in call.keywords):
                 continue
-            params = inspect.signature(getattr(module, node.attr)).parameters
-            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-                continue
-            bad += [f"{where}({kw}=)" for kw in keywords if kw not in params]
+            try:
+                inspect.signature(getattr(module, node.attr)).bind(
+                    *call.args, **{kw.arg: kw.value for kw in call.keywords})
+                bound += 1
+            except TypeError as exc:
+                bad.append(f"{where}: {exc}")
     assert seen > 30
+    assert bound > 25
     assert bad == []
 
 

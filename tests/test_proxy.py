@@ -15,33 +15,34 @@ def small_cfg(n=3):
 class TestMoments:
     def test_terminal_component_hand_value(self):
         cfg = small_cfg(n=4)
-        mean = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 0.3, cfg.l0).mean_shift
+        mean = proxy.make_proxy(cfg.vs, cfg.delta, 0.3, cfg.l0).mean_shift
         # terminal rate has no state drift: mean shift is -dt*a_nn/2
         assert_allclose(mean[-1], -0.3 * cfg.vs.a_diag[-1] / 2, rtol=1e-14)
 
     def test_small_rate_limit_kills_state_drift(self):
         cfg = small_cfg(n=3)
         x = np.full(3, 1e-13)
-        mean = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, x).mean_shift
+        mean = proxy.make_proxy(cfg.vs, cfg.delta, 1.0, x).mean_shift
         assert_allclose(mean, -cfg.vs.a_diag / 2, rtol=1e-9)
 
     def test_validation(self):
         cfg = small_cfg()
+        for dt in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be finite and > 0"):
+                proxy.make_proxy(cfg.vs, cfg.delta, dt, cfg.l0)
         with pytest.raises(ValueError):
-            proxy.make_proxy(cfg.vs, cfg.delta, 0.5, 0.5, cfg.l0)
-        with pytest.raises(ValueError):
-            proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, -cfg.l0)
+            proxy.make_proxy(cfg.vs, cfg.delta, 1.0, -cfg.l0)
         for bad in (np.nan, np.inf):
             anchor = cfg.l0.copy()
             anchor[1] = bad
             with pytest.raises(ValueError, match="positive and finite"):
-                proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, anchor)
+                proxy.make_proxy(cfg.vs, cfg.delta, 1.0, anchor)
 
 
 class TestSampling:
     def test_sample_matches_moments(self):
         cfg = small_cfg(n=3)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 1.0, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 1.0, cfg.l0)
         rng = np.random.default_rng(9)
         m = 200_000
         zeta = proxy.sample_g(p, rng.standard_normal((m, 3)))
@@ -54,8 +55,8 @@ class TestSampling:
         # integrate the density by importance sampling from a second,
         # wider proxy anchored elsewhere; the ratio must average to one
         cfg = small_cfg(n=2)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 1.0, cfg.l0)
-        wide = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 2.0, cfg.l0 * 1.2)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 1.0, cfg.l0)
+        wide = proxy.make_proxy(cfg.vs, cfg.delta, 2.0, cfg.l0 * 1.2)
         rng = np.random.default_rng(13)
         m = 400_000
         v = proxy.sample_g(wide, rng.standard_normal((m, 2)))
@@ -68,7 +69,7 @@ class TestDensity:
         # plugging the sampling map into the density must give back the
         # standard normal kernel exactly, up to the known Jacobian terms
         cfg = small_cfg(n=5)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.7, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.7, cfg.l0)
         rng = np.random.default_rng(21)
         z = rng.standard_normal((100, 5))
         zeta = proxy.sample_g(p, z)
@@ -83,7 +84,7 @@ class TestDensity:
 
     def test_against_scipy_multivariate_normal(self):
         cfg = small_cfg(n=2)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 0.9, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.9, cfg.l0)
         rng = np.random.default_rng(4)
         v = proxy.sample_g(p, rng.standard_normal((50, 2)))
         mvn = stats.multivariate_normal(
@@ -96,7 +97,7 @@ class TestDensity:
         # log-values are jointly normal, so each marginal is lognormal;
         # a KS test on the last component catches scale slips
         cfg = small_cfg(n=2)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 1.0, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 1.0, cfg.l0)
         rng = np.random.default_rng(8)
         zeta = proxy.sample_g(p, rng.standard_normal((20_000, 2)))
         sigma = np.sqrt(p.dt * cfg.vs.a_diag[-1])
@@ -105,7 +106,9 @@ class TestDensity:
         assert ks.pvalue > 1e-4
 
     def test_rejects_nonpositive_points(self):
-        cfg = small_cfg(n=2)
-        p = proxy.make_proxy(cfg.vs, cfg.delta,0.0, 1.0, cfg.l0)
-        with pytest.raises(ValueError):
-            proxy.log_density(p, np.array([0.02, 0.0]))
+        cfg = small_cfg(n=3)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 1.0, cfg.l0)
+        # NaN compares false with 0, so it and inf need their own check
+        for bad in (0.0, -0.01, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive finite rates"):
+                proxy.log_density(p, np.array([[bad, 0.03, 0.03], [0.03, 0.03, 0.03]]))

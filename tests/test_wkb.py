@@ -497,11 +497,11 @@ class TestTaylorSurrogate:
         first = cfg.n - w
         start, end = cfg.tenor_date(first - 1), cfg.tenor_date(first + 1)
         rng = np.random.default_rng(11)
-        x = proxy.sample_g(proxy.make_proxy(cfg.vs, cfg.delta, 0.0, start, cfg.l0),
+        x = proxy.sample_g(proxy.make_proxy(cfg.vs, cfg.delta, start, cfg.l0),
                            rng.standard_normal((2000, cfg.n)))[:, first:]
         vs, delta, dt = cfg.vs.trailing(first), cfg.delta[first:], end - start
         ker = wkb.make_libor_kernel(vs, delta, cfg.l0[first:], level=1)
-        zeta = proxy.sample_g(proxy.make_proxy(vs, delta, 0.0, dt, x),
+        zeta = proxy.sample_g(proxy.make_proxy(vs, delta, dt, x),
                               rng.standard_normal((2000, w)))
         xy, y = lmm.to_y(vs, x), lmm.to_y(vs, zeta)
         exact = wkb.libor_c1(vs, delta, xy, y)
@@ -541,7 +541,7 @@ class TestKernel:
         cfg = case_cfg(n=4)
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=0)
         dt = 0.3
-        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, dt, cfg.l0)
         got = np.exp(log_kernel(ker, p, cfg.l0) - log_jacobian(cfg.vs, cfg.l0))
         assert_allclose(got, (2 * np.pi * dt) ** -2.0, rtol=1e-13)
 
@@ -550,7 +550,7 @@ class TestKernel:
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
         dt = 0.3
         x = ker.anchor_y
-        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, dt, cfg.l0)
         got = log_kernel(ker, p, cfg.l0) - log_jacobian(cfg.vs, cfg.l0)
         r0 = wkb.libor_r0(cfg.vs, cfg.delta, x, x)
         assert_allclose(got, -2.0 * np.log(2 * np.pi * dt) + dt * r0, rtol=1e-12)
@@ -576,7 +576,7 @@ class TestKernel:
         ker = wkb.make_libor_kernel(vs, delta, x, level=1)
         dt = 2.0
         v = np.linspace(0.01, 0.09, 25)[:, None]
-        got = log_kernel(ker, proxy.make_proxy(vs, delta, 0.0, dt, x), v)
+        got = log_kernel(ker, proxy.make_proxy(vs, delta, dt, x), v)
         ln = stats.lognorm(s=0.2 * np.sqrt(dt), scale=0.035 * np.exp(-0.5 * 0.04 * dt))
         assert np.max(np.abs(got - ln.logpdf(v[:, 0]))) < 1e-10
 
@@ -587,7 +587,7 @@ class TestKernel:
             n=19, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035
         )
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
-        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, 1.0, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, 1.0, cfg.l0)
         rng = np.random.default_rng(42)
         m = 100_000
         zeta = proxy.sample_g(p, rng.standard_normal((m, 19)))
@@ -602,7 +602,7 @@ class TestKernel:
         cfg = case_cfg(n=6)
         dt = 0.8
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
-        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, cfg.l0)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, dt, cfg.l0)
         rng = np.random.default_rng(3)
         zeta = proxy.sample_g(p, rng.standard_normal((200, 6)))
         x, y = ker.anchor_y, lmm.to_y(cfg.vs, zeta)
@@ -622,12 +622,12 @@ class TestKernel:
         rng = np.random.default_rng(5)
         x = cfg.l0 * np.exp(0.2 * rng.standard_normal((40, 6)))
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=level)
-        p = proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, x)
+        p = proxy.make_proxy(cfg.vs, cfg.delta, dt, x)
         zeta = proxy.sample_g(p, rng.standard_normal((40, 6)))
         got = log_kernel(ker, p, zeta)
         want = np.array([
             log_kernel(wkb.make_libor_kernel(cfg.vs, cfg.delta, xr, level),
-                       proxy.make_proxy(cfg.vs, cfg.delta, 0.0, dt, xr), zr)
+                       proxy.make_proxy(cfg.vs, cfg.delta, dt, xr), zr)
             for xr, zr in zip(x, zeta)
         ])
         assert np.max(np.abs(got - want)) < (1e-12 if level == 0 else 2e-4)
