@@ -95,8 +95,9 @@ class AnchoredPair:
     The start, ``proxy.anchor``, is one state shared by every row of
     draws or one state per row.  ``kernel`` None means the proxy itself
     is the density model, so the importance weights are identically
-    one; otherwise the kernel may be built at another state, whose
-    c_1 surrogate re-centres at the start (see ``WkbKernel.c1_taylor``).
+    one; otherwise the kernel may be built at another state: c_1 on the
+    diagonal is exact at the start and only its Taylor data is the
+    anchor's (see ``wkb.log_weight_y``).
     """
 
     proxy: LognormalProxy

@@ -23,16 +23,16 @@ c_0 and R_0 exist twice: once generically for an arbitrary smooth
 drift (closed quadrature forms, used by the toy oracles and
 cross-checks) and once in closed form for the Libor drift (used in
 production).  The c_1 segment integral exists once and serves both
-drifts.  In production c_1 is further replaced by its second-order
-Taylor polynomial around the kernel's anchor, so that density
-evaluation costs no quadrature per sample.  Production never forms the
-density itself, only its log ratio to the lognormal proxy started at
-the same state, ``log_weight_y``.  That start is always explicit: one
-state shared by every row (a draw from the anchor at time zero) or one
-per row (the Bermudan continuation starts each row at its own state).
-The Taylor data serves either: the polynomial is translated to the
-start and gains a first-order term in the start's offset from the
-anchor, zero at the anchor itself.
+drifts.  Production never forms the density itself, only its log ratio
+to the lognormal proxy started at the same state, ``log_weight_y``.
+That start is always explicit: one state shared by every row (a draw
+from the anchor at time zero) or one per row (the Bermudan continuation
+starts each row at its own state).  There c_1(start, y) splits in two.
+On the diagonal the Libor drift gives the closed form c_1(s, s) =
+-|b(s)|^2 / 2, which cancels against the proxy's mean shift.  The rest,
+c_1(start, y) - c_1(start, start), is the second-order Taylor
+polynomial of y -> c_1(anchor, y) around the kernel's anchor, translated
+to the start, so a weight costs no quadrature per sample.
 """
 from __future__ import annotations
 
@@ -117,10 +117,10 @@ def linear_drift_model(B: np.ndarray) -> FlatDriftModel:
 
 def _segment(x: np.ndarray, y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Points y + s (x - y) for each node s; node axis inserted at -2."""
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    d = x - y
-    return y[..., None, :] + nodes[:, None] * d[..., None, :]
+    zs = nodes[:, None] * (np.asarray(x, dtype=np.float64) - y)[..., None, :]
+    zs += y[..., None, :]
+    return zs
 
 
 def c0_generic(model: FlatDriftModel, x: np.ndarray, y: np.ndarray, order: int = 16) -> np.ndarray:
@@ -152,9 +152,11 @@ def lap_c0_generic(model: FlatDriftModel, z: np.ndarray, y: np.ndarray, order: i
 
     lap c_0 = -2 int_0^1 s tr J ds + int_0^1 s^2 (y - z) . lap b ds.
     """
+    out = np.zeros(np.broadcast_shapes(np.shape(z)[:-1], np.shape(y)[:-1]))
+    if model.grad is None and model.lap is None:
+        return out
     nodes, weights = _gauss_legendre_01(order)
     zs = _segment(z, y, nodes)
-    out = np.zeros(np.broadcast_shapes(np.shape(z)[:-1], np.shape(y)[:-1]))
     if model.grad is not None:
         tr = np.trace(model.grad(zs), axis1=-2, axis2=-1)
         out = out - 2.0 * np.einsum("k,...k->...", weights * nodes, tr)
@@ -505,22 +507,6 @@ def libor_c1_taylor2(
     return f0, grad, hess
 
 
-def _libor_c1_position_grad(vs: VolStructure, delta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of s -> c_1(x + s, x + s) at s = 0, by central differences.
-
-    Both ends move together, so this is how c_1 at a fixed displacement
-    changes with the start state.  On the diagonal the segment shrinks
-    to a point and c_1(z, z) = R_0(z, z), so the 2n stencil points need
-    no quadrature.  Steps as in :func:`libor_c1_taylor2`.
-    """
-    eps = _TAYLOR_REL_STEP * np.maximum(np.abs(x), 1.0)
-    axis = np.diag(eps)
-    zs = x + np.concatenate([axis, -axis])
-    vals = libor_r0(vs, delta, zs, zs)
-    n = x.shape[0]
-    return (vals[:n] - vals[n:]) / (2.0 * eps)
-
-
 # ---------------------------------------------------------------------------
 # the anchored kernel
 
@@ -531,41 +517,28 @@ class WkbKernel:
 
     The anchor is the state the Taylor data is taken at; every
     evaluation names its start state, the anchor itself or states near
-    it.  For level 1 the second-order coefficient is carried as its
-    Taylor polynomial around the anchor, precomputed once so that a
-    density evaluation is quadrature-free.  ``c1_pos_grad`` is the
-    gradient of c_1 in a start state moved off the anchor together with
-    its end point, which lets the same data serve nearby start states.
+    it.  For level 1 the gradient and Hessian of y -> c_1(anchor, y) at
+    y = anchor are precomputed once, so that a weight evaluation is
+    quadrature-free.  c_1 on the diagonal needs no data: it is the
+    closed form in :func:`log_weight_y`.
     """
 
     level: int
     vs: VolStructure
     delta: np.ndarray
-    anchor_y: np.ndarray
-    c1_value: float | None = None
     c1_grad: np.ndarray | None = None
     c1_hess: np.ndarray | None = None
-    c1_pos_grad: np.ndarray | None = None
 
     def c1_taylor(self, y: np.ndarray, start_y: np.ndarray) -> np.ndarray:
-        """The surrogate of c_1(start, y), with one start or one per row.
+        """The surrogate of c_1(start, y) - c_1(start, start), one start or one per row.
 
-        With d = y - start and p = start - anchor, row by row:
+        With d = y - start, row by row, the anchor's quadratic translated
+        to the start:
 
-            c_1~ = c1_value + d . c1_grad + d' c1_hess d / 2 + p . c1_pos_grad,
-
-        the quadratic in the displacement, translated to the start, plus
-        the first-order change of c_1 with the start's position, which
-        vanishes at the anchor.  Without the last term the Bermudan
-        continuation's Delta is biased.
+            d . c1_grad + d' c1_hess d / 2.
         """
         d = np.asarray(y, dtype=np.float64) - start_y
-        return (
-            self.c1_value
-            + d @ self.c1_grad
-            + 0.5 * np.sum((d @ self.c1_hess) * d, axis=-1)
-            + (start_y - self.anchor_y) @ self.c1_pos_grad
-        )
+        return d @ self.c1_grad + 0.5 * np.sum((d @ self.c1_hess) * d, axis=-1)
 
 
 def make_libor_kernel(
@@ -580,22 +553,11 @@ def make_libor_kernel(
     anchor_rates = np.asarray(anchor_rates, dtype=np.float64)
     if not np.all((anchor_rates > 0.0) & np.isfinite(anchor_rates)):
         raise ValueError("anchor rates must be positive and finite")
-    anchor_y = to_y(vs, anchor_rates)
     delta = np.asarray(delta, dtype=np.float64)
-    c1v = c1g = c1h = c1p = None
+    c1g = c1h = None
     if level == 1:
-        c1v, c1g, c1h = libor_c1_taylor2(vs, delta, anchor_y)
-        c1p = _libor_c1_position_grad(vs, delta, anchor_y)
-    return WkbKernel(
-        level=level,
-        vs=vs,
-        delta=delta,
-        anchor_y=anchor_y,
-        c1_value=c1v,
-        c1_grad=c1g,
-        c1_hess=c1h,
-        c1_pos_grad=c1p,
-    )
+        _, c1g, c1h = libor_c1_taylor2(vs, delta, to_y(vs, anchor_rates))
+    return WkbKernel(level=level, vs=vs, delta=delta, c1_grad=c1g, c1_hess=c1h)
 
 
 def log_weight_y(
@@ -611,22 +573,29 @@ def log_weight_y(
     (flat coordinates, rows matching ``y_to``), and ``kappa`` the
     proxy's mean shift from it, likewise.  In flat coordinates the proxy
     is N(start + kappa, dt I), so the normalizations, chart Jacobians
-    and the common |y - start|^2 part cancel algebraically:
+    and the common |y - start|^2 part cancel algebraically.  With
+    d = y - start, level 0 reads
 
-        ln w = (|kappa|^2 - 2 (y - start) . kappa) / (2 dt)
-               + c_0(start, y) + dt c_1~(start, y).
+        ln w = (|kappa|^2 - 2 d . kappa) / (2 dt) + c_0(start, y).
 
-    Expanding the difference of quadratic forms analytically keeps the
-    1/dt terms from ever being formed, so there is no cancellation loss
-    for small dt.  The full log density is this plus the proxy's.
+    At level 1, kappa = b(start) dt and the Libor drift is
+    divergence-free in flat coordinates (mu_i reads only the later
+    rates), so c_1(s, s) = R_0(s, s) = -|b(s)|^2 / 2 exactly and
+    dt c_1(start, start) cancels the |kappa|^2 term:
+
+        ln w = -d . kappa / dt + c_0(start, y) + dt c_1~(start, y),
+
+    with c_1~ the surrogate of :meth:`WkbKernel.c1_taylor`.  Expanding
+    the difference of quadratic forms analytically keeps the 1/dt terms
+    from ever being formed, so there is no cancellation loss for small
+    dt.  The full log density is this plus the proxy's.
     """
     y_to = np.asarray(y_to, dtype=np.float64)
     dot = partial(np.einsum, "...i,...i->...")  # row by row, either side broadcast
-    out = (dot(kappa, kappa) - 2.0 * dot(y_to - start_y, kappa)) / (2.0 * dt)
-    out = out + libor_c0(kernel.vs, kernel.delta, start_y, y_to)
-    if kernel.level >= 1:
-        out = out + dt * kernel.c1_taylor(y_to, start_y)
-    return out
+    c0 = libor_c0(kernel.vs, kernel.delta, start_y, y_to)
+    if kernel.level == 0:
+        return (dot(kappa, kappa) - 2.0 * dot(y_to - start_y, kappa)) / (2.0 * dt) + c0
+    return -dot(y_to - start_y, kappa) / dt + c0 + dt * kernel.c1_taylor(y_to, start_y)
 
 
 def grad_log_weight_y(

@@ -554,14 +554,18 @@ class TestEulerReference:
 # generator, the sample -> normal mapping, the stream of a draw, the rows
 # a continuation gap or step draws for, the batch split or the reduction
 # order) moves these far beyond 1e-12.  Any change to the level-1
-# kernel's Taylor data (the c_1 stencil, its steps, its quadrature order,
-# its position term or the arithmetic of the segment averages it
-# integrates) moves every weighted value here past 1e-12 too, and none
-# of the Euler ones: the 4-node stencil rule that replaced 16 nodes
-# moved the weighted values by at most 1.5e-5 sd.  Neither the size of
-# the row slices nor the trigger's reading of the live rates alone
-# moves any bit.  The level-1 Bermudan ESS and largest weight are those
-# of the path weights.
+# kernel's Taylor data (the c_1 stencil, its steps, its quadrature order
+# or the arithmetic of the segment averages it integrates) moves every
+# weighted value here past 1e-12 too, and none of the Euler ones: the
+# 4-node stencil rule that replaced 16 nodes moved the weighted values
+# by at most 1.5e-5 sd.  Neither the size of the row slices nor the
+# trigger's reading of the live rates alone moves any bit.  The level-1
+# Bermudan ESS and largest weight are those of the path weights.  The
+# Bermudan values were re-pinned when c_1 on the diagonal became the
+# closed form -|kappa|^2 / (2 dt^2) at each row's start, in place of the
+# stencil's value at the anchor plus a first-order position term; the
+# European ones start at the anchor, where the two agree to rounding,
+# and kept their pins.
 GOLDEN = {
     "price": (183.1976711289868, 2.3758961649957464, 16389, 16388.760669842784, 1.0144357026271185),
     "delta_fd": (1794.2337707884244, 15.593212890449143, 16389, 16388.760669820815, 1.0144383662305567),
@@ -569,8 +573,8 @@ GOLDEN = {
     "gamma_fd_cross": (15463.409679033386, 1177.9405008179979, 16389, None, None),
     "euler_price": (178.82009576954667, 2.3508268975571323, 16389, np.nan, 1.0),
     "euler_delta_fd": (1767.5675815557393, 15.535185517754707, 16389, np.nan, 1.0),
-    "bermudan_price": (347.0104756541639, 8.82309932811761, 2048, 2047.9069786671091, 1.0257804091161433),
-    "bermudan_delta_fd": (2811.384369634182, 50.35295534140029, 2048, 2047.9075163551945, 1.034726601093311),
+    "bermudan_price": (346.9398083782619, 8.821372885475968, 2048, 2047.908351516803, 1.0244203557302485),
+    "bermudan_delta_fd": (2809.8049801639686, 50.298665814235704, 2048, 2047.9092207286749, 1.0298056711926626),
     "euler_bermudan_price": (342.8072025042409, 8.949181788196626, 2048, np.nan, 1.0),
     "euler_bermudan_delta_fd": (2809.9466083064353, 51.544717402633495, 2048, np.nan, 1.0),
 }

@@ -483,14 +483,33 @@ class TestTaylorSurrogate:
         f0, _, _ = wkb.libor_c1_taylor2(cfg.vs, cfg.delta, x)
         assert_allclose(f0, wkb.libor_r0(cfg.vs, cfg.delta, x, x), rtol=1e-12)
 
+    @pytest.mark.parametrize("w", [19, 9, 3])
+    def test_diagonal_is_minus_half_the_squared_drift(self, w):
+        # mu_i reads only the later rates, so the flat drift b is
+        # divergence-free and c_1(z, z) = R_0(z, z) = -|b(z)|^2 / 2, with
+        # b dt the proxy's mean shift kappa in flat coordinates
+        cfg = case_cfg(n=19)
+        first = cfg.n - w
+        vs, delta, dt = cfg.vs.trailing(first), cfg.delta[first:], 0.7
+        rng = np.random.default_rng(w)
+        rates = cfg.l0[first:] * np.exp(0.3 * rng.standard_normal((50, w)))
+        kappa = proxy.make_proxy(vs, delta, dt, rates).mean_shift @ vs.gamma_inv.T
+        z = lmm.to_y(vs, rates)
+        want = -np.sum(kappa * kappa, axis=-1) / (2.0 * dt * dt)
+        assert_allclose(wkb.libor_r0(vs, delta, z, z), want, rtol=1e-12, atol=0.0)
+        assert_allclose(wkb.libor_c1(vs, delta, z, z), want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("w", [17, 9, 3])
     def test_position_term_beats_translation(self, w):
         # the Bermudan continuation's gap into tenor index i = 20 - w: the
         # live rates start at the states a seeded batch reaches at the
         # previous exercise date and draw a one-year step from the proxy
-        # at each row.  Against exact c_1 per row, the kernel built at
-        # l0's block must do better with its position term than with the
-        # quadratic translated to the row's start alone
+        # at each row.  Against exact c_1 per row, the closed-form
+        # diagonal at each row's start plus the translated quadratic must
+        # do better than the surrogate it replaced: the quadratic
+        # translated with the stencil's value at the anchor, plus a
+        # first-order term in the start's offset from the anchor whose
+        # gradient is a central difference of R_0 on the diagonal
         cfg = lmm.ModelConfig(
             n=19, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3, strike=0.035
         )
@@ -501,26 +520,21 @@ class TestTaylorSurrogate:
                            rng.standard_normal((2000, cfg.n)))[:, first:]
         vs, delta, dt = cfg.vs.trailing(first), cfg.delta[first:], end - start
         ker = wkb.make_libor_kernel(vs, delta, cfg.l0[first:], level=1)
-        zeta = proxy.sample_g(proxy.make_proxy(vs, delta, dt, x),
-                              rng.standard_normal((2000, w)))
+        p = proxy.make_proxy(vs, delta, dt, x)
+        zeta = proxy.sample_g(p, rng.standard_normal((2000, w)))
         xy, y = lmm.to_y(vs, x), lmm.to_y(vs, zeta)
         exact = wkb.libor_c1(vs, delta, xy, y)
-        full = np.mean(np.abs(dt * (ker.c1_taylor(y, xy) - exact)))
-        a = ker.anchor_y
-        translated = np.mean(np.abs(dt * (ker.c1_taylor(a + (y - xy), a) - exact)))
-        assert full < translated
-
-    def test_position_gradient_on_the_diagonal(self):
-        # c1_pos_grad is the gradient of c_1(a + s, a + s), taken on R_0
-        # at the 2n diagonal points; the quadrature agrees there
-        cfg = case_cfg(n=5)
-        ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
-        a = ker.anchor_y
-        eps = 1e-3
-        zs = a + eps * np.concatenate([np.eye(5), -np.eye(5)])
-        vals = wkb.libor_c1(cfg.vs, cfg.delta, zs, zs)
-        want = (vals[:5] - vals[5:]) / (2.0 * eps)
-        assert_allclose(ker.c1_pos_grad, want, rtol=1e-5, atol=1e-9)
+        kappa = p.mean_shift @ vs.gamma_inv.T
+        closed = -np.sum(kappa * kappa, axis=-1) / (2.0 * dt * dt) + ker.c1_taylor(y, xy)
+        a = lmm.to_y(vs, cfg.l0[first:])
+        f0, _, _ = wkb.libor_c1_taylor2(vs, delta, a)
+        eps = wkb._TAYLOR_REL_STEP * np.maximum(np.abs(a), 1.0)
+        zs = a + np.concatenate([np.diag(eps), -np.diag(eps)])
+        r0 = wkb.libor_r0(vs, delta, zs, zs)
+        pos_grad = (r0[:w] - r0[w:]) / (2.0 * eps)
+        translated = f0 + ker.c1_taylor(y, xy) + (xy - a) @ pos_grad
+        assert (np.mean(np.abs(dt * (closed - exact)))
+                < np.mean(np.abs(dt * (translated - exact))))
 
 
 def log_kernel(ker, p, v):
@@ -549,7 +563,7 @@ class TestKernel:
         cfg = case_cfg(n=4)
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
         dt = 0.3
-        x = ker.anchor_y
+        x = lmm.to_y(cfg.vs, cfg.l0)
         p = proxy.make_proxy(cfg.vs, cfg.delta, dt, cfg.l0)
         got = log_kernel(ker, p, cfg.l0) - log_jacobian(cfg.vs, cfg.l0)
         r0 = wkb.libor_r0(cfg.vs, cfg.delta, x, x)
@@ -597,7 +611,8 @@ class TestKernel:
 
     def test_log_weight_matches_density_ratio(self):
         # ln w + ln phi against the truncated density written out:
-        # the flat Gaussian with phase c_0 + dt c_1~, plus the chart
+        # the flat Gaussian with phase c_0 + dt c_1~, c_1~ the exact
+        # diagonal R_0(x, x) plus the translated quadratic, and the chart
         # Jacobian, so the cancellations inside log_weight_y are exact
         cfg = case_cfg(n=6)
         dt = 0.8
@@ -605,8 +620,9 @@ class TestKernel:
         p = proxy.make_proxy(cfg.vs, cfg.delta, dt, cfg.l0)
         rng = np.random.default_rng(3)
         zeta = proxy.sample_g(p, rng.standard_normal((200, 6)))
-        x, y = ker.anchor_y, lmm.to_y(cfg.vs, zeta)
-        phase = wkb.libor_c0(cfg.vs, cfg.delta, x, y) + dt * ker.c1_taylor(y, x)
+        x, y = lmm.to_y(cfg.vs, cfg.l0), lmm.to_y(cfg.vs, zeta)
+        c1 = wkb.libor_r0(cfg.vs, cfg.delta, x, x) + ker.c1_taylor(y, x)
+        phase = wkb.libor_c0(cfg.vs, cfg.delta, x, y) + dt * c1
         flat = -3.0 * np.log(2 * np.pi * dt) - np.sum((y - x) ** 2, axis=-1) / (2 * dt) + phase
         want = flat + log_jacobian(cfg.vs, zeta)
         assert np.max(np.abs(log_kernel(ker, p, zeta) - want)) < 1e-10
@@ -630,11 +646,12 @@ class TestKernel:
                        proxy.make_proxy(cfg.vs, cfg.delta, dt, xr), zr)
             for xr, zr in zip(x, zeta)
         ])
-        assert np.max(np.abs(got - want)) < (1e-12 if level == 0 else 2e-4)
+        assert np.max(np.abs(got - want)) < (1e-12 if level == 0 else 4e-5)
 
     def test_start_at_the_anchor_changes_nothing(self):
         cfg = case_cfg(n=6)
         ker = wkb.make_libor_kernel(cfg.vs, cfg.delta, cfg.l0, level=1)
-        y = ker.anchor_y + 0.3 * np.random.default_rng(2).standard_normal((50, 6))
-        start = np.broadcast_to(ker.anchor_y, y.shape)
-        assert np.array_equal(ker.c1_taylor(y, start), ker.c1_taylor(y, ker.anchor_y))
+        a = lmm.to_y(cfg.vs, cfg.l0)
+        y = a + 0.3 * np.random.default_rng(2).standard_normal((50, 6))
+        start = np.broadcast_to(a, y.shape)
+        assert np.array_equal(ker.c1_taylor(y, start), ker.c1_taylor(y, a))
