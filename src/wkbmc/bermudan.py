@@ -166,7 +166,11 @@ def _europeans(cfg: ModelConfig, i: int, js: np.ndarray, x: np.ndarray, br: np.n
         ], axis=-1)
     vs = cfg.vs.trailing(first)
     ux = u * x
-    quad = ux * (ux * vs.a_diag + 2.0 * (ux @ vs.a_upper.T))
+    rows = ux.reshape(-1, ux.shape[-1])
+    cross = np.empty_like(rows)
+    for part in mc.row_slices(*rows.shape):  # no threaded BLAS product in a batch
+        np.matmul(rows[part], vs.a_upper.T, out=cross[part])
+    quad = ux * (ux * vs.a_diag + 2.0 * cross.reshape(ux.shape))
     annuity, floating, quad = (
         np.cumsum(c[..., ::-1], axis=-1)[..., ::-1][..., j0] for c in (u, ux, quad))
     v = np.sqrt(tau * quad) / floating

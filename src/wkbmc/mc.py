@@ -11,13 +11,17 @@ in running order.  Reductions accumulate per-batch partial moments and
 combine them in batch order, which makes totals bit-identical no matter
 how the batches were scheduled.  That is what lets ``map_batches`` run
 the batches of every loop at once, one thread per usable CPU, with
-results bit-identical to a serial run.  Inside a batch, every per-row
-kernel works in the cache-sized slices of ``row_slices``, sized by the
-number of entries they hold.
+results bit-identical to a serial run; a map that leaves a usable CPU
+idle lends it to ``normal_blocks`` to draw a batch's next normals ahead.
+Inside a batch, every per-row kernel and every per-row BLAS product
+works in the cache-sized slices of ``row_slices``, sized by the number
+of entries they hold (``CHUNK`` says why).
 """
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,8 +40,12 @@ BATCH = 1 << 14
 #: cost 92 ns per entry at width 1 against 38 ns at width 19, and 56 ns
 #: at width 1 in slices of ``CHUNK * 19`` entries (2-vCPU Xeon, numpy
 #: 2.4, one BLAS thread).  The one-shot weight, the continuation's
-#: proxy transition and the log-Euler step all work in the slices
-#: :func:`row_slices` cuts.
+#: proxy transition, the log-Euler step and the still-alive Europeans'
+#: cross term all work in the slices :func:`row_slices` cuts, and no
+#: per-row BLAS product may run on a whole batch: OpenBLAS 0.3 threads a
+#: product past about 1.1-1.3M multiply-adds (a (4096, 19) @ (19, 19)
+#: ran at 1.98 CPU seconds per wall second, a (1024, 19) one at 1.00),
+#: and after it its worker spin-waits on the CPU a batch could use.
 CHUNK = 1024
 
 # Stream labels.  One logical purpose per stream, shared by every
@@ -46,6 +54,8 @@ CHUNK = 1024
 STREAM_XI = 0       # proxy draws (or the primary normals of a toy model)
 STREAM_CONT = 1     # continuation normals after the first date (Bermudan)
 STREAM_EULER = 2    # log-Euler evolution started at time zero
+
+_batch = threading.local()  # .spare: the running map leaves a usable CPU idle
 
 _MASK48 = (1 << 48) - 1
 _MASK64 = (1 << 64) - 1
@@ -118,23 +128,67 @@ def map_batches(fn, m: int) -> list:
     each batch has its own slot, as ``MomentAccumulator.add`` does.  If
     a batch raises, the batches not yet started are cancelled and the
     first failure in batch order is raised once every running batch has
-    ended; no worker thread outlives the call.
+    ended; no worker thread outlives the call.  A thread-local flag
+    tells :func:`normal_blocks` if the map leaves a usable CPU idle.
     """
     slices = batch_slices(m)
-    workers = min(len(slices), _usable_cpus())
+    cpus = _usable_cpus()
+    workers = min(len(slices), cpus)
+
+    def run(*s):
+        outer, _batch.spare = getattr(_batch, "spare", False), workers < cpus
+        try:
+            return fn(*s)
+        finally:
+            _batch.spare = outer
+
     if workers == 1:
-        return [fn(*s) for s in slices]
+        return [run(*s) for s in slices]
     # imported here so that loading the package stays cheap
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     pool = ThreadPoolExecutor(workers)
     try:
-        futures = [pool.submit(fn, *s) for s in slices]
+        futures = [pool.submit(run, *s) for s in slices]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)
     # workers take batches in order, so no cancelled batch precedes a failed one
     return [f.result() for f in futures]
+
+
+@contextmanager
+def normal_blocks(rng: np.random.Generator, shape: tuple, count: int):
+    """Iterator over ``count`` blocks of ``rng.standard_normal(shape)``.
+
+    A block is valid until the next is taken; nothing else may draw
+    from ``rng`` inside the ``with``.  In a :func:`map_batches` batch
+    that leaves a CPU idle, a helper thread fills block s + 1 into a
+    second buffer while the caller works on block s; elsewhere each
+    block is drawn in place on the caller.  Both draw the same blocks in
+    order, so every bit and ``rng``'s final state match.  The helper is
+    joined on leaving the ``with``, by an error too.
+    """
+    if count < 2 or not getattr(_batch, "spare", False):
+        buf = np.empty(shape)
+        yield (rng.standard_normal(shape, out=buf) for _ in range(count))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool, bufs = ThreadPoolExecutor(1), (np.empty(shape), np.empty(shape))
+
+    def blocks():
+        ahead = pool.submit(rng.standard_normal, shape, out=bufs[0])
+        for s in range(1, count + 1):
+            z = ahead.result()
+            if s < count:  # into the buffer of block s - 2, which the caller is done with
+                ahead = pool.submit(rng.standard_normal, shape, out=bufs[s % 2])
+            yield z
+
+    try:
+        yield blocks()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class MomentAccumulator:
@@ -193,5 +247,6 @@ __all__ = [
     "row_slices",
     "batch_slices",
     "map_batches",
+    "normal_blocks",
     "MomentAccumulator",
 ]

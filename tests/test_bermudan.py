@@ -238,6 +238,26 @@ class TestLiveBlock:
                                   full_width_europeans(cfg, x, i, js))
 
 
+class TestSlicedCrossTerm:
+    @pytest.mark.parametrize("style", ["on_sum", "per_leg"])
+    @pytest.mark.parametrize("width", [19, 9, 2])
+    def test_europeans_match_one_whole_product(self, monkeypatch, width, style):
+        # the cross term runs in row slices, two full ones and a one-row
+        # tail joined to the second, and gives the bits of one product
+        # over every row
+        cfg = case_cfg(payoff_style=style)
+        i = cfg.n - width + 1
+        rows = 2 * (mc.CHUNK * 19 // width) + 1
+        assert len(mc.row_slices(rows, width)) == 2
+        z = np.random.default_rng(width).standard_normal((rows, width))
+        x = cfg.l0[i - 1:] * np.exp(0.3 * (z @ cfg.vs.trailing(i - 1).gamma.T))
+        br = bond_ratios(cfg.delta[i - 1:], x)
+        js = np.arange(i, cfg.n + 1)
+        got = brm._europeans(cfg, i, js, x, br)
+        monkeypatch.setattr(mc, "row_slices", lambda n, w: [slice(0, n)])
+        assert np.array_equal(got, brm._europeans(cfg, i, js, x, br))
+
+
 class TestPolicyObject:
     def make(self, **kw):
         args = dict(

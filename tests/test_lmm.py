@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,28 @@ class TestLogEuler:
             (alone,) = lmm.evolve_log_euler(cfg, [start], 4, 0.05,
                                             mc.rng_for(6, 0, mc.STREAM_CONT), first=first)
             assert np.array_equal(got, alone)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_thread_outlives_a_failed_step(self, monkeypatch, cpus):
+        # on two CPUs the lone batch draws its next normals on a helper
+        # thread; a step that raises still leaves no thread behind
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        step, calls = lmm.log_euler_step, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("third step")
+            return step(*args)
+
+        monkeypatch.setattr(lmm, "log_euler_step", failing)
+        cfg = case_cfg(n=19)
+        x = np.broadcast_to(cfg.l0, (500, cfg.n))
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third step"):
+            mc.map_batches(lambda bi, lo, hi: lmm.evolve_log_euler(
+                cfg, [x], 10, 0.05, mc.rng_for(1, bi, mc.STREAM_EULER)), 5)
+        assert threading.active_count() == threads
 
     def test_trailing_block_is_a_model_of_its_own(self):
         vs = case_cfg(n=8).vs
