@@ -16,10 +16,11 @@ estimators  price / delta / gamma estimators and variance diagnostics
 bermudan    exercise-policy calibration and lower-bound pricing
 harness     benchmark tables, cost sweep, self test, CSV output
 mc          RNG streams and order-independent accumulation
+lattice     randomly shifted lattice normals of the one-shot European calls
 """
 from __future__ import annotations
 
-from . import bermudan, estimators, harness, lmm, mc, payoffs, proxy, wkb  # noqa: F401
+from . import bermudan, estimators, harness, lattice, lmm, mc, payoffs, proxy, wkb  # noqa: F401
 from .bermudan import AndersenPolicy, bermudan_price, calibrate_policy
 from .estimators import McResult, delta_fd, euler_price, european_inputs, price
 from .lmm import ModelConfig, VolStructure, build_vol_structure, load_config
@@ -43,6 +44,7 @@ __all__ = [
     "bermudan",
     "estimators",
     "harness",
+    "lattice",
     "lmm",
     "mc",
     "payoffs",

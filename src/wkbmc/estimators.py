@@ -20,6 +20,14 @@ reweights; `explosion_demo` has a toy head, and ``bermudan`` one that
 follows an exercise policy from the first date, crossing each later
 gap with ``_proxy_transition``: the same ``AnchoredPair`` draw and
 weight, its start one state per row instead of one for all rows.
+`price`, `delta_fd` and `gamma_fd` read the one-shot draw's normals off
+the randomly shifted lattice of ``lattice.normals``: row g is point
+g div R of replicate g mod R, and ``_estimate`` keeps one accumulator
+per replicate, so their ``sd`` is the spread of the R independent
+replicate means.  The one dimension per rate is low and fixed, where
+the lattice pays; every other head (the Bermudan's first date, the
+frozen cloud, the audit, the toy and the oracle) stays on pseudo-random
+normals, and so does its row-level ``sd``.
 Every batch loop is one ``mc.map_batches`` call: ``_estimate``'s,
 `variance_audit`'s (the bound's norms), the Bermudan diagnostics'
 (stops) and `calibrate_policy`'s (triggers at every exercise date).
@@ -39,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import mc
+from . import lattice, mc
 from .lmm import ModelConfig, evolve_log_euler, to_y
 from .payoffs import SwaptionSpec, report_scale, swaption_payoff, swaption_payoff_grad
 from .proxy import (
@@ -73,8 +81,13 @@ __all__ = [
 class McResult:
     """A Monte Carlo estimate with its statistical and weight diagnostics.
 
-    ``sd`` is the population standard deviation of the per-sample values
-    divided by sqrt(m): the standard error of ``value``.  ``max_weight``
+    ``sd`` is the standard error of ``value``.  On pseudo-random
+    normals it is the population standard deviation of the per-sample
+    values divided by sqrt(m).  The one-shot European calls (`price`,
+    `delta_fd`, `gamma_fd`) integrate on a randomly shifted lattice
+    instead, whose rows are not independent: there ``value`` is still
+    the row mean, and ``sd`` is std(replicate means, ddof=1) / sqrt(R)
+    over its R independent replicates (16 up to 2**21 rows).  ``max_weight``
     and ``ess`` (effective sample size, (sum w)^2 / sum w^2) expose
     importance-weight degeneracy; weights are never clipped, so a bad
     proxy shows up here rather than as silent bias.
@@ -273,17 +286,22 @@ def _bumped(x: np.ndarray, i: int, h: float | None) -> tuple[np.ndarray, np.ndar
 # the batch driver (see the module docstring)
 
 
-def _one_shot_head(anchored, stencil):
-    """Head: every member re-anchors the batch's shared STREAM_XI normals.
+def _one_shot_head(anchored, stencil, shift: np.ndarray | None = None):
+    """Head: every member re-anchors the batch's shared normals.
 
     Maps (seed, batch index, rows, payoff) to the members' states,
     weights, weighted payoffs and a maker of the continuation generator.
+    The normals are the batch's STREAM_XI draw or, given ``shift`` (the
+    call's ``lattice.shifts``), the batch's rows of the shifted lattice.
     """
     pairs = [anchored(a) for a, _ in stencil]
     n = stencil[0][0].shape[-1]
 
     def head(seed, bi, rows, payoff):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
+        if shift is None:
+            z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
+        else:  # batch bi starts at row bi * BATCH
+            z = lattice.normals(shift, bi * mc.BATCH, rows)
         states, w, wv = map(list, zip(*(_one_shot(pair, z, payoff) for pair in pairs)))
         return states, w, wv, lambda: mc.rng_for(seed, bi, mc.STREAM_CONT)
 
@@ -336,31 +354,41 @@ def _euler_head(cfg: ModelConfig, stencil, t: float, dt: float):
     return head
 
 
-def _estimate(stencil, head, m: int, seed: int, payoff=None) -> McResult:
+def _estimate(stencil, head, m: int, seed: int, payoff=None,
+              replicates: int | None = None) -> McResult:
     """Row mean of sum_k c_k w_k v_k, with the weight health of all members.
 
     The batches run through ``mc.map_batches`` and each reduces its
     weights and weighted values to partial moments at once, so the
     members' states die with their batch: held across batches they
-    tripled a one-shot Delta's page faults.  ESS is m mean(w)^2 /
-    mean(w^2), the moments pooled over every member's weights, so it
-    never exceeds m; a non-finite weight, or all weights zero, makes it
-    NaN.  One sample has no spread to report, so ``m`` must be at least two.
+    tripled a one-shot Delta's page faults.  Given ``replicates`` R, row
+    g also goes to replicate g mod R (``mc.ReplicateMeans``), and ``sd``
+    is the spread of the means of the min(m, R) replicates that hold
+    rows.  ESS is m mean(w)^2 / mean(w^2), the moments pooled over every
+    member's weights, so it never exceeds m; a non-finite weight, or all
+    weights zero, makes it NaN.  One sample has no spread to report, so
+    ``m`` must be at least two.
     """
     if m < 2:
         raise ValueError(f"need at least two samples, got {m}")
     vals = mc.MomentAccumulator()
     wacc = mc.MomentAccumulator()
+    reps = None if replicates is None else mc.ReplicateMeans(replicates)
 
     def batch(bi, lo, hi):
         w, wv = head(seed, bi, hi - lo, payoff)[1:3]
-        vals.add(bi, sum(c * v for (_, c), v in zip(stencil, wv)))
+        v = sum(c * x for (_, c), x in zip(stencil, wv))
+        vals.add(bi, v)
+        if reps is not None:
+            reps.add(bi, lo, v)
         if w is not None:
             wacc.add(bi, np.concatenate(w))
         return w is not None
 
     weighted = mc.map_batches(batch, m)[0]
     mean, sd, count, _ = vals.finalize()
+    if reps is not None:
+        sd = reps.finalize()
     if not weighted:  # the head has no weights (log-Euler)
         return McResult(value=mean, sd=sd, m=count, seed=seed)
     w_mean, w_sd_of_mean, w_count, w_max = wacc.finalize()
@@ -375,8 +403,9 @@ def _delta_stencil(x: np.ndarray, i: int, h: float, scale) -> list:
 
 
 def _one_shot_estimate(inputs: EstimatorInputs, stencil) -> McResult:
-    head = _one_shot_head(inputs.anchored, stencil)
-    return _estimate(stencil, head, inputs.m, inputs.seed, inputs.payoff)
+    shift = lattice.shifts(inputs.seed, lattice.replicates(inputs.m), inputs.anchor.shape[-1])
+    head = _one_shot_head(inputs.anchored, stencil, shift)
+    return _estimate(stencil, head, inputs.m, inputs.seed, inputs.payoff, shift.shape[0])
 
 
 def price(inputs: EstimatorInputs) -> McResult:

@@ -254,15 +254,22 @@ class ModelConfig:
         return np.array([self.tenor_date(i) for i in self.exercise_indices])
 
 
-def drift_mu(vs: VolStructure, delta: np.ndarray, L: np.ndarray) -> np.ndarray:
+def drift_mu(vs: VolStructure, delta: np.ndarray, L: np.ndarray, work=None) -> np.ndarray:
     """Terminal-measure percentage drift mu_i(L); non-positive.
 
-    Broadcasts over leading axes of ``L``.
+    Broadcasts over leading axes of ``L``.  The log-Euler stepper passes
+    its ``_StepWork``: ``delta`` tiled to L's shape, buffers, and the
+    negation folded into -a_upper, exact since negation is, so the
+    result is the same to the bit.
     """
-    q = delta * L
-    q /= q + 1.0
-    np.negative(q, out=q)
-    return q @ vs.a_upper.T
+    if work is None:
+        q = delta * L
+        q /= q + 1.0
+        np.negative(q, out=q)
+        return q @ vs.a_upper.T
+    q = np.multiply(work.delta, L, out=work.q)
+    q /= np.add(q, 1.0, out=work.t)
+    return np.matmul(q, work.neg_a_upper_t, out=work.step)
 
 
 def log_euler_step(
@@ -271,6 +278,7 @@ def log_euler_step(
     k_state: np.ndarray,
     dt: float,
     shock: np.ndarray,
+    work=None,
 ) -> np.ndarray:
     """One log-Euler update of K = log L.
 
@@ -278,14 +286,34 @@ def log_euler_step(
     diffusion increment sqrt(dt) Gamma z of a matrix z of independent
     standard normals, broadcast over the leading axes of ``k_state``.
     Members of a group that share their normals share the increment, so
-    it is formed once, by the caller.
+    it is formed once, by the caller.  Given the stepper's ``work``
+    (sized to ``k_state``), the update is written into ``k_state`` itself
+    with the same arithmetic, bit for bit.
     """
-    step = drift_mu(vs, delta, np.exp(k_state))
-    step -= 0.5 * vs.a_diag
+    if work is None:
+        step = drift_mu(vs, delta, np.exp(k_state))
+        step -= 0.5 * vs.a_diag
+    else:
+        step = drift_mu(vs, delta, np.exp(k_state, out=work.t), work)
+        step -= work.half_a
     step *= dt
     step += k_state
-    step += shock
-    return step
+    return np.add(step, shock, out=None if work is None else k_state)
+
+
+class _StepWork:
+    """Operands and buffers of :func:`log_euler_step` for ``rows`` rows.
+
+    Per-rate operands tiled to the slice shape make every elementwise
+    call a plain contiguous loop, and the buffers live as long as the
+    evolution, so a step allocates nothing.
+    """
+
+    def __init__(self, vs: VolStructure, delta: np.ndarray, rows: int) -> None:
+        self.delta = np.tile(delta, (rows, 1))
+        self.half_a = np.tile(0.5 * vs.a_diag, (rows, 1))
+        self.neg_a_upper_t = (-vs.a_upper).T  # the layout of a_upper.T
+        self.q, self.t, self.step = np.empty((3, rows, vs.n))
 
 
 def evolve_log_euler(
@@ -315,13 +343,15 @@ def evolve_log_euler(
     vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
     ks = [np.log(np.asarray(g, dtype=np.float64)[:, first:]) for g in group]
     parts = mc.row_slices(*ks[0].shape)
+    works = {rows: _StepWork(vs, delta, rows) for rows in {p.stop - p.start for p in parts}}
     with mc.normal_blocks(rng, ks[0].shape, n_steps) as blocks:
         for z in blocks:
             for part in parts:
                 shock = z[part] @ vs.gamma.T
                 shock *= np.sqrt(dt)
+                work = works[part.stop - part.start]
                 for k in ks:
-                    k[part] = log_euler_step(vs, delta, k[part], dt, shock)
+                    log_euler_step(vs, delta, k[part], dt, shock, work)
     out = []
     for g, k in zip(group, ks):
         x = np.empty((k.shape[0], cfg.n))

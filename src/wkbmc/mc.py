@@ -4,12 +4,18 @@ Random numbers come from SFC64 generators, one per (seed, stream,
 batch index) cell of the random tableau, each seeded through a
 ``SeedSequence`` whose spawn key is the (stream, batch) pair.  Every
 batch of every estimator therefore draws an independent, reproducible
-stream regardless of execution order.  A draw takes exactly the normals
+stream regardless of execution order.  One stream is keyed by replicate
+instead of batch: ``STREAM_SHIFT``'s cell (seed, r) holds the random
+shift of replicate r of the lattice that the European one-shot calls
+integrate on (``lattice``), so a replicate's shift does not depend on
+which batches its rows fall in.  A draw takes exactly the normals
 its rows need: the Bermudan continuation draws normals only for the
 live rates of the rows still running, so a cell's stream is consumed
 in running order.  Reductions accumulate per-batch partial moments and
 combine them in batch order, which makes totals bit-identical no matter
-how the batches were scheduled.  That is what lets ``map_batches`` run
+how the batches were scheduled; a lattice call keeps one such
+accumulator per replicate and reports the spread of the replicate
+means (``ReplicateMeans``).  That is what lets ``map_batches`` run
 the batches of every loop at once, one thread per usable CPU, with
 results bit-identical to a serial run; a map that leaves a usable CPU
 idle lends it to ``normal_blocks`` to draw a batch's next normals ahead.
@@ -54,6 +60,7 @@ CHUNK = 1024
 STREAM_XI = 0       # proxy draws (or the primary normals of a toy model)
 STREAM_CONT = 1     # continuation normals after the first date (Bermudan)
 STREAM_EULER = 2    # log-Euler evolution started at time zero
+STREAM_SHIFT = 3    # lattice shifts of the one-shot European draw, one cell per replicate
 
 _batch = threading.local()  # .spare: the running map leaves a usable CPU idle
 
@@ -237,16 +244,56 @@ class MomentAccumulator:
         return mean, float(sd_mean), m, vmax
 
 
+class ReplicateMeans:
+    """Means of R replicates of a call's rows, and their standard error.
+
+    Row g of the call belongs to replicate g mod R.  Each batch adds one
+    partial per replicate, its row count and its row mean about the
+    batch's first value; ``finalize`` merges the partials in batch order
+    with the mean update of ``MomentAccumulator``, so the result does not
+    depend on the schedule and equal values give exactly that value.
+    """
+
+    def __init__(self, replicates: int) -> None:
+        self.replicates = replicates
+        self._parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def add(self, batch_index: int, lo: int, values: np.ndarray) -> None:
+        """The partials of rows lo, lo + 1, .. holding ``values``."""
+        v = np.asarray(values, dtype=np.float64)
+        rep = (lo + np.arange(v.size)) % self.replicates
+        count = np.bincount(rep, minlength=self.replicates)
+        d_sum = np.bincount(rep, weights=v - v[0], minlength=self.replicates)
+        self._parts[batch_index] = (count, v[0] + d_sum / np.maximum(count, 1))
+
+    def finalize(self) -> float:
+        """std(replicate means, ddof=1) / sqrt(k) over the k replicates holding rows.
+
+        Taken about the first mean, so equal means give exactly zero.
+        """
+        parts = [self._parts[bi] for bi in sorted(self._parts)]
+        n, mean = parts[0]
+        for nb, mean_b in parts[1:]:
+            total = n + nb
+            mean = mean + (mean_b - mean) * nb / np.maximum(total, 1)
+            n = total
+        d = mean[n > 0] - mean[0]
+        d -= np.mean(d)
+        return float(np.sqrt(np.sum(d * d) / (d.size - 1) / d.size))
+
+
 __all__ = [
     "BATCH",
     "CHUNK",
     "STREAM_XI",
     "STREAM_CONT",
     "STREAM_EULER",
+    "STREAM_SHIFT",
     "rng_for",
     "row_slices",
     "batch_slices",
     "map_batches",
     "normal_blocks",
     "MomentAccumulator",
+    "ReplicateMeans",
 ]

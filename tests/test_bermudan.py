@@ -450,11 +450,25 @@ class TestOneDateDegeneracy:
         pol = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
         assert pol.thresholds[0] == 0.0
         b = brm.bermudan_price(cfg, pol, level=1, m=20_000, seed=7)
-        e = est.price(est.european_inputs(cfg, level=1, m=20_000, seed=7))
-        # same draws, same weights, every path exercised at once: the two
+        # the European one-shot head on pseudo-random normals, which the
+        # Bermudan keeps (est.price itself reads the shifted lattice): same
+        # draws, same weights, every path exercised at once, so the two
         # estimators walk through identical arithmetic
+        inp = est.european_inputs(cfg, level=1, m=20_000, seed=7)
+        stencil = [(cfg.l0, inp.outer(cfg.l0))]
+        e = est._estimate(stencil, est._one_shot_head(inp.anchored, stencil), 20_000, 7,
+                          inp.payoff)
         assert b.value == e.value
         assert b.sd == e.sd
+
+    def test_single_date_agrees_with_the_lattice_european(self):
+        # est.price integrates on the shifted lattice: the one-date
+        # Bermudan matches it within criterion 7's 3-SE slack
+        cfg = case_cfg(exercise=(1,))
+        pol = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
+        b = brm.bermudan_price(cfg, pol, level=1, m=20_000, seed=7)
+        e = est.price(est.european_inputs(cfg, level=1, m=20_000, seed=7))
+        assert abs(b.value - e.value) <= 3.0 * np.hypot(b.sd, e.sd)
 
     def test_fit_walks_the_oracle_paths(self):
         # the fit draws its paths with the Euler oracle's head, on the same

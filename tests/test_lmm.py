@@ -135,6 +135,28 @@ class TestLogEuler:
         for got, k in zip(stepped, ks):
             assert np.array_equal(got, np.exp(k))
 
+    @pytest.mark.parametrize("first, members", [(0, 1), (7, 2), (18, 3), (0, 3), (7, 1)])
+    def test_stepper_buffers_move_no_bit(self, first, members):
+        # the stepper's tiled operands, buffers, folded -a_upper and
+        # in-place update give the plain log_euler_step's bits
+        cfg = case_cfg(n=19)
+        rows = 2 * mc.CHUNK * 19 // (19 - first) + 5
+        x = np.random.default_rng(4).uniform(0.02, 0.05, size=(rows, cfg.n))
+        group = [x * (1.0 + 0.01 * j) for j in range(members)]
+        stepped = lmm.evolve_log_euler(cfg, group, 4, 0.05, mc.rng_for(4, 0, mc.STREAM_CONT),
+                                       first)
+        vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
+        rng = mc.rng_for(4, 0, mc.STREAM_CONT)
+        ks = [np.log(g[:, first:]) for g in group]
+        for _ in range(4):
+            z = rng.standard_normal(ks[0].shape)
+            for part in mc.row_slices(*z.shape):
+                shock = np.sqrt(0.05) * (z[part] @ vs.gamma.T)
+                for k in ks:
+                    k[part] = lmm.log_euler_step(vs, delta, k[part], 0.05, shock)
+        for got, k in zip(stepped, ks):
+            assert np.array_equal(got[:, first:], np.exp(k))
+
     def test_slicing_moves_no_row(self, monkeypatch):
         # each row's step is its own arithmetic, so a narrow live block
         # ends bit for bit where it ends in slices of another size

@@ -41,6 +41,8 @@ def audit_inputs():
 CALLS = {
     "price": lambda: est.price(euro(1)),
     "delta_fd": lambda: est.delta_fd(euro(1), 18),
+    # the one-shot European calls read the shifted lattice and reduce per replicate
+    "gamma_fd": lambda: est.gamma_fd(euro(1), 18, 18),
     "euler_price": lambda: est.euler_price(
         case_cfg(), 1.0, euro(1).payoff, m=M, seed=7, scale=euro(1).scale),
     "bermudan_price_lgn": lambda: brm.bermudan_price(
