@@ -19,9 +19,10 @@ weights up to its stop.  After the Euler head each leg is fine
 log-Euler steps and weighs nothing.  ``_continued`` joins the two into
 one head of the batch driver: prices and Deltas reduce its payoffs,
 and the diagnostics read its stops, each path counted with its path
-weight.  Thresholds are fitted by a backward sweep over the Euler
-head's own paths, moved on by the same log-Euler legs, each date's the
-exact in-sample best.
+weight.  Thresholds are fitted by a backward sweep over the paths a
+level-1 price walks, left to run through every date, each exercise
+valued with its path weight up to the date and each date's threshold
+the exact in-sample best.
 
 The continuation moves only the rows still running: one stopping rule,
 the first member's exercise decision, cuts a row from the group, and
@@ -295,14 +296,19 @@ def _fit_threshold(trig, exercised, continued):
 
 
 def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> AndersenPolicy:
-    """Fit the per-date thresholds on dedicated Euler paths.
+    """Fit the per-date thresholds on dedicated weighted one-shot paths.
 
-    The paths are the Euler oracle's, moved on through the dates by the
-    log-Euler :func:`_legs`, with the full trigger at every date and no
-    path stopped.  Uses a backward sweep: at each date the threshold is
-    the exact in-sample maximiser of the average realised payoff over
-    the path set with all later thresholds already fixed (one sort and
-    one cumulative sum per date, see ``_fit_threshold``).  The
+    The paths are the ones ``bermudan_price(level=1)`` walks: the level-1
+    one-shot head at ``cfg.l0`` on the batch's STREAM_XI normals, then
+    the level-1 :func:`_legs` on its STREAM_CONT generator, with the full
+    trigger at every date and no path stopped.  Exercising at date k
+    pays the intrinsic value times the path weight up to k, the head
+    weight times the transition weights, as in :func:`_continued`.  Uses
+    a backward sweep: at each date the threshold is the exact in-sample
+    maximiser of the average realised weighted payoff over the path set
+    with all later thresholds already fixed (one sort and one cumulative
+    sum per date, see ``_fit_threshold``).  No path steps on
+    ``dt_berm``, so the fit's cost does not grow with T1.  The
     calibration seed must be kept disjoint from evaluation seeds (no
     foresight between fitting and pricing).
     """
@@ -314,27 +320,30 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
             f"calibration needs at least {_MIN_CALIBRATION_PATHS} paths, got {n_paths}"
         )
     K = len(indices)
-    head = _euler_head(cfg, [(cfg.l0, 1.0)], cfg.t1, cfg.dt_berm)
-    legs = _legs(cfg, indices, "euler")
+    head = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, 1, x), [(cfg.l0, 1.0)])
+    legs = _legs(cfg, indices, 1)
 
     def batch(bi, lo, hi):
-        group, _, _, cont = head(seed, bi, hi - lo, None)
-        rng, out = cont(), []
+        group, w, _, cont = head(seed, bi, hi - lo, None)
+        rng, log_w, out = cont(), np.zeros(hi - lo), []
         for k, leg in enumerate(legs):
-            group = group if leg is None else leg(group, rng)[0]
-            out.append(_trigger(cfg, indices, k, group[0]))
+            if leg is not None:
+                group, lw = leg(group, rng)
+                log_w += lw[0]
+            intrinsic, trig = _trigger(cfg, indices, k, group[0])
+            out.append((w[0] * np.exp(log_w) * intrinsic, trig))
         return out
 
-    per_batch = mc.map_batches(batch, n_paths)  # [batch][date] -> (intrinsic, trigger)
-    intrinsic = [np.concatenate([b[k][0] for b in per_batch]) for k in range(K)]
+    per_batch = mc.map_batches(batch, n_paths)  # [batch][date] -> (exercised, trigger)
+    exercised = [np.concatenate([b[k][0] for b in per_batch]) for k in range(K)]
     trigger = [np.concatenate([b[k][1] for b in per_batch]) for k in range(K)]
 
     value = np.zeros(n_paths)
     thresholds = np.empty(K)
     objectives = np.empty(K)
     for k in reversed(range(K)):
-        thresholds[k], objectives[k] = _fit_threshold(trigger[k], intrinsic[k], value)
-        value = np.where(trigger[k] >= thresholds[k], intrinsic[k], value)
+        thresholds[k], objectives[k] = _fit_threshold(trigger[k], exercised[k], value)
+        value = np.where(trigger[k] >= thresholds[k], exercised[k], value)
     if np.any(np.diff(objectives) > 1e-12):
         raise RuntimeError("backward sweep objective decreased; calibration is broken")
     return AndersenPolicy(

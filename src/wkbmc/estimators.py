@@ -22,15 +22,16 @@ gap with ``_proxy_transition``: the same ``AnchoredPair`` draw and
 weight, its start one state per row instead of one for all rows.
 `price`, `delta_fd` and `gamma_fd` read the one-shot draw's normals off
 the randomly shifted lattice of ``lattice.normals``: row g is point
-g div R of replicate g mod R, and ``_estimate`` keeps one accumulator
-per replicate, so their ``sd`` is the spread of the R independent
+g div R of replicate g mod R, and ``_estimate``'s accumulator keeps a
+mean per replicate, so their ``sd`` is the spread of the R independent
 replicate means.  The one dimension per rate is low and fixed, where
-the lattice pays; every other head (the Bermudan's first date, the
-frozen cloud, the audit, the toy and the oracle) stays on pseudo-random
-normals, and so does its row-level ``sd``.
+the lattice pays; every other head (the Bermudan's first date and its
+policy fit, the frozen cloud, the audit, the toy and the oracle) stays
+on pseudo-random normals, and so does its row-level ``sd``.
 Every batch loop is one ``mc.map_batches`` call: ``_estimate``'s,
 `variance_audit`'s (the bound's norms), the Bermudan diagnostics'
-(stops) and `calibrate_policy`'s (triggers at every exercise date).
+(stops) and `calibrate_policy`'s (weighted exercise values and triggers
+at every exercise date, on the Bermudan's level-1 one-shot paths).
 Each call runs its batches at once, one thread per usable CPU, with
 results bit-identical to a serial run.
 
@@ -354,41 +355,34 @@ def _euler_head(cfg: ModelConfig, stencil, t: float, dt: float):
     return head
 
 
-def _estimate(stencil, head, m: int, seed: int, payoff=None,
-              replicates: int | None = None) -> McResult:
+def _estimate(stencil, head, m: int, seed: int, payoff=None, replicates: int = 1) -> McResult:
     """Row mean of sum_k c_k w_k v_k, with the weight health of all members.
 
     The batches run through ``mc.map_batches`` and each reduces its
     weights and weighted values to partial moments at once, so the
     members' states die with their batch: held across batches they
-    tripled a one-shot Delta's page faults.  Given ``replicates`` R, row
-    g also goes to replicate g mod R (``mc.ReplicateMeans``), and ``sd``
-    is the spread of the means of the min(m, R) replicates that hold
-    rows.  ESS is m mean(w)^2 / mean(w^2), the moments pooled over every
+    tripled a one-shot Delta's page faults.  Given ``replicates`` R > 1,
+    row g also goes to replicate g mod R (``mc.MomentAccumulator``), and
+    ``sd`` is the spread of the means of the min(m, R) replicates that
+    hold rows.  ESS is m mean(w)^2 / mean(w^2), the moments pooled over every
     member's weights, so it never exceeds m; a non-finite weight, or all
     weights zero, makes it NaN.  One sample has no spread to report, so
     ``m`` must be at least two.
     """
     if m < 2:
         raise ValueError(f"need at least two samples, got {m}")
-    vals = mc.MomentAccumulator()
+    vals = mc.MomentAccumulator(replicates)
     wacc = mc.MomentAccumulator()
-    reps = None if replicates is None else mc.ReplicateMeans(replicates)
 
     def batch(bi, lo, hi):
         w, wv = head(seed, bi, hi - lo, payoff)[1:3]
-        v = sum(c * x for (_, c), x in zip(stencil, wv))
-        vals.add(bi, v)
-        if reps is not None:
-            reps.add(bi, lo, v)
+        vals.add(bi, sum(c * x for (_, c), x in zip(stencil, wv)), lo)
         if w is not None:
             wacc.add(bi, np.concatenate(w))
         return w is not None
 
     weighted = mc.map_batches(batch, m)[0]
     mean, sd, count, _ = vals.finalize()
-    if reps is not None:
-        sd = reps.finalize()
     if not weighted:  # the head has no weights (log-Euler)
         return McResult(value=mean, sd=sd, m=count, seed=seed)
     w_mean, w_sd_of_mean, w_count, w_max = wacc.finalize()

@@ -14,11 +14,11 @@ a_ij = gamma_i . gamma_j.  The module provides:
 * the exponentially decaying correlation structure and the square
   factorisation a = Gamma Gamma^T with Gamma upper triangular,
 * the terminal-measure drift, a log-Euler step, and the one path
-  stepper (``evolve_log_euler``) behind the Euler oracle, the oracle's
-  Bermudan continuation and the policy fit; it steps in the row slices of
-  ``mc.row_slices`` on the normals of ``mc.normal_blocks``, steps only
-  the live rates a caller names (the trailing block is a model of its
-  own) and draws normals for exactly those rates of the rows it is handed,
+  stepper (``evolve_log_euler``) behind the Euler oracle and the
+  oracle's Bermudan continuation; it steps in the row slices of
+  ``mc.row_slices``, steps only the live rates a caller names (the
+  trailing block is a model of its own) and draws normals for exactly
+  those rates of the rows it is handed, one step's block at a time,
 * the unit-diffusion coordinates Y = Gamma^{-1} log L in which the
   transition density expansion is carried out,
 * a plain-text configuration format for experiment settings.
@@ -328,11 +328,9 @@ def evolve_log_euler(
 
     Only the live rates, 0-based columns ``first``.., are logged, stepped
     and exponentiated: ``cfg.vs.trailing(first)`` is their model.  Each
-    step takes one (B, n - first) block of standard normals from ``rng``
-    by ``mc.normal_blocks``, whatever the group size, so a step takes
-    exactly B (n - first) normals; on an idle CPU a helper thread draws
-    step s + 1's block while step s runs, and is joined before this
-    returns.  The step itself runs in the
+    step draws one (B, n - first) block of standard normals from ``rng``
+    into one buffer, whatever the group size, so a step takes exactly
+    B (n - first) normals.  The step itself runs in the
     cache-sized slices of ``mc.row_slices``: each slice forms its
     diffusion increment sqrt(dt) Gamma z once, and every member adds it
     to its log-rates in place, so all members see the same increments
@@ -344,14 +342,15 @@ def evolve_log_euler(
     ks = [np.log(np.asarray(g, dtype=np.float64)[:, first:]) for g in group]
     parts = mc.row_slices(*ks[0].shape)
     works = {rows: _StepWork(vs, delta, rows) for rows in {p.stop - p.start for p in parts}}
-    with mc.normal_blocks(rng, ks[0].shape, n_steps) as blocks:
-        for z in blocks:
-            for part in parts:
-                shock = z[part] @ vs.gamma.T
-                shock *= np.sqrt(dt)
-                work = works[part.stop - part.start]
-                for k in ks:
-                    log_euler_step(vs, delta, k[part], dt, shock, work)
+    z = np.empty(ks[0].shape)
+    for _ in range(n_steps):
+        rng.standard_normal(z.shape, out=z)
+        for part in parts:
+            shock = z[part] @ vs.gamma.T
+            shock *= np.sqrt(dt)
+            work = works[part.stop - part.start]
+            for k in ks:
+                log_euler_step(vs, delta, k[part], dt, shock, work)
     out = []
     for g, k in zip(group, ks):
         x = np.empty((k.shape[0], cfg.n))

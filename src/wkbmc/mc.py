@@ -13,12 +13,11 @@ its rows need: the Bermudan continuation draws normals only for the
 live rates of the rows still running, so a cell's stream is consumed
 in running order.  Reductions accumulate per-batch partial moments and
 combine them in batch order, which makes totals bit-identical no matter
-how the batches were scheduled; a lattice call keeps one such
-accumulator per replicate and reports the spread of the replicate
-means (``ReplicateMeans``).  That is what lets ``map_batches`` run
-the batches of every loop at once, one thread per usable CPU, with
-results bit-identical to a serial run; a map that leaves a usable CPU
-idle lends it to ``normal_blocks`` to draw a batch's next normals ahead.
+how the batches were scheduled; on a lattice call the one accumulator
+also keeps a partial mean per replicate and reports the spread of the
+replicate means.  That is what lets ``map_batches`` run the batches of
+every loop at once, one thread per usable CPU, with results
+bit-identical to a serial run.
 Inside a batch, every per-row kernel and every per-row BLAS product
 works in the cache-sized slices of ``row_slices``, sized by the number
 of entries they hold (``CHUNK`` says why).
@@ -26,8 +25,6 @@ of entries they hold (``CHUNK`` says why).
 from __future__ import annotations
 
 import os
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,8 +58,6 @@ STREAM_XI = 0       # proxy draws (or the primary normals of a toy model)
 STREAM_CONT = 1     # continuation normals after the first date (Bermudan)
 STREAM_EULER = 2    # log-Euler evolution started at time zero
 STREAM_SHIFT = 3    # lattice shifts of the one-shot European draw, one cell per replicate
-
-_batch = threading.local()  # .spare: the running map leaves a usable CPU idle
 
 _MASK48 = (1 << 48) - 1
 _MASK64 = (1 << 64) - 1
@@ -135,67 +130,23 @@ def map_batches(fn, m: int) -> list:
     each batch has its own slot, as ``MomentAccumulator.add`` does.  If
     a batch raises, the batches not yet started are cancelled and the
     first failure in batch order is raised once every running batch has
-    ended; no worker thread outlives the call.  A thread-local flag
-    tells :func:`normal_blocks` if the map leaves a usable CPU idle.
+    ended; no worker thread outlives the call.
     """
     slices = batch_slices(m)
-    cpus = _usable_cpus()
-    workers = min(len(slices), cpus)
-
-    def run(*s):
-        outer, _batch.spare = getattr(_batch, "spare", False), workers < cpus
-        try:
-            return fn(*s)
-        finally:
-            _batch.spare = outer
-
+    workers = min(len(slices), _usable_cpus())
     if workers == 1:
-        return [run(*s) for s in slices]
+        return [fn(*s) for s in slices]
     # imported here so that loading the package stays cheap
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     pool = ThreadPoolExecutor(workers)
     try:
-        futures = [pool.submit(run, *s) for s in slices]
+        futures = [pool.submit(fn, *s) for s in slices]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)
     # workers take batches in order, so no cancelled batch precedes a failed one
     return [f.result() for f in futures]
-
-
-@contextmanager
-def normal_blocks(rng: np.random.Generator, shape: tuple, count: int):
-    """Iterator over ``count`` blocks of ``rng.standard_normal(shape)``.
-
-    A block is valid until the next is taken; nothing else may draw
-    from ``rng`` inside the ``with``.  In a :func:`map_batches` batch
-    that leaves a CPU idle, a helper thread fills block s + 1 into a
-    second buffer while the caller works on block s; elsewhere each
-    block is drawn in place on the caller.  Both draw the same blocks in
-    order, so every bit and ``rng``'s final state match.  The helper is
-    joined on leaving the ``with``, by an error too.
-    """
-    if count < 2 or not getattr(_batch, "spare", False):
-        buf = np.empty(shape)
-        yield (rng.standard_normal(shape, out=buf) for _ in range(count))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool, bufs = ThreadPoolExecutor(1), (np.empty(shape), np.empty(shape))
-
-    def blocks():
-        ahead = pool.submit(rng.standard_normal, shape, out=bufs[0])
-        for s in range(1, count + 1):
-            z = ahead.result()
-            if s < count:  # into the buffer of block s - 2, which the caller is done with
-                ahead = pool.submit(rng.standard_normal, shape, out=bufs[s % 2])
-            yield z
-
-    try:
-        yield blocks()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 class MomentAccumulator:
@@ -206,80 +157,67 @@ class MomentAccumulator:
     the partials in batch order with the pairwise update of Chan, Golub
     and LeVeque, so the result neither depends on the order the batches
     were computed in nor loses the variance of values far from zero.
+    With R ``replicates``, row g of the call also belongs to replicate
+    g mod R: each batch adds a row count and a row mean per replicate,
+    merged in batch order with the same mean update, and the standard
+    error is the spread of the R replicate means instead of the rows'.
     Batches may ``add`` from several threads at once: each writes only
     its own entry.
     """
 
-    def __init__(self) -> None:
-        self._parts: dict[int, tuple[int, float, float, float]] = {}
+    def __init__(self, replicates: int = 1) -> None:
+        self.replicates = replicates
+        self._parts: dict[int, tuple] = {}
 
-    def add(self, batch_index: int, values: np.ndarray) -> None:
+    def add(self, batch_index: int, values: np.ndarray, lo: int = 0) -> None:
+        """The partials of rows lo, lo + 1, .. holding ``values``."""
         v = np.asarray(values, dtype=np.float64)
         # moments about the first value: a constant batch gives its value
         # and a zero spread exactly
         shift = float(v.flat[0]) if v.size else 0.0
         d = v - shift
         d_mean = float(np.mean(d)) if v.size else 0.0
-        self._parts[batch_index] = (
+        part = (
             v.size,
             shift + d_mean,
             float(np.sum((d - d_mean) ** 2)),
             float(np.max(np.abs(v))) if v.size else 0.0,
         )
+        if self.replicates > 1:
+            rep = (lo + np.arange(v.size)) % self.replicates
+            count = np.bincount(rep, minlength=self.replicates)
+            d_sum = np.bincount(rep, weights=d, minlength=self.replicates)
+            part += (count, shift + d_sum / np.maximum(count, 1))
+        self._parts[batch_index] = part
 
     def finalize(self) -> tuple[float, float, int, float]:
-        """Return (mean, standard error of the mean, count, max abs)."""
+        """Return (mean, standard error of the mean, count, max abs).
+
+        With replicates the standard error is std(replicate means,
+        ddof=1) / sqrt(k) over the k replicates holding rows, taken about
+        the first mean, so equal means give exactly zero.
+        """
         if not self._parts:
             raise RuntimeError("no batches accumulated")
         parts = [self._parts[bi] for bi in sorted(self._parts)]
-        m, mean, m2, vmax = parts[0]
-        for mb, mean_b, m2_b, max_b in parts[1:]:
+        m, mean, m2, vmax = parts[0][:4]
+        for mb, mean_b, m2_b, max_b in (p[:4] for p in parts[1:]):
             total = m + mb
             gap = mean_b - mean
             mean += gap * mb / total
             m2 += m2_b + gap * gap * m * mb / total
             m = total
             vmax = max(vmax, max_b)
-        sd_mean = np.sqrt(m2 / m / m)
-        return mean, float(sd_mean), m, vmax
-
-
-class ReplicateMeans:
-    """Means of R replicates of a call's rows, and their standard error.
-
-    Row g of the call belongs to replicate g mod R.  Each batch adds one
-    partial per replicate, its row count and its row mean about the
-    batch's first value; ``finalize`` merges the partials in batch order
-    with the mean update of ``MomentAccumulator``, so the result does not
-    depend on the schedule and equal values give exactly that value.
-    """
-
-    def __init__(self, replicates: int) -> None:
-        self.replicates = replicates
-        self._parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def add(self, batch_index: int, lo: int, values: np.ndarray) -> None:
-        """The partials of rows lo, lo + 1, .. holding ``values``."""
-        v = np.asarray(values, dtype=np.float64)
-        rep = (lo + np.arange(v.size)) % self.replicates
-        count = np.bincount(rep, minlength=self.replicates)
-        d_sum = np.bincount(rep, weights=v - v[0], minlength=self.replicates)
-        self._parts[batch_index] = (count, v[0] + d_sum / np.maximum(count, 1))
-
-    def finalize(self) -> float:
-        """std(replicate means, ddof=1) / sqrt(k) over the k replicates holding rows.
-
-        Taken about the first mean, so equal means give exactly zero.
-        """
-        parts = [self._parts[bi] for bi in sorted(self._parts)]
-        n, mean = parts[0]
-        for nb, mean_b in parts[1:]:
+        if self.replicates == 1:
+            return mean, float(np.sqrt(m2 / m / m)), m, vmax
+        n, means = parts[0][4:]
+        for nb, mean_b in (p[4:] for p in parts[1:]):
             total = n + nb
-            mean = mean + (mean_b - mean) * nb / np.maximum(total, 1)
+            means = means + (mean_b - means) * nb / np.maximum(total, 1)
             n = total
-        d = mean[n > 0] - mean[0]
+        d = means[n > 0] - means[0]
         d -= np.mean(d)
-        return float(np.sqrt(np.sum(d * d) / (d.size - 1) / d.size))
+        return mean, float(np.sqrt(np.sum(d * d) / (d.size - 1) / d.size)), m, vmax
 
 
 __all__ = [
@@ -293,7 +231,5 @@ __all__ = [
     "row_slices",
     "batch_slices",
     "map_batches",
-    "normal_blocks",
     "MomentAccumulator",
-    "ReplicateMeans",
 ]

@@ -337,25 +337,28 @@ class TestStoppingTime:
         assert pay[1] == 0.0
 
 
-#: (thresholds, objectives) of ``case_policy(t1)``.
+#: (thresholds, objectives) of ``case_policy(t1)``.  The fit walks the
+#: level-1 one-shot paths of ``bermudan_price`` (STREAM_XI head, then
+#: one STREAM_CONT block per gap), so T1 = 10 costs what T1 = 1 does;
+#: they were re-pinned when the fit left its log-Euler paths for these.
 GOLDEN_POLICY = {
     1.0: (
-        [0.006154082728259944, 0.0072122679857809235, 0.007801248635815487,
-         0.003770505031693794, 0.00021094917459482665, 0.0009599710126895773,
-         -7.906835060368309e-05, 0.00128081742852472, 0.0, 0.0],
-        [0.04943161351104135, 0.048363822967736295, 0.04592707536825146,
-         0.04260413393737083, 0.037457976361697294, 0.03151695689534004,
-         0.025204708521977173, 0.01870017167020917, 0.011611700334887108,
-         0.004066204863237785],
+        [0.009025387761011236, 0.007024268412918311, 0.009423725592993065,
+         0.002041634247624005, 0.0008212420463149239, 0.0005876598795743065,
+         0.0007687538066545633, 0.00016253067943048077, 6.615048279042099e-05, 0.0],
+        [0.05071344433618948, 0.049975721361495126, 0.04771009321185228,
+         0.04425348833960166, 0.039601733572356634, 0.034265673739537615,
+         0.027722287135839487, 0.020628888411948584, 0.012665278484503214,
+         0.004450098598544836],
     ),
     10.0: (
-        [0.014825915145737667, 0.0037873382383996623, 0.007374107063413848,
-         0.007348627627396603, 0.006725746030273733, 0.0022316414319162453,
-         0.0022043522542150307, 0.0002864613386824948, -5.823837461316466e-05, 0.0],
-        [0.0967965293373753, 0.08881071123477191, 0.07919267471934288,
-         0.0693026681102599, 0.058855568660739765, 0.049225584226981665,
-         0.038707585486068175, 0.027774842454908064, 0.016861590473315896,
-         0.005751381987614542],
+        [0.007015006529860188, 0.01055257686873634, 0.004395883685112373,
+         0.0019192355281825724, 0.002455128366004783, 0.0014516969780281191,
+         0.0005760843822579026, 5.463245874845479e-05, 0.0002432400323301026, 0.0],
+        [0.0994835011557549, 0.09046326425173169, 0.08097765833820424,
+         0.07173357122469624, 0.0609751842552796, 0.05091938338425357,
+         0.04047898289032201, 0.02905547392299118, 0.017474875226463602,
+         0.005902101154137729],
     ),
 }
 
@@ -390,8 +393,8 @@ class TestCalibration:
     @pytest.mark.parametrize("t1", sorted(GOLDEN_POLICY))
     def test_golden_policy_fit(self, t1):
         # the ten-date case study at seed 101 on 10k paths: any change to
-        # the calibration paths (stream, step grid, batch split) or to the
-        # threshold fit moves these far beyond 1e-12
+        # the calibration paths (stream, head, legs, path weights, batch
+        # split) or to the threshold fit moves these far beyond 1e-12
         thresholds, objectives = GOLDEN_POLICY[t1]
         pol = case_policy(t1)
         assert_allclose(pol.thresholds, thresholds, rtol=1e-12, atol=0.0)
@@ -470,13 +473,14 @@ class TestOneDateDegeneracy:
         e = est.price(est.european_inputs(cfg, level=1, m=20_000, seed=7))
         assert abs(b.value - e.value) <= 3.0 * np.hypot(b.sd, e.sd)
 
-    def test_fit_walks_the_oracle_paths(self):
-        # the fit draws its paths with the Euler oracle's head, on the same
-        # generator cell: at one date its objective is the oracle's price
+    def test_fit_walks_the_level_1_paths(self):
+        # the fit draws its paths with the level-1 price's one-shot head,
+        # on the same generator cell, and values them with the same path
+        # weights: at one date its objective is that price
         cfg = case_cfg(exercise=(1,))
         pol = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
-        e = brm.bermudan_price(cfg, pol, level="euler", m=10_000, seed=101)
-        assert_allclose(report_scale(cfg) * pol.objectives[0], e.value, rtol=1e-12, atol=0.0)
+        b = brm.bermudan_price(cfg, pol, level=1, m=10_000, seed=101)
+        assert_allclose(report_scale(cfg) * pol.objectives[0], b.value, rtol=1e-12, atol=0.0)
 
 
 class TestBermudanPricing:
@@ -623,14 +627,15 @@ class TestBermudanDelta:
 #: moves them far beyond 1e-12, and a change to a level-1 kernel's
 #: Taylor data or to its c_1 on the diagonal moves them past it too (they
 #: were re-pinned when that diagonal became the closed form at each
-#: row's start).
+#: row's start, and again with the policy when the fit moved to the
+#: level-1 one-shot paths).
 GOLDEN_FREQUENCIES = [
-    0.10016981566028203, 0.08766696063555549, 0.06713001399973662,
-    0.07390538509528187, 0.06942544594153559, 0.047234133978382165,
-    0.19194752629442868, 0.0404834438964005, 0.04863011854200163,
-    0.2734071559563954, 0.0,
+    0.07855126255083786, 0.09578547764870377, 0.05692315783643407,
+    0.0935338708456298, 0.06254818450294285, 0.052983422066636476,
+    0.04484653806251585, 0.04912681798359269, 0.04688671313460342,
+    0.41881455536810325, 0.0,
 ]
-GOLDEN_DISAGREEMENT = 0.00067120624956384
+GOLDEN_DISAGREEMENT = 0.00012168194464620779
 
 
 class TestGoldenContinuation:
@@ -706,9 +711,11 @@ class TestRunningRowsTableau:
 class TestLegs:
     def test_off_grid_gap_is_refused_before_any_batch(self, monkeypatch):
         # at dt_berm = 0.3 the head's 0.9 years are three steps, but the
-        # gap to the second date is 1.0 / 0.3 steps: the legs refuse it
-        # when they are built, before a batch draws a single path
+        # gap to the second date is 1.0 / 0.3 steps: the log-Euler legs
+        # refuse it when they are built, before a batch draws a single
+        # path.  The fit steps on no grid, so it fits there all the same
         cfg = case_cfg(t1=0.9, dt_berm=0.3)
+        assert np.all(np.isfinite(brm.calibrate_policy(cfg, n_paths=10_000, seed=101).thresholds))
         flat = brm.AndersenPolicy(cfg.exercise_indices, cfg.exercise_dates, np.zeros(10))
         entered = []
         map_batches = mc.map_batches
@@ -721,8 +728,6 @@ class TestLegs:
             return map_batches(batch, m)
 
         monkeypatch.setattr(mc, "map_batches", spy)
-        with pytest.raises(ValueError, match="gap to exercise date"):
-            brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
         with pytest.raises(ValueError, match="gap to exercise date"):
             brm.bermudan_price(cfg, flat, level="euler", m=2048, seed=7)
         assert entered == []
@@ -936,8 +941,8 @@ class TestTableauFence:
         # (rows, n) block.  On the gap to tenor index i the continuation
         # draws one normal per live rate L_i .. L_n of each running row,
         # in date order: one (rows, n - i + 1) block per gap after a
-        # one-shot head ("lgn", 0, 1), one per dt_berm step on log-Euler
-        # (the fit and level="euler")
+        # one-shot head ("lgn", 0, 1, and the fit, which walks the level-1
+        # paths), one per dt_berm step on log-Euler (level="euler")
         cfg = case_cfg()
         indices = cfg.exercise_indices
         gaps = np.round(np.diff(cfg.tenor[np.array(indices) - 1]) / cfg.dt_berm).astype(int)
@@ -952,7 +957,7 @@ class TestTableauFence:
         class Recording:
             def __init__(self, seed, bi, stream):
                 self._gen = rng_for(seed, bi, stream)
-                self.stream, self.shapes = stream, []
+                self.seed, self.stream, self.shapes = seed, stream, []
                 generators.append(self)
 
             def standard_normal(self, size=None, *args, **kwargs):
@@ -964,7 +969,7 @@ class TestTableauFence:
         for level in ("lgn", 0, 1, "euler"):
             brm.bermudan_price(cfg, pol, level=level, m=2048, seed=7)
         brm.bermudan_delta_fd(cfg, pol, i=18, h=3.5e-5, level=1, m=2048, seed=7)
-        assert sum(len(g.shapes) for g in generators) > 2 * len(per_step) + 4 * len(per_gap)
+        assert sum(len(g.shapes) for g in generators) > len(per_step) + 5 * len(per_gap)
         for g in generators:
             assert all(isinstance(s, tuple) and len(s) == 2 and s[0] > 0 for s in g.shapes)
             head = heads[g.stream]
@@ -975,11 +980,17 @@ class TestTableauFence:
             assert cont == walks[g.stream][:len(cont)]
             rows = [s[0] for s in g.shapes[len(head):]]
             assert all(a >= b for a, b in zip(rows, rows[1:]))
-        # the fit and the Euler oracle walk every gap step by step; the
-        # one-shot runs cross every gap in one block each
+        # only the Euler oracle walks every gap step by step; the one-shot
+        # runs cross every gap in one block each
         euler = [g for g in generators if g.stream == mc.STREAM_EULER]
-        assert len(euler) == 2
-        assert all(len(g.shapes) == len(heads[mc.STREAM_EULER]) + len(per_step) for g in euler)
+        assert len(euler) == 1
+        assert len(euler[0].shapes) == len(heads[mc.STREAM_EULER]) + len(per_step)
         cont = [g for g in generators if g.stream == mc.STREAM_CONT]
-        assert len(cont) == 4
+        assert len(cont) == 5
         assert all(len(g.shapes) == len(per_gap) for g in cont)
+        # the fit (seed 3, one batch) is a level-1 walk that stops no row:
+        # one STREAM_XI block, then one full-row STREAM_CONT block per gap
+        fit = {g.stream: g.shapes for g in generators if g.seed == 3}
+        rows = brm._MIN_CALIBRATION_PATHS
+        assert fit == {mc.STREAM_XI: [(rows, cfg.n)],
+                       mc.STREAM_CONT: [(rows, w) for w in per_gap]}

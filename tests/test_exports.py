@@ -55,6 +55,30 @@ def test_trace_sites_resolve():
     assert missing == []
 
 
+def test_tracer_installs_and_restores_every_site():
+    # perfbench --trace 1 installs every site through tracing's own
+    # lookup: each one is wrapped inside the block and put back after it.
+    # One site that no longer resolves would crash every traced run
+    tracing = load_tracing()
+    sites = [(tracing._resolve(wkbmc, owner), attr) for owner, attr, _, _ in tracing.SITES]
+    originals = [owner.__dict__[attr] for owner, attr in sites]
+    assert len(sites) == 14
+    tracer = tracing.Tracer()
+
+    def reduce():
+        acc = wkbmc.mc.MomentAccumulator(replicates=16)
+        acc.add(0, np.arange(1.0, 41.0), 0)
+        return acc.finalize()
+
+    with tracer.installed(wkbmc):
+        assert not any(owner.__dict__[attr] is f for (owner, attr), f in zip(sites, originals))
+        tracer.call("estimators.reduce", reduce)
+    assert all(owner.__dict__[attr] is f for (owner, attr), f in zip(sites, originals))
+    # the accumulator's values are its second argument, as the counter reads them
+    totals = tracer.layer_totals()["mc.reduce"]
+    assert (totals["calls"], totals["rows"]) == (2, 40)
+
+
 def test_one_shot_sites_record_calls():
     # a site the package no longer calls through would resolve and still
     # record nothing: the level-1 European head and the Bermudan

@@ -58,59 +58,6 @@ class TestRowSlices:
         assert mc.row_slices(mc.BATCH, 1) == [slice(0, mc.BATCH)]
 
 
-class ThreadNoting:
-    """A generator that notes the thread of every ``standard_normal`` draw."""
-
-    def __init__(self, gen):
-        self._gen = gen
-        self.threads = []
-
-    def standard_normal(self, *args, **kwargs):
-        self.threads.append(threading.get_ident())
-        return self._gen.standard_normal(*args, **kwargs)
-
-
-def taken_blocks(rng, shape, count):
-    with mc.normal_blocks(rng, shape, count) as blocks:
-        return [z.copy() for z in blocks]
-
-
-class TestNormalBlocks:
-    @pytest.mark.parametrize("count", [0, 1, 2, 5])
-    @pytest.mark.parametrize("ahead", [False, True])
-    def test_blocks_are_consecutive_draws(self, monkeypatch, ahead, count):
-        # inline or drawn ahead, the blocks are ``count`` consecutive
-        # draws, and the generator's next draw follows the last of them
-        shape = (300, 7)
-        rng = ThreadNoting(mc.rng_for(3, 0, mc.STREAM_EULER))
-        if ahead:
-            # one batch on two CPUs: the map leaves a CPU idle
-            monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-            (got,) = mc.map_batches(lambda *s: taken_blocks(rng, shape, count), 5)
-        else:
-            got = taken_blocks(rng, shape, count)
-        ref = mc.rng_for(3, 0, mc.STREAM_EULER)
-        want = [ref.standard_normal(shape) for _ in range(count)]
-        assert len(got) == count
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        helper = [t for t in rng.threads if t != threading.get_ident()]
-        assert len(helper) == (count if ahead and count > 1 else 0)
-        assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
-
-    def test_no_helper_outside_a_map_or_in_a_full_one(self, monkeypatch):
-        # a batch run by itself, or a map with a batch on every CPU,
-        # draws each block on the thread that steps it
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-
-        def batch(*s):
-            rng = ThreadNoting(mc.rng_for(1, 0))
-            taken_blocks(rng, (50, 3), 4)
-            return set(rng.threads) == {threading.get_ident()}
-
-        assert batch()
-        assert mc.map_batches(batch, mc.BATCH + 1) == [True, True]
-
-
 class TestMomentAccumulator:
     def test_standard_error_far_from_zero(self):
         # a one-pass s2/m - mean^2 loses every digit of a unit variance
@@ -126,6 +73,23 @@ class TestMomentAccumulator:
         assert abs(sd_mean / (np.std(pooled) / np.sqrt(pooled.size)) - 1.0) < 1e-6
         assert abs(mean / np.mean(pooled) - 1.0) < 1e-15
         assert vmax == np.max(np.abs(pooled))
+
+    def test_replicates_report_the_spread_of_their_means(self):
+        # row g belongs to replicate g mod R wherever the batches cut the
+        # rows; the row moments are those of the plain accumulator
+        rng = np.random.default_rng(5)
+        rows = 3.0 + rng.standard_normal(1000)
+        plain, reps = mc.MomentAccumulator(), mc.MomentAccumulator(replicates=16)
+        for bi, lo in enumerate(range(0, rows.size, 300)):
+            plain.add(bi, rows[lo:lo + 300])
+            reps.add(bi, rows[lo:lo + 300], lo)
+        means = np.array([rows[r::16].mean() for r in range(16)])
+        mean, sd, count, vmax = reps.finalize()
+        assert (mean, count, vmax) == tuple(plain.finalize()[i] for i in (0, 2, 3))
+        assert sd == pytest.approx(np.std(means, ddof=1) / 4.0, rel=1e-12)
+        equal = mc.MomentAccumulator(replicates=16)
+        equal.add(0, np.full(40, 0.1), 0)
+        assert equal.finalize()[:2] == (0.1, 0.0)
 
 
 class TestMapBatches:

@@ -62,20 +62,9 @@ CALLS = {
 }
 
 
-#: One batch each: on more than one CPU the batch draws its next normals
-#: on a helper thread.
-ONE_BATCH_CALLS = {
-    "calibrate_policy": lambda: brm.calibrate_policy(case_cfg(), n_paths=10_000, seed=101),
-    "euler_price": lambda: est.euler_price(
-        case_cfg(), 1.0, euro(1).payoff, m=mc.BATCH - 5, seed=7, scale=euro(1).scale),
-    "bermudan_price_euler": lambda: brm.bermudan_price(
-        case_cfg(), case_policy(), level="euler", m=mc.BATCH - 5, seed=7),
-}
-
-
 @pytest.fixture(autouse=True)
 def no_thread_left():
-    # no call of any test here may leave a worker or helper thread running
+    # no call of any test here may leave a worker thread running
     before = set(threading.enumerate())
     yield
     assert set(threading.enumerate()) <= before
@@ -101,44 +90,6 @@ def test_bits_do_not_depend_on_worker_count(monkeypatch, name):
     assert out[1].size > 0 and np.isfinite(out[1]).any()
     # exact: equal bits, NaN (an Euler run's ESS) matching NaN
     assert np.array_equal(out[1], out[3], equal_nan=True)
-
-
-@pytest.mark.parametrize("name", sorted(ONE_BATCH_CALLS))
-def test_drawing_ahead_moves_no_bit(monkeypatch, name):
-    out = {}
-    for workers in (1, 3):
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
-        out[workers] = numbers(ONE_BATCH_CALLS[name]())
-    assert out[1].size > 0 and np.isfinite(out[1]).any()
-    assert np.array_equal(out[1], out[3], equal_nan=True)
-
-
-class DrawThreads:
-    """A generator that notes the thread of every ``standard_normal`` draw."""
-
-    def __init__(self, gen, threads):
-        self._gen, self._threads = gen, threads
-
-    def standard_normal(self, *args, **kwargs):
-        self._threads.add(threading.current_thread().name)
-        return self._gen.standard_normal(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
-
-@pytest.mark.parametrize("cpus, helped", [(3, False), (4, True)])
-def test_helper_draws_only_beside_an_idle_cpu(monkeypatch, cpus, helped):
-    # three batches of the Euler oracle: on three CPUs each batch draws
-    # on its own worker of the map's one pool, on four each batch's
-    # blocks come from a helper thread of a pool of its own
-    rng_for, threads = mc.rng_for, set()
-    monkeypatch.setattr(mc, "rng_for", lambda *a: DrawThreads(rng_for(*a), threads))
-    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-    CALLS["euler_price"]()
-    pools = {name.rsplit("_", 1)[0] for name in threads}
-    assert len(threads) == 3
-    assert len(pools) == (3 if helped else 1)
 
 
 def test_failed_batch_stops_the_run(monkeypatch):

@@ -3,26 +3,34 @@
     python tools/ab.py --parent HEAD~1 --pairs 10 --rounds 1 [--workload euro-t10]
                        [--seed 7] [--seconds 15] [--tag NAME]
 
-The parent is checked out into a temporary ``git worktree``, removed
-afterwards.  Each pair runs one fresh ``perfbench/run.py`` process per side, the
-side that goes first alternating from pair to pair, and reads the last
-JSON line each prints, as is.  For every end-to-end metric (all are
-lower-is-better seconds) it prints, per round, how many pairs the change
-won, and over all pairs the median of change / parent with a percentile
-bootstrap interval.  With ``--tag NAME`` it also writes
-``BENCH_NAME.json`` at the root of this checkout: per workload, side and
-metric the median, quartiles and count; each side's correct-run count;
-the environment from perfbench's own record; both commits; and the known
-defects of perfbench as notes.
+The parent commit's files are exported with ``git archive`` into a
+temporary directory, removed afterwards.  Each pair runs one fresh
+``perfbench/run.py`` process per side, the side that goes first
+alternating from pair to pair, and reads the last JSON line each prints,
+as is.  A run that is not ``correct`` stops the comparison: it is named
+(workload, pair, side) and the exit status is 1.  For every end-to-end
+metric (all are lower-is-better seconds) it prints, per round, how many
+pairs the change won, and over all pairs the median of change / parent
+with a percentile bootstrap interval.  With ``--tag NAME`` it also runs
+Tier-1 once in this checkout and writes ``BENCH_NAME.json`` at its root:
+per workload, side and metric the median, quartiles and count; each
+side's correct-run count; the environment from perfbench's own record;
+both commits; Tier-1's wall time, summary line and five slowest tests;
+and the known defects of perfbench as notes.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -116,9 +124,43 @@ def print_report(workload: str, rep: dict) -> None:
               f"[{lo:.3f}, {hi:.3f}]  wins {wins}")
 
 
+#: One line of pytest's ``--durations`` table: seconds, phase, test id.
+_DURATION = re.compile(r"^\s*([0-9.]+)s\s+(call|setup|teardown)\s+(\S+)\s*$")
+#: pytest's closing line, e.g. "577 passed, 2 failed in 138.46s (0:02:18)".
+_SUMMARY = re.compile(r"^=*\s*(\d+ \w+.* in [0-9.]+s\b.*?)\s*=*$")
+
+
+def tier1_report(stdout: str, wall_s: float) -> dict:
+    """Tier-1's wall time, its closing summary and its slowest tests, from pytest's output."""
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(_DURATION.match, stdout.splitlines()) if m]
+    summary = [m[1] for m in map(_SUMMARY.match, stdout.splitlines()) if m]
+    return {"wall_s": wall_s, "summary": summary[-1] if summary else None,
+            "slowest": slowest[:5]}
+
+
+def run_tier1(root: Path) -> dict:
+    """Run Tier-1 once in ``root``, as ROADMAP.md states it, and time it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "--durations=5"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    return tier1_report(proc.stdout, time.perf_counter() - start)
+
+
 def git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def export_commit(sha: str, dest: Path) -> None:
+    """The files of commit ``sha``, written under ``dest`` by ``git archive``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -145,9 +187,8 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", args.parent)
     change_sha = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
     tmp = Path(tempfile.mkdtemp(prefix="ab-parent-"))
-    parent_dir = tmp / "tree"
-    git("worktree", "add", "--detach", str(parent_dir), parent_sha)
-    roots = {"parent": parent_dir, "change": ROOT}
+    export_commit(parent_sha, tmp)
+    roots = {"parent": tmp, "change": ROOT}
     out = {"tag": args.tag, "commits": {"parent": parent_sha, "change": change_sha},
            "settings": {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
                         "rounds": args.rounds},
@@ -159,19 +200,24 @@ def main(argv=None) -> int:
                 pair = {}
                 for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                     pair[side], env = run_side(roots[side], wl, args.seed, args.seconds)
+                    if not pair[side]["correct"]:
+                        print(f"ab: {wl} pair {k + 1}: the {side} run is not correct "
+                              f"({pair[side]['failed']} of {pair[side]['attempted']} calls "
+                              "failed); see its .perfbench_out record", file=sys.stderr)
+                        return 1
                     if side == "change":
                         out["env"] = env
                 runs.append(pair)
                 print(f"{wl} pair {k + 1}: " + ", ".join(
                     f"{s} price_s_1bp {pair[s]['metrics']['price_s_1bp']['value']:.4g}"
-                    f"{'' if pair[s]['correct'] else ' INCORRECT'}" for s in SIDES),
-                    flush=True)
+                    for s in SIDES), flush=True)
             out["workloads"][wl] = report(runs, args.pairs)
             print_report(wl, out["workloads"][wl])
     finally:
-        git("worktree", "remove", "--force", str(parent_dir))
         shutil.rmtree(tmp, ignore_errors=True)
     if args.tag:
+        out["tier1"] = run_tier1(ROOT)
+        print(f"tier-1: {out['tier1']['summary']}, wall {out['tier1']['wall_s']:.1f} s")
         path = ROOT / f"BENCH_{args.tag}.json"
         path.write_text(json.dumps(out, indent=1) + "\n")
         print(f"wrote {path.name}")
