@@ -1,18 +1,21 @@
 """What the shifted lattice buys: the same rows, a smaller spread.
 
 `price`, `delta_fd` and `gamma_fd` read their normals off a randomly
-shifted rank-1 lattice (``wkbmc.lattice``).  This runs each of them, and
-the same one-shot head on pseudo-random normals ("MC"), over 32 seeds
+shifted rank-1 lattice (``wkbmc.lattice``), and so does the level-1
+`bermudan_price`, head and continuation legs alike.  This runs each of
+them, and the same head on pseudo-random normals ("MC"), over 32 seeds
 at M = 1e5 and T1 = 1 and 10, and prints the spread (sd over seeds) of
 the values each way, their variance ratio, and the mean sd the lattice
 calls report, which should match their spread.  Delta and the diagonal
-Gamma are on the last rate, Gamma with bump h = 1e-3.  About two
-minutes on two CPUs.
+Gamma are on the last rate, Gamma with bump h = 1e-3; the Bermudan runs
+under the policy fitted at seed 101.  About four minutes on two CPUs.
 """
 import numpy as np
 
+from wkbmc import bermudan as brm
 from wkbmc import estimators as est
 from wkbmc import harness
+from wkbmc.payoffs import report_scale
 
 M = 100_000
 SEEDS = range(32)
@@ -51,3 +54,11 @@ for t1 in (1.0, 10.0):
         s_mc, s_lat = np.std(pr, ddof=1), np.std(lat, ddof=1)
         print(f"{kind:>6} {t1:>3g} {s_mc:>10.4g} {s_lat:>15.4g} {(s_mc / s_lat) ** 2:>10.1f} "
               f"{np.mean(sds):>16.4g} {np.mean(lat):>13.2f}")
+    policy = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
+    st = [(cfg.l0, report_scale(cfg))]
+    runs = [brm.bermudan_price(cfg, policy, level=1, m=M, seed=seed) for seed in SEEDS]
+    pr = [est._estimate(st, brm._continued(cfg, policy, 1, st), M, seed).value for seed in SEEDS]
+    lat = [r.value for r in runs]
+    s_mc, s_lat = np.std(pr, ddof=1), np.std(lat, ddof=1)
+    print(f"{'berm':>6} {t1:>3g} {s_mc:>10.4g} {s_lat:>15.4g} {(s_mc / s_lat) ** 2:>10.1f} "
+          f"{np.mean([r.sd for r in runs]):>16.4g} {np.mean(lat):>13.2f}")

@@ -19,16 +19,29 @@ weights up to its stop.  After the Euler head each leg is fine
 log-Euler steps and weighs nothing.  ``_continued`` joins the two into
 one head of the batch driver: prices and Deltas reduce its payoffs,
 and the diagnostics read its stops, each path counted with its path
-weight.  Thresholds are fitted by a backward sweep over the paths a
-level-1 price walks, left to run through every date, each exercise
+weight.  Thresholds are fitted by a backward sweep over pseudo-random
+level-1 one-shot paths, left to run through every date, each exercise
 valued with its path weight up to the date and each date's threshold
 the exact in-sample best.
 
 The continuation moves only the rows still running: one stopping rule,
 the first member's exercise decision, cuts a row from the group, and
-each leg draws normals for the rows left alone, in running order.
-Whether a path still runs depends only on its past, so the fresh
-normals keep every path's law; a stopped path costs no further draws.
+each leg draws normals for the rows left alone.  Whether a path still
+runs depends only on its past, so the fresh normals keep every path's
+law; a stopped path costs no further draws.  Where the normals come
+from depends on the call.  The one-shot price ("lgn", 0 or 1) reads all
+of a path's normals off the randomly shifted lattice, one point of
+``_path_coordinates`` dimensions per row (100 at the case study): the
+head takes coordinates 0 .. n - 1 exactly as ``estimators.price`` does,
+and each leg the next block, one coordinate per live rate.  A row's
+normals, and with them its payoff and path weight, thus do not depend
+on which other rows stopped (``wkb._BLAS_ROWS`` keeps the weight's
+arithmetic row by row; a row left running alone in its batch is the
+exception, as BLAS takes a matrix-vector path for it), and the price's
+``sd`` is the spread of its replicate means.  The Delta, the policy fit, the stop diagnostics
+and every log-Euler path stay on pseudo-random normals: the head on the
+batch's STREAM_XI (or STREAM_EULER) cell and the legs on its
+STREAM_CONT generator, read in running order.
 It also does only the arithmetic a decision reads: on the way to tenor
 date T_i a leg moves the live rates L_i .. L_n alone and draws normals
 for them only, one per live rate and running row (Gamma is upper
@@ -59,7 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mc
+from . import lattice, mc
 from .estimators import (
     McResult,
     _delta_stencil,
@@ -298,9 +311,11 @@ def _fit_threshold(trig, exercised, continued):
 def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> AndersenPolicy:
     """Fit the per-date thresholds on dedicated weighted one-shot paths.
 
-    The paths are the ones ``bermudan_price(level=1)`` walks: the level-1
-    one-shot head at ``cfg.l0`` on the batch's STREAM_XI normals, then
-    the level-1 :func:`_legs` on its STREAM_CONT generator, with the full
+    The paths are the pseudo-random ones :func:`_continued` walks at
+    level 1: the level-1 one-shot head at ``cfg.l0`` on the batch's
+    STREAM_XI normals, then the level-1 :func:`_legs` on its STREAM_CONT
+    generator (the price reads the same head and legs off the lattice
+    instead), with the full
     trigger at every date and no path stopped.  Exercising at date k
     pays the intrinsic value times the path weight up to k, the head
     weight times the transition weights, as in :func:`_continued`.  Uses
@@ -392,11 +407,46 @@ def _euler_leg(cfg: ModelConfig, first: int, steps: int, group, rng):
     return evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, first=first), None
 
 
+def _path_coordinates(cfg: ModelConfig, indices) -> int:
+    """Normals a one-shot path reads: n at the head, then the live rates of each gap."""
+    dates = [cfg.t1] + [cfg.tenor_date(i) for i in indices]
+    return cfg.n + sum(cfg.n - i + 1 for i, a, b in zip(indices, dates, dates[1:]) if b != a)
+
+
+class _LatticeLegs:
+    """The legs' normals of one batch, read off the shifted lattice.
+
+    ``shift`` is the call's ``lattice.shifts`` over every coordinate of
+    a path and ``lo`` the batch's first global row.  The head reads
+    coordinates 0 .. n - 1; each leg reads the next block, one coordinate
+    per live rate, for the rows it is handed.  ``at(rows)`` stands in for
+    a generator for the running ``rows`` (positions in the batch): its
+    ``standard_normal((rows, w))`` reads their next w coordinates.  A
+    row's normals thus depend on its number and the leg alone, never on
+    which other rows stopped.
+    """
+
+    def __init__(self, shift: np.ndarray, lo: int, start: int) -> None:
+        self.shift, self.lo, self.next = shift, lo, start
+        self.rows = None
+
+    def at(self, rows: np.ndarray) -> "_LatticeLegs":
+        self.rows = rows
+        return self
+
+    def standard_normal(self, size) -> np.ndarray:
+        a, b = self.next, self.next + size[1]
+        self.next = b
+        return lattice.normals(self.shift[:, a:b], self.lo + self.rows, a)
+
+
 def _run_policy(cfg, policy, group, rng, legs, audit=False):
     """Advance a common-increment group from T1 through the exercise dates.
 
     ``legs`` are the :func:`_legs` of the policy's dates, drawing from
-    ``rng``.  Exercise decisions come from the first group member only
+    ``rng``: a generator, read in running order, or a
+    :class:`_LatticeLegs`, which gives each running row its own
+    coordinates.  Exercise decisions come from the first group member only
     and are applied to every member (the bump pair shares one stopping
     time); a row the first member stops is cut from the group and moved
     no further, so only the rows still running get normals.  Whether a
@@ -424,7 +474,7 @@ def _run_policy(cfg, policy, group, rng, legs, audit=False):
     indices = policy.exercise_indices
     for k, leg in enumerate(legs):
         if leg is not None:
-            group, lw = leg(group, rng)
+            group, lw = leg(group, rng.at(rows) if isinstance(rng, _LatticeLegs) else rng)
             if lw is not None:
                 for acc, lk in zip(log_w, lw):
                     acc[rows] += lk
@@ -449,15 +499,19 @@ def _run_policy(cfg, policy, group, rng, legs, audit=False):
     return payoffs_out, stop_idx, differ, log_w
 
 
-def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=False):
+def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=False,
+               shift: np.ndarray | None = None):
     """Driver head: the first-date head at ``level``, then ``policy``.
 
     The first-date head is the one-shot draw at a kernel level, or
     log-Euler from time zero at "euler"; its :func:`_legs` continue it.
-    The weights are path weights: the head's weight times the
-    transition weights up to the row's stop.  The states slot holds
-    (stop positions, disagreement flags); the driver's payoff goes
-    unused.
+    A one-shot head and its legs draw from the batch's STREAM_XI and
+    STREAM_CONT generators or, given ``shift`` (the call's
+    ``lattice.shifts`` over :func:`_path_coordinates`), read every
+    normal of a path off the shifted lattice.  The weights are path
+    weights: the head's weight times the transition weights up to the
+    row's stop.  The states slot holds (stop positions, disagreement
+    flags); the driver's payoff goes unused.
     """
     expected = np.array([cfg.tenor_date(i) for i in policy.exercise_indices])
     if np.max(np.abs(expected - policy.dates)) > 1e-9:
@@ -467,12 +521,14 @@ def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=F
     if level == "euler":
         first = _euler_head(cfg, stencil, cfg.t1, cfg.dt_berm)
     else:
-        first = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil)
+        first = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil,
+                               None if shift is None else shift[:, :cfg.n])
     legs = _legs(cfg, policy.exercise_indices, level)
 
     def head(seed, bi, rows, payoff):
         states, w, _, cont = first(seed, bi, rows, None)
-        pays, stop, differ, log_w = _run_policy(cfg, policy, states, cont(), legs, audit)
+        source = cont() if shift is None else _LatticeLegs(shift, bi * mc.BATCH, cfg.n)
+        pays, stop, differ, log_w = _run_policy(cfg, policy, states, source, legs, audit)
         if w is not None:
             w = [wk * np.exp(lk) for wk, lk in zip(w, log_w)]
         wv = pays if w is None else [wk * pk for wk, pk in zip(w, pays)]
@@ -488,9 +544,21 @@ def bermudan_price(
     m: int = 100_000,
     seed: int = 0,
 ) -> McResult:
-    """Lower-bound price: the head at ``level`` to the first date, then ``policy``."""
+    """Lower-bound price: the head at ``level`` to the first date, then ``policy``.
+
+    At the one-shot levels ("lgn", 0, 1) every normal of a path comes off
+    the randomly shifted lattice, as in ``estimators.price``: row g is
+    point g div R of replicate g mod R, and ``sd`` is the spread of the
+    R replicate means.  A path needing more than ``lattice.MAX_DIM``
+    coordinates is refused.  At "euler" the paths are pseudo-random.
+    """
     stencil = [(cfg.l0, report_scale(cfg))]
-    return _estimate(stencil, _continued(cfg, policy, level, stencil), m, seed)
+    if level == "euler":
+        return _estimate(stencil, _continued(cfg, policy, level, stencil), m, seed)
+    dims = _path_coordinates(cfg, policy.exercise_indices)
+    shift = lattice.shifts(seed, lattice.replicates(m), dims)
+    head = _continued(cfg, policy, level, stencil, shift=shift)
+    return _estimate(stencil, head, m, seed, replicates=shift.shape[0])
 
 
 def bermudan_delta_fd(

@@ -25,9 +25,11 @@ the randomly shifted lattice of ``lattice.normals``: row g is point
 g div R of replicate g mod R, and ``_estimate``'s accumulator keeps a
 mean per replicate, so their ``sd`` is the spread of the R independent
 replicate means.  The one dimension per rate is low and fixed, where
-the lattice pays; every other head (the Bermudan's first date and its
-policy fit, the frozen cloud, the audit, the toy and the oracle) stays
-on pseudo-random normals, and so does its row-level ``sd``.
+the lattice pays.  The one-shot Bermudan price reads this head off the
+same lattice and its legs off the coordinates that follow (see
+``bermudan``); every other head (the Bermudan Delta, policy fit and
+diagnostics, the frozen cloud, the audit, the toy and the oracle)
+stays on pseudo-random normals, and so does its row-level ``sd``.
 Every batch loop is one ``mc.map_batches`` call: ``_estimate``'s,
 `variance_audit`'s (the bound's norms), the Bermudan diagnostics'
 (stops) and `calibrate_policy`'s (weighted exercise values and triggers
@@ -85,10 +87,12 @@ class McResult:
     ``sd`` is the standard error of ``value``.  On pseudo-random
     normals it is the population standard deviation of the per-sample
     values divided by sqrt(m).  The one-shot European calls (`price`,
-    `delta_fd`, `gamma_fd`) integrate on a randomly shifted lattice
-    instead, whose rows are not independent: there ``value`` is still
-    the row mean, and ``sd`` is std(replicate means, ddof=1) / sqrt(R)
-    over its R independent replicates (16 up to 2**21 rows).  ``max_weight``
+    `delta_fd`, `gamma_fd`) and the one-shot Bermudan price
+    (``bermudan_price`` at "lgn", 0 or 1) integrate on a randomly
+    shifted lattice instead, whose rows are not independent: there
+    ``value`` is still the row mean, and ``sd`` is std(replicate means,
+    ddof=1) / sqrt(R) over its R independent replicates (16 up to 2**21
+    rows).  ``max_weight``
     and ``ess`` (effective sample size, (sum w)^2 / sum w^2) expose
     importance-weight degeneracy; weights are never clipped, so a bad
     proxy shows up here rather than as silent bias.
@@ -241,6 +245,8 @@ def _proxy_transition(cfg: ModelConfig, first: int, dt: float):
     contract of ``lmm.evolve_log_euler`` (one (rows, n - first) block of
     normals from ``rng`` shared by the members, earlier rates carried
     over), which returns the moved members and their log weights.
+    ``rng`` may also be a ``bermudan._LatticeLegs`` source, which reads
+    the block off the shifted lattice.
     """
     vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
     kernel = make_libor_kernel(vs, delta, cfg.l0[first:], level=1)
@@ -293,7 +299,8 @@ def _one_shot_head(anchored, stencil, shift: np.ndarray | None = None):
     Maps (seed, batch index, rows, payoff) to the members' states,
     weights, weighted payoffs and a maker of the continuation generator.
     The normals are the batch's STREAM_XI draw or, given ``shift`` (the
-    call's ``lattice.shifts``), the batch's rows of the shifted lattice.
+    call's ``lattice.shifts`` at coordinates 0 .. n - 1), the batch's
+    rows of the shifted lattice.
     """
     pairs = [anchored(a) for a, _ in stencil]
     n = stencil[0][0].shape[-1]
@@ -302,7 +309,7 @@ def _one_shot_head(anchored, stencil, shift: np.ndarray | None = None):
         if shift is None:
             z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
         else:  # batch bi starts at row bi * BATCH
-            z = lattice.normals(shift, bi * mc.BATCH, rows)
+            z = lattice.normals(shift, range(bi * mc.BATCH, bi * mc.BATCH + rows))
         states, w, wv = map(list, zip(*(_one_shot(pair, z, payoff) for pair in pairs)))
         return states, w, wv, lambda: mc.rng_for(seed, bi, mc.STREAM_CONT)
 

@@ -2,8 +2,10 @@
 
 The one-shot estimators integrate over one n-dimensional normal vector
 per row, a low and fixed dimension, where randomised quasi-Monte Carlo
-pays.  Row g of a call goes to replicate g mod R as point index g div R
-(``R`` from :func:`replicates`).  Replicate r reads the points of an
+pays; a one-shot Bermudan path adds one coordinate per live rate and
+gap after it (100 in all at the case study), still fixed.  Row g of a
+call goes to replicate g mod R as point index g div R (``R`` from
+:func:`replicates`).  Replicate r reads the points of an
 embedded rank-1 lattice sequence in radical-inverse order, each
 coordinate moved by its own integer shift from the (seed, r) cell of
 stream ``mc.STREAM_SHIFT`` (L'Ecuyer and Lemieux 2000, Oper. Res.
@@ -22,7 +24,9 @@ exactly 0 (it is odd about the middle of each half) and its variance is
 
 ``GENERATING_VECTOR`` comes from ``tools/cbc.py`` (fast component-by-
 component search for an embedded lattice, Cools, Kuo and Nuyens 2006,
-SIAM J. Sci. Comput. 28(6)) and covers up to ``MAX_DIM`` coordinates.
+SIAM J. Sci. Comput. 28(6)) and covers up to ``MAX_DIM`` = 300
+coordinates: n(n + 1) / 2 at n = 24, a Bermudan exercisable at every
+tenor date.  A call needing more is refused with that limit named.
 The table is built on first use, once per process, by a numpy port of
 Wichura's AS241, so no call that uses it loads scipy.
 """
@@ -55,10 +59,36 @@ _REPLICATES = 16
 #: Gamma is upper triangular, so the last column moves every rate and
 #: gets the coordinate with the largest weight in the search.  In that
 #: order the variance ratios over pseudo-random normals measured higher
-#: than in column order (``demos/lattice_gain.py`` prints the gains).
+#: than in column order (``demos/lattice_gain.py`` prints the gains).  A
+#: Bermudan leg's block follows the same rule from its first coordinate.
+#: The search weighs the first 19 coordinates by 0.6**j, the European
+#: head's, and the rest by j**-2, which resolve the legs' coordinates.
 GENERATING_VECTOR = (
     1, 51417, 61749, 15009, 52207, 58655, 62943, 39089, 2863, 7341, 41335, 35267,
-    57611, 64363, 2461, 4455, 55621, 4649, 19639, 15587, 4209, 32541, 48615, 32531,
+    57611, 64363, 2461, 4455, 55621, 4649, 19639, 15587, 4209, 48615, 31629, 6769,
+    63097, 47875, 53515, 4563, 32107, 14373, 46469, 48965, 42413, 58161, 49821, 55131,
+    45643, 22409, 39729, 27697, 49289, 29247, 62223, 31019, 35133, 52509, 12983, 45213,
+    13843, 25513, 46179, 56135, 4305, 14051, 4849, 6587, 48761, 44925, 681, 16313,
+    20433, 12819, 40711, 56401, 45131, 2835, 43561, 11405, 32531, 52649, 58339, 5305,
+    34375, 3973, 4495, 21663, 27317, 61579, 25133, 22343, 6281, 63513, 29209, 56083,
+    58331, 24367, 40819, 34341, 49513, 59805, 51983, 29841, 44981, 3677, 35147, 10681,
+    10095, 54119, 1879, 17021, 14289, 14311, 55933, 42515, 38799, 26309, 28791, 51895,
+    9461, 40643, 23321, 4389, 3253, 8633, 24475, 36679, 6171, 58405, 31051, 30971,
+    18173, 22505, 53709, 47701, 51759, 61123, 27067, 7869, 40599, 45705, 42035, 12665,
+    40157, 62073, 21865, 50341, 34937, 3023, 64931, 34501, 13497, 40443, 30787, 42285,
+    47165, 5371, 57099, 20855, 60903, 55461, 2035, 55277, 26247, 42901, 31913, 36315,
+    32141, 57237, 55115, 1413, 60665, 48187, 60445, 29459, 40913, 59885, 17533, 14929,
+    23789, 29451, 44591, 27115, 9245, 18347, 975, 53811, 16025, 4989, 18845, 6079,
+    61589, 3849, 8967, 63303, 19037, 14505, 54853, 19607, 46031, 13711, 12579, 16629,
+    22059, 59723, 25625, 53223, 23587, 43931, 10213, 48753, 54601, 34861, 17653, 15301,
+    49203, 43065, 17079, 54345, 27099, 56897, 9091, 49875, 26983, 5207, 56045, 10071,
+    20781, 64817, 12243, 49293, 50025, 9337, 38763, 7031, 32995, 44215, 25961, 21141,
+    8977, 23471, 7847, 62501, 37961, 8341, 7891, 3959, 4235, 2419, 23281, 54881,
+    32451, 61395, 937, 51117, 36749, 33235, 51531, 15371, 32603, 28617, 24059, 38217,
+    25901, 17805, 33917, 35927, 50201, 31363, 22359, 41743, 33571, 47289, 34153, 8509,
+    22901, 17197, 62691, 6983, 22481, 54603, 30791, 34159, 41753, 53069, 28395, 56957,
+    7487, 61025, 58243, 50151, 12371, 59963, 38535, 31379, 46825, 51793, 19407, 24471,
+    40017, 22829, 36685, 4153, 35375, 8333, 63441, 13925, 34181, 23609, 41733, 47463,
 )
 MAX_DIM = len(GENERATING_VECTOR)
 
@@ -152,24 +182,35 @@ def shifts(seed: int, r: int, n: int) -> np.ndarray:
                      for k in range(r)], dtype=np.uint32)
 
 
-def normals(shift: np.ndarray, lo: int, rows: int) -> np.ndarray:
-    """(rows, n) normals of global rows lo .. lo + rows - 1 under ``shift``.
+def normals(shift: np.ndarray, rows, start: int = 0) -> np.ndarray:
+    """(len(rows), w) normals of the global ``rows`` at coordinates start .. start + w - 1.
 
-    ``shift`` is :func:`shifts`' array, one row per replicate; row g
-    reads point g div R of replicate g mod R.  The integer chain runs in
-    uint32, whose products wrap modulo 2**32, a multiple of the grid
-    size.  Each slice of ``mc.row_slices`` forms bitrev(i) z once per
-    point index and adds the R shifts by broadcasting, so its
-    temporaries stay in cache.
+    ``shift`` holds those coordinates' columns of :func:`shifts`' array,
+    (R, w), one row per replicate; row g reads point g div R of
+    replicate g mod R.  Coordinate start + j drives column w - 1 - j, so
+    the block's first coordinate moves its last column.  ``rows`` is a
+    ``range`` (a batch's contiguous rows) or an array of global row
+    numbers in any order (the running rows of a Bermudan leg); a row's
+    normals depend only on its number and the block.  The integer chain
+    runs in uint32, whose products wrap modulo 2**32, a multiple of the
+    grid size.  On a ``range`` each slice of ``mc.row_slices`` forms
+    bitrev(i) z once per point index and adds the R shifts by
+    broadcasting, so its temporaries stay in cache; otherwise each row
+    gathers its replicate's shifts.
     """
-    r, n = shift.shape
-    z = np.asarray(GENERATING_VECTOR[n - 1::-1], dtype=np.uint32)
+    r, w = shift.shape
+    z = np.asarray(GENERATING_VECTOR[start:start + w][::-1], dtype=np.uint32)
     table = normal_table()
-    out = np.empty((rows, n))
-    for part in mc.row_slices(rows, n):
-        a, b = lo + part.start, lo + part.stop
-        i0 = a // r
-        cell = (_bitrev(np.arange(i0, (b - 1) // r + 1))[:, None] * z)[:, None, :] + shift
+    out = np.empty((len(rows), w))
+    for part in mc.row_slices(len(rows), w):
+        if isinstance(rows, range):
+            a, b = rows[part.start], rows[part.stop - 1] + 1
+            i0 = a // r
+            cell = (_bitrev(np.arange(i0, (b - 1) // r + 1))[:, None] * z)[:, None, :] + shift
+            cell = cell.reshape(-1, w)[a - i0 * r:b - i0 * r]
+        else:
+            g = rows[part]
+            cell = _bitrev(g // r)[:, None] * z + shift[g % r]
         cell &= _MASK
-        table.take(cell.reshape(-1, n)[a - i0 * r:b - i0 * r], out=out[part])
+        table.take(cell, out=out[part])
     return out

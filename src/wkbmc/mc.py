@@ -6,13 +6,15 @@ batch index) cell of the random tableau, each seeded through a
 batch of every estimator therefore draws an independent, reproducible
 stream regardless of execution order.  One stream is keyed by replicate
 instead of batch: ``STREAM_SHIFT``'s cell (seed, r) holds the random
-shift of replicate r of the lattice that the European one-shot calls
-integrate on (``lattice``), so a replicate's shift does not depend on
-which batches its rows fall in.  A draw takes exactly the normals
-its rows need: the Bermudan continuation draws normals only for the
-live rates of the rows still running, so a cell's stream is consumed
-in running order.  Reductions accumulate per-batch partial moments and
-combine them in batch order, which makes totals bit-identical no matter
+shifts of replicate r of the lattice that the one-shot European calls
+and the one-shot Bermudan price integrate on (``lattice``), one per
+coordinate, so a replicate's shifts do not depend on which batches its
+rows fall in; the first n of them do not depend on how many follow.  A
+draw takes exactly the normals its rows need: the pseudo-random
+Bermudan continuation draws normals only for the live rates of the rows
+still running, so a cell's stream is consumed in running order.
+Reductions accumulate per-batch partial moments and combine them in
+batch order, which makes totals bit-identical no matter
 how the batches were scheduled; on a lattice call the one accumulator
 also keeps a partial mean per replicate and reports the spread of the
 replicate means.  That is what lets ``map_batches`` run the batches of
@@ -57,7 +59,7 @@ CHUNK = 1024
 STREAM_XI = 0       # proxy draws (or the primary normals of a toy model)
 STREAM_CONT = 1     # continuation normals after the first date (Bermudan)
 STREAM_EULER = 2    # log-Euler evolution started at time zero
-STREAM_SHIFT = 3    # lattice shifts of the one-shot European draw, one cell per replicate
+STREAM_SHIFT = 3    # lattice shifts of the one-shot draws, one cell per replicate
 
 _MASK48 = (1 << 48) - 1
 _MASK64 = (1 << 64) - 1
@@ -89,6 +91,8 @@ def row_slices(rows: int, width: int) -> list[slice]:
     result.  A lone row would go through BLAS's matrix-vector product,
     whose sums can differ in the last bit from the matrix-matrix product
     that rows in a block get, so a one-row tail joins the slice before it.
+    The one-shot log weight also evens out BLAS's row groups inside a
+    slice (``wkb._BLAS_ROWS``).
     """
     cuts = list(range(0, rows, max(CHUNK * 19 // width, 2))) + [rows]
     if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:

@@ -560,6 +560,18 @@ def make_libor_kernel(
     return WkbKernel(level=level, vs=vs, delta=delta, c1_grad=c1g, c1_hess=c1h)
 
 
+#: OpenBLAS (0.3, Haswell kernels) computes the rows of a product in
+#: groups of this many and the last (rows mod 4) by other code, which
+#: can round differently.  ``x @ a`` for a C-ordered matrix or a vector
+#: ``a`` does so; with a transposed ``a`` (``x @ b.T``) no row measured
+#: different.  :func:`log_weight_y` takes both kinds, so it grows its
+#: rows to whole groups with copies of the last one: every row then
+#: gets the code the others get, and its bits do not depend on where it
+#: sits in a slice, nor, in a Bermudan leg, on which other rows still
+#: run.  A slice of whole groups (1024 rows at 19 rates) is not copied.
+_BLAS_ROWS = 4
+
+
 def log_weight_y(
     kernel: WkbKernel,
     dt: float,
@@ -591,6 +603,11 @@ def log_weight_y(
     dt.  The full log density is this plus the proxy's.
     """
     y_to = np.asarray(y_to, dtype=np.float64)
+    pad = -y_to.shape[0] % _BLAS_ROWS if y_to.ndim == 2 else 0
+    if pad:  # whole row groups: see _BLAS_ROWS
+        grown = [np.concatenate([a, np.repeat(a[-1:], pad, axis=0)]) if np.ndim(a) == 2 else a
+                 for a in (y_to, kappa, start_y)]
+        return log_weight_y(kernel, dt, *grown)[:y_to.shape[0]]
     dot = partial(np.einsum, "...i,...i->...")  # row by row, either side broadcast
     c0 = libor_c0(kernel.vs, kernel.delta, start_y, y_to)
     if kernel.level == 0:

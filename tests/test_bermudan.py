@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from wkbmc import bermudan as brm
 from wkbmc import estimators as est
-from wkbmc import lmm, mc
+from wkbmc import lattice, lmm, mc
 from wkbmc.payoffs import SwaptionSpec, bond_ratios, report_scale, swaption_payoff
 
 
@@ -449,37 +449,40 @@ class TestThresholdFit:
 
 class TestOneDateDegeneracy:
     def test_single_date_reduces_to_european(self):
+        # the Delta keeps the European one-shot head on pseudo-random
+        # normals (est.delta_fd itself reads the shifted lattice): same
+        # draws, same weights, every path exercised at once, so the two
+        # estimators walk through identical arithmetic
         cfg = case_cfg(exercise=(1,))
         pol = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
         assert pol.thresholds[0] == 0.0
-        b = brm.bermudan_price(cfg, pol, level=1, m=20_000, seed=7)
-        # the European one-shot head on pseudo-random normals, which the
-        # Bermudan keeps (est.price itself reads the shifted lattice): same
-        # draws, same weights, every path exercised at once, so the two
-        # estimators walk through identical arithmetic
-        inp = est.european_inputs(cfg, level=1, m=20_000, seed=7)
-        stencil = [(cfg.l0, inp.outer(cfg.l0))]
+        b = brm.bermudan_delta_fd(cfg, pol, i=18, h=3.5e-5, level=1, m=20_000, seed=7)
+        inp = est.european_inputs(cfg, level=1, m=20_000, seed=7, h=3.5e-5)
+        stencil = est._delta_stencil(cfg.l0, 18, 3.5e-5, inp.outer)
         e = est._estimate(stencil, est._one_shot_head(inp.anchored, stencil), 20_000, 7,
                           inp.payoff)
-        assert b.value == e.value
-        assert b.sd == e.sd
+        assert b == e
 
     def test_single_date_agrees_with_the_lattice_european(self):
-        # est.price integrates on the shifted lattice: the one-date
-        # Bermudan matches it within criterion 7's 3-SE slack
+        # at one date the price's path is its head: coordinates 0 .. n - 1
+        # of the same shifted lattice est.price reads (the shifts' first n
+        # entries do not depend on how many coordinates a path has), so the
+        # two are equal bit for bit, sd included
         cfg = case_cfg(exercise=(1,))
         pol = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
         b = brm.bermudan_price(cfg, pol, level=1, m=20_000, seed=7)
         e = est.price(est.european_inputs(cfg, level=1, m=20_000, seed=7))
-        assert abs(b.value - e.value) <= 3.0 * np.hypot(b.sd, e.sd)
+        assert b == e
 
     def test_fit_walks_the_level_1_paths(self):
-        # the fit draws its paths with the level-1 price's one-shot head,
-        # on the same generator cell, and values them with the same path
-        # weights: at one date its objective is that price
+        # the fit draws its paths with the level-1 one-shot head and legs
+        # on the same generator cells as the pseudo-random level-1 head of
+        # _continued, and values them with the same path weights: at one
+        # date its objective is that head's price
         cfg = case_cfg(exercise=(1,))
         pol = brm.calibrate_policy(cfg, n_paths=10_000, seed=101)
-        b = brm.bermudan_price(cfg, pol, level=1, m=10_000, seed=101)
+        stencil = [(cfg.l0, report_scale(cfg))]
+        b = est._estimate(stencil, brm._continued(cfg, pol, 1, stencil), 10_000, 101)
         assert_allclose(report_scale(cfg) * pol.objectives[0], b.value, rtol=1e-12, atol=0.0)
 
 
@@ -554,6 +557,54 @@ class TestBermudanPricing:
             monkeypatch.setattr(mc, "CHUNK", chunk)
             runs.append(brm.bermudan_price(case_cfg(), case_policy(), level=1, m=2048, seed=7))
         assert runs[0] == runs[1]
+
+
+def stopped_paths(cfg, policy, m, seed):
+    """Stops, path weights and weighted payoffs of the level-1 lattice price's rows."""
+    stencil = [(cfg.l0, 1.0)]
+    shift = lattice.shifts(seed, lattice.replicates(m),
+                           brm._path_coordinates(cfg, policy.exercise_indices))
+    head = brm._continued(cfg, policy, 1, stencil, shift=shift)
+    runs = [head(seed, bi, hi - lo, None) for bi, lo, hi in mc.batch_slices(m)]
+    return (np.concatenate([r[0][0] for r in runs]),
+            np.concatenate([r[1][0] for r in runs]),
+            np.concatenate([r[2][0] for r in runs]))
+
+
+class TestLatticePrice:
+    def test_reported_sd_is_honest(self):
+        # over 32 seeds the spread of the values agrees with the mean
+        # reported sd^2: var(values) / mean(sd^2) ~ F(31, 32 * 15) when sd
+        # is honest; two-sided at 0.1%, as for the European calls
+        from scipy import stats
+
+        cfg, pol = case_cfg(), case_policy()
+        runs = [brm.bermudan_price(cfg, pol, level=1, m=8192, seed=seed)
+                for seed in range(200, 232)]
+        ratio = np.var([r.value for r in runs], ddof=1) / np.mean([r.sd**2 for r in runs])
+        lo, hi = stats.f.ppf([0.0005, 0.9995], 31, 32 * 15)
+        assert lo < ratio < hi, (ratio, lo, hi)
+
+    @pytest.mark.parametrize("k,factor", [(0, 1.5), (3, 0.5)])
+    def test_rows_that_stop_alike_are_priced_alike(self, k, factor):
+        # a row's normals are its own coordinates, whichever other rows
+        # stopped, and its arithmetic does not depend on where it sits in
+        # a slice: under two policies that differ in one threshold, every
+        # row stopping on the same date gets the same payoff and path
+        # weight, bit for bit
+        cfg, pol = case_cfg(), case_policy()
+        thresholds = pol.thresholds.copy()
+        thresholds[k] *= factor
+        other = brm.AndersenPolicy(pol.exercise_indices, pol.dates, thresholds)
+        m = mc.BATCH + 2005
+        stop_a, w_a, v_a = stopped_paths(cfg, pol, m, seed=7)
+        stop_b, w_b, v_b = stopped_paths(cfg, other, m, seed=7)
+        same = stop_a == stop_b
+        # the rows that stop elsewhere run on through legs whose other rows
+        # changed, in both batches
+        assert 0 < np.count_nonzero(~same[:mc.BATCH]) and 0 < np.count_nonzero(~same[mc.BATCH:])
+        assert np.array_equal(w_a[same], w_b[same])
+        assert np.array_equal(v_a[same], v_b[same])
 
 
 def minor_faults(call):
@@ -937,12 +988,14 @@ class TestPrunedTrigger:
 
 class TestTableauFence:
     def test_every_draw_covers_the_live_rates(self, monkeypatch):
-        # the random tableau: every head draw of the Bermudan calls is a
-        # (rows, n) block.  On the gap to tenor index i the continuation
-        # draws one normal per live rate L_i .. L_n of each running row,
-        # in date order: one (rows, n - i + 1) block per gap after a
-        # one-shot head ("lgn", 0, 1, and the fit, which walks the level-1
-        # paths), one per dt_berm step on log-Euler (level="euler")
+        # the random tableau: every head draw of the pseudo-random Bermudan
+        # calls is a (rows, n) block.  On the gap to tenor index i the
+        # continuation draws one normal per live rate L_i .. L_n of each
+        # running row, in date order: one (rows, n - i + 1) block per gap
+        # after a one-shot head (the Delta, and the fit, which walks the
+        # level-1 paths), one per dt_berm step on log-Euler
+        # (level="euler").  The one-shot prices ("lgn", 0, 1) read the
+        # lattice: their generators draw shifts and no normal at all
         cfg = case_cfg()
         indices = cfg.exercise_indices
         gaps = np.round(np.diff(cfg.tenor[np.array(indices) - 1]) / cfg.dt_berm).astype(int)
@@ -964,12 +1017,18 @@ class TestTableauFence:
                 self.shapes.append(size)
                 return self._gen.standard_normal(size, *args, **kwargs)
 
+            def integers(self, *args, **kwargs):
+                return self._gen.integers(*args, **kwargs)
+
         monkeypatch.setattr(mc, "rng_for", Recording)
         pol = brm.calibrate_policy(cfg, n_paths=brm._MIN_CALIBRATION_PATHS, seed=3)
         for level in ("lgn", 0, 1, "euler"):
             brm.bermudan_price(cfg, pol, level=level, m=2048, seed=7)
         brm.bermudan_delta_fd(cfg, pol, i=18, h=3.5e-5, level=1, m=2048, seed=7)
-        assert sum(len(g.shapes) for g in generators) > len(per_step) + 5 * len(per_gap)
+        shift = [g for g in generators if g.stream == mc.STREAM_SHIFT]
+        assert len(shift) == 3 * lattice.replicates(2048) and not any(g.shapes for g in shift)
+        generators = [g for g in generators if g.stream != mc.STREAM_SHIFT]
+        assert sum(len(g.shapes) for g in generators) > len(per_step) + 2 * len(per_gap)
         for g in generators:
             assert all(isinstance(s, tuple) and len(s) == 2 and s[0] > 0 for s in g.shapes)
             head = heads[g.stream]
@@ -986,7 +1045,7 @@ class TestTableauFence:
         assert len(euler) == 1
         assert len(euler[0].shapes) == len(heads[mc.STREAM_EULER]) + len(per_step)
         cont = [g for g in generators if g.stream == mc.STREAM_CONT]
-        assert len(cont) == 5
+        assert len(cont) == 2
         assert all(len(g.shapes) == len(per_gap) for g in cont)
         # the fit (seed 3, one batch) is a level-1 walk that stops no row:
         # one STREAM_XI block, then one full-row STREAM_CONT block per gap

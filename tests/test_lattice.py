@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
+from wkbmc import bermudan as brm
 from wkbmc import estimators as est
 from wkbmc import lattice, lmm, mc
 
@@ -66,15 +67,43 @@ class TestTable:
         assert not lattice.normal_table().flags.writeable
 
 
+#: The first 19 multipliers as the one-shot European calls first read
+#: them; the search keeps them, so no European call at n <= 19 moves.
+FIRST_19 = (1, 51417, 61749, 15009, 52207, 58655, 62943, 39089, 2863, 7341, 41335, 35267,
+            57611, 64363, 2461, 4455, 55621, 4649, 19639)
+
+
+def every_date_cfg(n):
+    """n rates exercised at every tenor date: a one-shot path reads n(n+1)/2 normals."""
+    return lmm.ModelConfig(n=n, t1=1.0, delta=0.5, l0=0.035, vol=0.2, rho_inf=0.3,
+                           strike=0.035, exercise_indices=tuple(range(1, n + 1)))
+
+
+def flat_policy(cfg):
+    return brm.AndersenPolicy(cfg.exercise_indices, cfg.exercise_dates,
+                              np.zeros(len(cfg.exercise_indices)))
+
+
 class TestGeneratingVector:
     def test_committed_vector_is_the_cbc_search(self):
         assert tuple(load_cbc().fast_cbc()) == lattice.GENERATING_VECTOR
 
     def test_odd_and_on_the_grid(self):
         z = np.array(lattice.GENERATING_VECTOR)
-        assert z.shape == (lattice.MAX_DIM,)
+        assert z.shape == (lattice.MAX_DIM,) == (300,)
         assert np.all(z % 2 == 1) and np.all(z < 1 << lattice.BITS)
         assert len(set(z.tolist())) == z.size
+
+    def test_first_19_multipliers_are_unchanged(self):
+        assert lattice.GENERATING_VECTOR[:19] == FIRST_19
+
+    def test_search_refuses_a_repeated_multiplier(self):
+        # weights 0.9**j on every coordinate stop resolving the candidates
+        # near 30 coordinates
+        cbc = load_cbc()
+        cbc.HEAD_DIMS = 40
+        with pytest.raises(ValueError, match="repeats multiplier"):
+            cbc.fast_cbc(dims=40, weight=0.9)
 
     def test_more_rates_than_the_vector_covers_are_refused(self):
         n = lattice.MAX_DIM + 1
@@ -82,10 +111,31 @@ class TestGeneratingVector:
         with pytest.raises(ValueError, match=f"at most {lattice.MAX_DIM} coordinates"):
             est.price(inp)
 
+    def test_a_bermudan_path_past_the_vector_is_refused(self):
+        # 25 rates exercised at every date read 325 normals per path
+        cfg = every_date_cfg(25)
+        with pytest.raises(ValueError, match=r"at most 300 coordinates \(lattice.MAX_DIM\)"):
+            brm.bermudan_price(cfg, flat_policy(cfg), level=1, m=64, seed=0)
+
     def test_every_covered_rate_count_prices(self):
-        for n in (2, lattice.MAX_DIM):
+        # a European reads n coordinates; 24 rates exercised at every date
+        # read all MAX_DIM of them
+        for n in (2, 24):
             r = est.price(est.european_inputs(case_cfg(n=n), 1, m=64, seed=0))
             assert np.isfinite(r.value) and r.sd > 0.0
+        cfg = every_date_cfg(24)
+        assert brm._path_coordinates(cfg, cfg.exercise_indices) == lattice.MAX_DIM
+        r = brm.bermudan_price(cfg, flat_policy(cfg), level=1, m=64, seed=0)
+        assert np.isfinite(r.value) and r.sd > 0.0
+
+
+def reference_normals(shift, g, start):
+    """Row g's normals at coordinates start.. by the formula, one row at a time."""
+    r, w = shift.shape
+    rev = np.array([int(format(k, f"0{lattice.BITS}b")[::-1], 2) for k in g // r])
+    z = np.array(lattice.GENERATING_VECTOR[start:start + w][::-1], dtype=np.int64)
+    cell = (rev[:, None] * z + shift[g % r].astype(np.int64)) % (1 << lattice.BITS)
+    return lattice.normal_table()[cell]
 
 
 class TestPoints:
@@ -95,12 +145,27 @@ class TestPoints:
         # batch it falls in, R dividing the batch or not
         shift = lattice.shifts(5, r, 19)
         lo, rows = 3 * mc.BATCH - 7, 2 * mc.CHUNK + 11
-        got = lattice.normals(shift, lo, rows)
-        g = np.arange(lo, lo + rows)
-        rev = np.array([int(format(k, f"0{lattice.BITS}b")[::-1], 2) for k in g // r])
-        z = np.array(lattice.GENERATING_VECTOR[18::-1], dtype=np.int64)
-        cell = (rev[:, None] * z + shift[g % r].astype(np.int64)) % (1 << lattice.BITS)
-        assert np.array_equal(got, lattice.normal_table()[cell])
+        got = lattice.normals(shift, range(lo, lo + rows))
+        assert np.array_equal(got, reference_normals(shift, np.arange(lo, lo + rows), 0))
+
+    @pytest.mark.parametrize("r", [16, 48])
+    @pytest.mark.parametrize("start,width", [(19, 17), (96, 3), (299, 1)])
+    def test_any_rows_read_their_own_coordinate_block(self, r, start, width):
+        # a Bermudan leg hands over its running rows, in any order: each
+        # reads its own point at the block's coordinates, the block's
+        # first coordinate driving its last column
+        shift = lattice.shifts(5, r, lattice.MAX_DIM)[:, start:start + width]
+        g = np.random.default_rng(2).permutation(3 * mc.BATCH)[:2 * mc.CHUNK * 19 // width + 7]
+        got = lattice.normals(shift, g, start)
+        assert np.array_equal(got, reference_normals(shift, g, start))
+        # the same rows read as a range give the same bits
+        lo = int(g.min())
+        span = lattice.normals(shift, range(lo, lo + 40), start)
+        assert np.array_equal(span, lattice.normals(shift, np.arange(lo, lo + 40), start))
+
+    def test_a_shorter_shift_is_a_prefix(self):
+        # the head's shifts do not depend on how many coordinates follow
+        assert np.array_equal(lattice.shifts(7, 16, 19), lattice.shifts(7, 16, 100)[:, :19])
 
     def test_first_points_of_a_replicate_are_the_embedded_lattices(self):
         # the first 2**k points of a replicate, unshifted, are the 2**k-point
@@ -108,7 +173,7 @@ class TestPoints:
         shift = np.zeros((1, 19), dtype=np.uint32)
         table = lattice.normal_table()
         for k in (4, 9):
-            got = lattice.normals(shift, 0, 1 << k)
+            got = lattice.normals(shift, range(1 << k))
             z = np.array(lattice.GENERATING_VECTOR[18::-1], dtype=np.int64)
             j = np.arange(1 << k)[:, None]
             want = table[(j * z % (1 << k)) << (lattice.BITS - k)]
