@@ -26,22 +26,19 @@ the exact in-sample best.
 
 The continuation moves only the rows still running: one stopping rule,
 the first member's exercise decision, cuts a row from the group, and
-each leg draws normals for the rows left alone.  Whether a path still
-runs depends only on its past, so the fresh normals keep every path's
-law; a stopped path costs no further draws.  Where the normals come
-from depends on the call.  The one-shot price ("lgn", 0 or 1) reads all
-of a path's normals off the randomly shifted lattice, one point of
-``_path_coordinates`` dimensions per row (100 at the case study): the
-head takes coordinates 0 .. n - 1 exactly as ``estimators.price`` does,
-and each leg the next block, one coordinate per live rate.  A row's
-normals, and with them its payoff and path weight, thus do not depend
-on which other rows stopped (``wkb._BLAS_ROWS`` keeps the weight's
-arithmetic row by row; a row left running alone in its batch is the
-exception, as BLAS takes a matrix-vector path for it), and the price's
-``sd`` is the spread of its replicate means.  The Delta, the policy fit, the stop diagnostics
-and every log-Euler path stay on pseudo-random normals: the head on the
-batch's STREAM_XI (or STREAM_EULER) cell and the legs on its
-STREAM_CONT generator, read in running order.
+each leg takes normals for the rows left alone from the source the
+head returned.  Whether a path still runs depends only on its past, so
+the fresh normals keep every path's law; a stopped path costs no
+further draws.  After a one-shot head the source is the batch's
+``estimators._Normals``: the one-shot price ("lgn", 0 or 1) reads a
+point of ``_path_coordinates`` dimensions per row (100 at the case
+study) off the randomly shifted lattice, coordinates 0 .. n - 1 for the
+head as ``estimators.price`` does and the next block, one per live
+rate, for each leg, so a row's payoff and path weight do not depend on
+which other rows stopped and the price's ``sd`` is the spread of its
+replicate means; the Delta, the fit and the stop diagnostics read the
+STREAM_XI draw, then one STREAM_CONT block per leg in running order.
+After the Euler head the source is its STREAM_EULER generator.
 It also does only the arithmetic a decision reads: on the way to tenor
 date T_i a leg moves the live rates L_i .. L_n alone and draws normals
 for them only, one per live rate and running row (Gamma is upper
@@ -312,13 +309,10 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
     """Fit the per-date thresholds on dedicated weighted one-shot paths.
 
     The paths are the pseudo-random ones :func:`_continued` walks at
-    level 1: the level-1 one-shot head at ``cfg.l0`` on the batch's
-    STREAM_XI normals, then the level-1 :func:`_legs` on its STREAM_CONT
-    generator (the price reads the same head and legs off the lattice
-    instead), with the full
-    trigger at every date and no path stopped.  Exercising at date k
-    pays the intrinsic value times the path weight up to k, the head
-    weight times the transition weights, as in :func:`_continued`.  Uses
+    level 1 (the price reads the same head and legs off the lattice),
+    with the full trigger at every date and no path stopped.
+    Exercising at date k pays the intrinsic value times the path weight
+    up to k, the head weight times the transition weights.  Uses
     a backward sweep: at each date the threshold is the exact in-sample
     maximiser of the average realised weighted payoff over the path set
     with all later thresholds already fixed (one sort and one cumulative
@@ -339,11 +333,11 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
     legs = _legs(cfg, indices, 1)
 
     def batch(bi, lo, hi):
-        group, w, _, cont = head(seed, bi, hi - lo, None)
-        rng, log_w, out = cont(), np.zeros(hi - lo), []
+        group, w, _, source = head(seed, bi, hi - lo, None)
+        rows, log_w, out = np.arange(hi - lo), np.zeros(hi - lo), []
         for k, leg in enumerate(legs):
             if leg is not None:
-                group, lw = leg(group, rng)
+                group, lw = leg(group, rows, source)
                 log_w += lw[0]
             intrinsic, trig = _trigger(cfg, indices, k, group[0])
             out.append((w[0] * np.exp(log_w) * intrinsic, trig))
@@ -375,90 +369,66 @@ def calibrate_policy(cfg: ModelConfig, n_paths: int = 10_000, seed: int = 0) -> 
 # policy-driven evaluation
 
 
+def _gaps(cfg: ModelConfig, indices) -> list:
+    """Span from the date before (T1 first) to each date; zero: no crossing."""
+    dates = [cfg.t1] + [cfg.tenor_date(i) for i in indices]
+    return [b - a for a, b in zip(dates, dates[1:])]
+
+
 def _legs(cfg: ModelConfig, indices, level) -> list:
     """How a path crosses the gaps from T1 to each date of ``indices``.
 
-    One entry per date: None for a date at T1, else ``leg(group, rng)``,
-    which moves the group's members to the date and returns them with
-    their transition log weights, one array per member (None when
-    unweighted).  A leg to tenor index i moves the live rates L_i .. L_n
-    of the rows it is handed alone, drawing normals for them in row
-    order.  At "euler" it is log-Euler on ``dt_berm``, unweighted, and
-    an off-grid gap is refused here, before any path moves; after the
-    one-shot heads it is ``estimators._proxy_transition``.
+    One entry per date: None for a date at T1, else ``leg(group, rows,
+    source)``, which moves the group's members to the date and returns
+    them with their transition log weights, one array per member (None
+    when unweighted).  ``rows`` are the batch positions of the rows the
+    group holds and ``source`` the batch's normals, as the head returned
+    them.  A leg to tenor index i moves the live rates L_i .. L_n of the
+    rows it is handed alone, drawing normals for them only.  At "euler"
+    it is log-Euler on ``dt_berm``, unweighted, reading the head's
+    generator in running order, and an off-grid gap is refused here,
+    before any path moves; after the one-shot heads it is
+    ``estimators._proxy_transition``.
     """
     legs = []
-    t_prev = cfg.t1
-    for i in indices:
-        date, first = cfg.tenor_date(i), i - 1
-        if date == t_prev:
+    for i, span in zip(indices, _gaps(cfg, indices)):
+        if not span:
             legs.append(None)
         elif level == "euler":
-            steps = _int_steps(date - t_prev, cfg.dt_berm, f"gap to exercise date {date}")
-            legs.append(partial(_euler_leg, cfg, first, steps))
+            steps = _int_steps(span, cfg.dt_berm, f"gap to exercise date {cfg.tenor_date(i)}")
+            legs.append(partial(_euler_leg, cfg, i - 1, steps))
         else:
-            legs.append(_proxy_transition(cfg, first, date - t_prev))
-        t_prev = date
+            legs.append(_proxy_transition(cfg, i - 1, span))
     return legs
 
 
-def _euler_leg(cfg: ModelConfig, first: int, steps: int, group, rng):
+def _euler_leg(cfg: ModelConfig, first: int, steps: int, group, rows, rng):
     """A log-Euler leg: ``steps`` unweighted ``dt_berm`` steps of the live rates."""
     return evolve_log_euler(cfg, group, steps, cfg.dt_berm, rng, first=first), None
 
 
 def _path_coordinates(cfg: ModelConfig, indices) -> int:
-    """Normals a one-shot path reads: n at the head, then the live rates of each gap."""
-    dates = [cfg.t1] + [cfg.tenor_date(i) for i in indices]
-    return cfg.n + sum(cfg.n - i + 1 for i, a, b in zip(indices, dates, dates[1:]) if b != a)
+    """Normals a one-shot path reads: n at the head, then the live rates of each crossing."""
+    return cfg.n + sum(cfg.n - i + 1 for i, span in zip(indices, _gaps(cfg, indices)) if span)
 
 
-class _LatticeLegs:
-    """The legs' normals of one batch, read off the shifted lattice.
-
-    ``shift`` is the call's ``lattice.shifts`` over every coordinate of
-    a path and ``lo`` the batch's first global row.  The head reads
-    coordinates 0 .. n - 1; each leg reads the next block, one coordinate
-    per live rate, for the rows it is handed.  ``at(rows)`` stands in for
-    a generator for the running ``rows`` (positions in the batch): its
-    ``standard_normal((rows, w))`` reads their next w coordinates.  A
-    row's normals thus depend on its number and the leg alone, never on
-    which other rows stopped.
-    """
-
-    def __init__(self, shift: np.ndarray, lo: int, start: int) -> None:
-        self.shift, self.lo, self.next = shift, lo, start
-        self.rows = None
-
-    def at(self, rows: np.ndarray) -> "_LatticeLegs":
-        self.rows = rows
-        return self
-
-    def standard_normal(self, size) -> np.ndarray:
-        a, b = self.next, self.next + size[1]
-        self.next = b
-        return lattice.normals(self.shift[:, a:b], self.lo + self.rows, a)
-
-
-def _run_policy(cfg, policy, group, rng, legs, audit=False):
+def _run_policy(cfg, policy, group, source, legs, audit=False):
     """Advance a common-increment group from T1 through the exercise dates.
 
-    ``legs`` are the :func:`_legs` of the policy's dates, drawing from
-    ``rng``: a generator, read in running order, or a
-    :class:`_LatticeLegs`, which gives each running row its own
-    coordinates.  Exercise decisions come from the first group member only
+    ``legs`` are the :func:`_legs` of the policy's dates, each handed
+    the batch positions of the running rows and the batch's normals
+    ``source``.  Exercise decisions come from the first group member only
     and are applied to every member (the bump pair shares one stopping
     time); a row the first member stops is cut from the group and moved
-    no further, so only the rows still running get normals.  Whether a
-    row runs depends only on its past, so fresh normals keep every
-    path's law.  With ``audit`` set, the last member also evaluates its
-    own trigger on the rows still running and flags each row where its
-    decision differs.  A row runs until the first member stops it, so
-    the flag is set exactly when the two members' own stopping times
-    differ, on the very paths the unaudited run takes.  Each trigger
-    prices the Europeans only on the rows whose own intrinsic reaches
-    the date's threshold; the other rows cannot fire, so the decisions
-    and flags are those of full triggers.
+    no further, so only the rows still running get normals.  With
+    ``audit`` set, the last member also evaluates its own trigger on the
+    rows still running and flags each row where its decision differs.  A
+    row runs until the first member stops it, so the flag is set exactly
+    when the two members' own stopping times differ, on the very paths
+    the unaudited run takes.  Each trigger prices the Europeans only on
+    the rows whose own intrinsic reaches the date's threshold; the other
+    rows cannot fire, so the decisions and flags are those of full
+    triggers.
 
     Returns (payoffs per member, stop positions, disagreement flags, log
     weights per member): a row's log weight sums its transition log
@@ -474,7 +444,7 @@ def _run_policy(cfg, policy, group, rng, legs, audit=False):
     indices = policy.exercise_indices
     for k, leg in enumerate(legs):
         if leg is not None:
-            group, lw = leg(group, rng.at(rows) if isinstance(rng, _LatticeLegs) else rng)
+            group, lw = leg(group, rows, source)
             if lw is not None:
                 for acc, lk in zip(log_w, lw):
                     acc[rows] += lk
@@ -504,11 +474,11 @@ def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=F
     """Driver head: the first-date head at ``level``, then ``policy``.
 
     The first-date head is the one-shot draw at a kernel level, or
-    log-Euler from time zero at "euler"; its :func:`_legs` continue it.
-    A one-shot head and its legs draw from the batch's STREAM_XI and
-    STREAM_CONT generators or, given ``shift`` (the call's
-    ``lattice.shifts`` over :func:`_path_coordinates`), read every
-    normal of a path off the shifted lattice.  The weights are path
+    log-Euler from time zero at "euler"; its :func:`_legs` continue it
+    on the normals source it returns.  A one-shot head's source reads
+    every normal of a path off the lattice of ``shift`` (the call's
+    ``lattice.shifts`` over :func:`_path_coordinates`) if given, else
+    the batch's STREAM_XI and STREAM_CONT cells.  The weights are path
     weights: the head's weight times the transition weights up to the
     row's stop.  The states slot holds (stop positions, disagreement
     flags); the driver's payoff goes unused.
@@ -518,16 +488,12 @@ def _continued(cfg: ModelConfig, policy: AndersenPolicy, level, stencil, audit=F
         raise ValueError("policy dates do not sit on this config's tenor grid")
     if policy.dates[0] < cfg.t1 - 1e-9:
         raise ValueError("policy starts before the first tenor date")
-    if level == "euler":
-        first = _euler_head(cfg, stencil, cfg.t1, cfg.dt_berm)
-    else:
-        first = _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil,
-                               None if shift is None else shift[:, :cfg.n])
+    first = (_euler_head(cfg, stencil, cfg.t1, cfg.dt_berm) if level == "euler" else
+             _one_shot_head(lambda x: anchored_libor_pair(cfg, cfg.t1, level, x), stencil, shift))
     legs = _legs(cfg, policy.exercise_indices, level)
 
     def head(seed, bi, rows, payoff):
-        states, w, _, cont = first(seed, bi, rows, None)
-        source = cont() if shift is None else _LatticeLegs(shift, bi * mc.BATCH, cfg.n)
+        states, w, _, source = first(seed, bi, rows, None)
         pays, stop, differ, log_w = _run_policy(cfg, policy, states, source, legs, audit)
         if w is not None:
             w = [wk * np.exp(lk) for wk, lk in zip(w, log_w)]

@@ -17,19 +17,19 @@ a batch to each member's states, weights and weighted payoffs on
 shared normals: the weighted one-shot draw, log-Euler from time zero,
 or (for `naive_delta`) one frozen draw that every member only
 reweights; `explosion_demo` has a toy head, and ``bermudan`` one that
-follows an exercise policy from the first date, crossing each later
-gap with ``_proxy_transition``: the same ``AnchoredPair`` draw and
-weight, its start one state per row instead of one for all rows.
-`price`, `delta_fd` and `gamma_fd` read the one-shot draw's normals off
-the randomly shifted lattice of ``lattice.normals``: row g is point
-g div R of replicate g mod R, and ``_estimate``'s accumulator keeps a
-mean per replicate, so their ``sd`` is the spread of the R independent
-replicate means.  The one dimension per rate is low and fixed, where
-the lattice pays.  The one-shot Bermudan price reads this head off the
-same lattice and its legs off the coordinates that follow (see
-``bermudan``); every other head (the Bermudan Delta, policy fit and
-diagnostics, the frozen cloud, the audit, the toy and the oracle)
-stays on pseudo-random normals, and so does its row-level ``sd``.
+follows an exercise policy from the first date.  One mover, ``_move``,
+makes every weighted one-shot crossing: the head's from one start for
+all rows, each Bermudan leg's (``_proxy_transition``) from the rows'
+own states, and `variance_audit`'s.  One source per batch,
+``_Normals``, hands each crossing its block of normals: on the randomly
+shifted lattice (``lattice.normals``; row g is point g div R of
+replicate g mod R) each row's own next coordinates, otherwise the
+batch's STREAM_XI draw, then its STREAM_CONT cell in running order.
+`price`, `delta_fd`, `gamma_fd` and the one-shot Bermudan price read
+the lattice, where the low, fixed dimension pays, and ``_estimate``
+keeps a mean per replicate, so their ``sd`` is the spread of the R
+independent replicate means; every other head stays on pseudo-random
+normals and a row-level ``sd``, the log-Euler ones on STREAM_EULER.
 Every batch loop is one ``mc.map_batches`` call: ``_estimate``'s,
 `variance_audit`'s (the bound's norms), the Bermudan diagnostics'
 (stops) and `calibrate_policy`'s (weighted exercise values and triggers
@@ -214,58 +214,92 @@ def european_inputs(
     )
 
 
-def _one_shot(pair, z: np.ndarray, payoff=None):
-    """Map a batch of normals to (zeta, w, w * payoff(zeta)) by ``mc.row_slices``.
+class _Normals:
+    """Batch ``bi``'s normals, handed to its one-shot crossings block by block.
 
-    ``zeta`` are the proxy draws and ``w`` their importance weights; the
-    weighted payoff is None when no payoff is given.
+    ``block(rows, w)`` gives the batch positions ``rows`` (a ``range``
+    for the whole batch, else the running rows') their next w normals.
+    Given ``shift``, the call's ``lattice.shifts``, each row reads its
+    own next w coordinates of the shifted lattice (``lattice.normals``,
+    global row bi * BATCH + position), whichever other rows run.
+    Otherwise the first block is the batch's STREAM_XI draw and every
+    later one comes from its STREAM_CONT cell, in running order.
     """
-    rows = z.shape[0]
-    zeta = np.empty(z.shape)
-    w = np.empty(rows)
-    wf = None if payoff is None else np.empty(rows)
-    for part in mc.row_slices(*z.shape):
-        zc = pair.draw(z[part])
-        wc = np.exp(pair.log_weight(zc))
-        zeta[part] = zc
-        w[part] = wc
-        if wf is not None:
-            wf[part] = wc * payoff(zc)
-    return zeta, w, wf
+
+    def __init__(self, seed: int, bi: int, shift: np.ndarray | None = None) -> None:
+        self.seed, self.bi, self.shift = seed, bi, shift
+        self.next, self.cont = 0, None
+
+    def block(self, rows, w: int) -> np.ndarray:
+        a, self.next = self.next, self.next + w
+        if self.shift is not None:
+            lo = self.bi * mc.BATCH
+            g = range(lo + rows.start, lo + rows.stop) if isinstance(rows, range) else lo + rows
+            return lattice.normals(self.shift[:, a:a + w], g, a)
+        if a == 0:
+            return mc.rng_for(self.seed, self.bi, mc.STREAM_XI).standard_normal((len(rows), w))
+        if self.cont is None:
+            self.cont = mc.rng_for(self.seed, self.bi, mc.STREAM_CONT)
+        return self.cont.standard_normal((len(rows), w))
+
+
+def _move(pair_at, starts, z: np.ndarray, payoff=None):
+    """Move stencil members by one weighted proxy draw on the shared normals ``z``.
+
+    Member k starts at ``starts[k]``: one state for every row (the head
+    from time zero) or one per row (a leg).  Its rows draw their live
+    rates, the last w = z.shape[1] columns, from ``pair_at(k, x)``, the
+    member's ``AnchoredPair`` started at x, the live block of one
+    slice's starts; the columns before them are carried over.  The work
+    runs in the slices of ``mc.row_slices``.  Returns, one array per
+    member, the moved states, their log weights and, given ``payoff``,
+    their payoffs (else None).  A one-row group moves as two copies of
+    its row and keeps the first: alone, the row would go through BLAS's
+    matrix-vector products, whose sums can differ in the last bit from
+    those of a row in a block.
+    """
+    rows, w = z.shape
+    if rows == 1:
+        out = _move(pair_at, [np.repeat(np.atleast_2d(s), 2, axis=0) for s in starts],
+                    np.repeat(z, 2, axis=0), payoff)
+        return tuple(None if o is None else [a[:1] for a in o] for o in out)
+    first = starts[0].shape[-1] - w
+    out = []
+    for k, s in enumerate(starts):
+        s = np.broadcast_to(s, (rows, s.shape[-1]))
+        x, lw, f = np.empty(s.shape), np.empty(rows), np.empty(rows)
+        x[:, :first] = s[:, :first]
+        for part in mc.row_slices(rows, w):
+            pair = pair_at(k, s[part, first:])
+            zeta = pair.draw(z[part])
+            lw[part] = pair.log_weight(zeta)
+            x[part, first:] = zeta
+            if payoff is not None:
+                f[part] = payoff(zeta)
+        out.append((x, lw, f))
+    moved, log_w, values = map(list, zip(*out))
+    return moved, log_w, None if payoff is None else values
 
 
 def _proxy_transition(cfg: ModelConfig, first: int, dt: float):
-    """Group mover: one weighted proxy draw of the live rates over ``dt``.
+    """Leg: one weighted proxy draw of the live rates over ``dt``.
 
-    The one-shot method of the first date, with the pair's start one
-    state per row: each row draws its live rates (0-based columns
-    ``first``..) from the proxy of ``cfg.vs.trailing(first)`` frozen at
-    its own state, weighted by the level-1 kernel built once here at
-    ``cfg.l0``'s trailing block.  Returns ``leg(group, rng)`` with the
-    contract of ``lmm.evolve_log_euler`` (one (rows, n - first) block of
-    normals from ``rng`` shared by the members, earlier rates carried
-    over), which returns the moved members and their log weights.
-    ``rng`` may also be a ``bermudan._LatticeLegs`` source, which reads
-    the block off the shifted lattice.
+    The head's crossing with its start one state per row: each row draws
+    its live rates (0-based columns ``first``..) from the proxy of
+    ``cfg.vs.trailing(first)`` frozen at its own state, weighted by the
+    level-1 kernel built once here at ``cfg.l0``'s trailing block.
+    Returns ``leg(group, rows, source)``: the members moved on the next
+    block of the :class:`_Normals` ``source`` for the batch positions
+    ``rows``, and their log weights.
     """
     vs, delta = cfg.vs.trailing(first), cfg.delta[first:]
     kernel = make_libor_kernel(vs, delta, cfg.l0[first:], level=1)
 
-    def leg(group, rng):
-        z = rng.standard_normal((group[0].shape[0], cfg.n - first))
-        moved, log_w = [], []
-        for g in group:
-            x = np.empty(g.shape)
-            x[:, :first] = g[:, :first]
-            lw = np.empty(z.shape[0])
-            for part in mc.row_slices(*z.shape):
-                pair = AnchoredPair(make_proxy(vs, delta, dt, g[part, first:]), kernel)
-                zeta = pair.draw(z[part])
-                lw[part] = pair.log_weight(zeta)
-                x[part, first:] = zeta
-            moved.append(x)
-            log_w.append(lw)
-        return moved, log_w
+    def pair_at(k, x):
+        return AnchoredPair(make_proxy(vs, delta, dt, x), kernel)
+
+    def leg(group, rows, source):
+        return _move(pair_at, group, source.block(rows, cfg.n - first))[:2]
 
     return leg
 
@@ -297,21 +331,19 @@ def _one_shot_head(anchored, stencil, shift: np.ndarray | None = None):
     """Head: every member re-anchors the batch's shared normals.
 
     Maps (seed, batch index, rows, payoff) to the members' states,
-    weights, weighted payoffs and a maker of the continuation generator.
-    The normals are the batch's STREAM_XI draw or, given ``shift`` (the
-    call's ``lattice.shifts`` at coordinates 0 .. n - 1), the batch's
-    rows of the shifted lattice.
+    weights, weighted payoffs (None without a payoff) and the batch's
+    :class:`_Normals`, on the lattice of ``shift`` (the call's
+    ``lattice.shifts``) if given, whose first block the members drew on.
     """
     pairs = [anchored(a) for a, _ in stencil]
-    n = stencil[0][0].shape[-1]
+    starts = [a for a, _ in stencil]
 
     def head(seed, bi, rows, payoff):
-        if shift is None:
-            z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
-        else:  # batch bi starts at row bi * BATCH
-            z = lattice.normals(shift, range(bi * mc.BATCH, bi * mc.BATCH + rows))
-        states, w, wv = map(list, zip(*(_one_shot(pair, z, payoff) for pair in pairs)))
-        return states, w, wv, lambda: mc.rng_for(seed, bi, mc.STREAM_CONT)
+        source = _Normals(seed, bi, shift)
+        z = source.block(range(rows), starts[0].shape[-1])
+        states, log_w, f = _move(lambda k, x: pairs[k], starts, z, payoff)
+        w = [np.exp(lw) for lw in log_w]
+        return states, w, None if f is None else [a * b for a, b in zip(w, f)], source
 
     return head
 
@@ -328,8 +360,7 @@ def _frozen_cloud_head(anchored, x: np.ndarray, stencil):
     n = x.shape[-1]
 
     def head(seed, bi, rows, payoff):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, n))
-        zeta = pair0.draw(z)
+        zeta = pair0.draw(_Normals(seed, bi).block(range(rows), n))
         lphi = pair0.log_proxy(zeta)
         w = [np.exp(p.log_weight(zeta) + p.log_proxy(zeta) - lphi) for p in pairs]
         f = payoff(zeta)
@@ -348,7 +379,7 @@ def _int_steps(span: float, dt: float, what: str, least: int = 0) -> int:
 def _euler_head(cfg: ModelConfig, stencil, t: float, dt: float):
     """Head: unweighted log-Euler from time 0 to ``t`` on shared increments.
 
-    The continuation goes on drawing from the head's own generator.
+    The generator is also the batch's source of continuation normals.
     """
     n_steps = _int_steps(t, dt, "horizon", least=1)
 
@@ -357,7 +388,7 @@ def _euler_head(cfg: ModelConfig, stencil, t: float, dt: float):
         starts = [np.broadcast_to(a, (rows, cfg.n)) for a, _ in stencil]
         final = evolve_log_euler(cfg, starts, n_steps, dt, rng)
         wv = None if payoff is None else [payoff(f) for f in final]
-        return final, None, wv, lambda: rng
+        return final, None, wv, rng
 
     return head
 
@@ -540,24 +571,23 @@ def variance_audit(inputs: EstimatorInputs) -> AuditReport:
     x = inputs.anchor
     n = x.shape[-1]
     pair0 = inputs.anchored(x)
-    sides = []
-    for i in range(n):
-        up, dn = _bumped(x, i, h)
-        sides.append((inputs.anchored(up), inputs.anchored(dn)))
+    sides = [(ends, [inputs.anchored(a) for a in ends]) for ends in
+             (_bumped(x, i, h) for i in range(n))]
 
     lhs = mc.MomentAccumulator()
     accs = {key: mc.MomentAccumulator() for key in _AUDIT_NORMS}
 
     def batch(bi, lo, hi):
-        z = mc.rng_for(inputs.seed, bi, mc.STREAM_XI).standard_normal((hi - lo, n))
-        zeta, w, _ = _one_shot(pair0, z)
+        z = _Normals(inputs.seed, bi).block(range(hi - lo), n)
+        (zeta,), (lw,), _ = _move(lambda k, _: pair0, [x], z)
+        w = np.exp(lw)
 
         grad_sq = np.zeros(hi - lo)
         jac_sq = np.zeros(hi - lo)
         m5_sq = np.zeros(hi - lo)
-        for p_up, p_dn in sides:
-            z_up, _, v_up = _one_shot(p_up, z, inputs.payoff)
-            z_dn, _, v_dn = _one_shot(p_dn, z, inputs.payoff)
+        for ends, (p_up, p_dn) in sides:
+            (z_up, z_dn), lws, fs = _move(lambda k, _: (p_up, p_dn)[k], ends, z, inputs.payoff)
+            v_up, v_dn = (np.exp(lk) * fk for lk, fk in zip(lws, fs))
             d_i = (v_up - v_dn) / (2.0 * h)
             grad_sq = grad_sq + d_i**2
             jac_sq = jac_sq + np.sum(((z_up - z_dn) / (2.0 * h)) ** 2, axis=-1)
@@ -639,7 +669,7 @@ def explosion_demo(
     var_ln = sigma**2 * s
 
     def head(seed, bi, rows, payoff):
-        z = mc.rng_for(seed, bi, mc.STREAM_XI).standard_normal((rows, x0.shape[0]))
+        z = _Normals(seed, bi).block(range(rows), x0.shape[0])
         zeta = x0 * np.exp(-0.5 * var_ln + sigma * np.sqrt(s) * z)
         # d(log kernel)/dx_j = (log(zeta_j/x_j) + var/2) / (var * x_j)
         score = (np.log(zeta[:, j] / x0[j]) + 0.5 * var_ln) / (var_ln * x0[j])

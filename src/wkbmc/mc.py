@@ -9,10 +9,12 @@ instead of batch: ``STREAM_SHIFT``'s cell (seed, r) holds the random
 shifts of replicate r of the lattice that the one-shot European calls
 and the one-shot Bermudan price integrate on (``lattice``), one per
 coordinate, so a replicate's shifts do not depend on which batches its
-rows fall in; the first n of them do not depend on how many follow.  A
-draw takes exactly the normals its rows need: the pseudo-random
-Bermudan continuation draws normals only for the live rates of the rows
-still running, so a cell's stream is consumed in running order.
+rows fall in; the first n of them do not depend on how many follow.
+One source per batch, ``estimators._Normals``, hands every one-shot
+crossing its block: on pseudo-random normals the head's is the batch's
+STREAM_XI draw and each Bermudan leg's the next STREAM_CONT draw, for
+the live rates of the rows still running only, so that cell's stream
+is consumed in running order.
 Reductions accumulate per-batch partial moments and combine them in
 batch order, which makes totals bit-identical no matter
 how the batches were scheduled; on a lattice call the one accumulator
@@ -44,9 +46,9 @@ BATCH = 1 << 14
 #: per-call overhead instead: a bump pair's log-Euler step on a batch
 #: cost 92 ns per entry at width 1 against 38 ns at width 19, and 56 ns
 #: at width 1 in slices of ``CHUNK * 19`` entries (2-vCPU Xeon, numpy
-#: 2.4, one BLAS thread).  The one-shot weight, the continuation's
-#: proxy transition, the log-Euler step and the still-alive Europeans'
-#: cross term all work in the slices :func:`row_slices` cuts, and no
+#: 2.4, one BLAS thread).  The one-shot mover (head and legs alike), the
+#: log-Euler step and the still-alive Europeans' cross term all work in
+#: the slices :func:`row_slices` cuts, and no
 #: per-row BLAS product may run on a whole batch: OpenBLAS 0.3 threads a
 #: product past about 1.1-1.3M multiply-adds (a (4096, 19) @ (19, 19)
 #: ran at 1.98 CPU seconds per wall second, a (1024, 19) one at 1.00),
@@ -90,7 +92,8 @@ def row_slices(rows: int, width: int) -> list[slice]:
     are live.  Every row's arithmetic is its own, so the cuts move no
     result.  A lone row would go through BLAS's matrix-vector product,
     whose sums can differ in the last bit from the matrix-matrix product
-    that rows in a block get, so a one-row tail joins the slice before it.
+    that rows in a block get, so a one-row tail joins the slice before it
+    (a one-row group the one-shot mover moves as two copies of its row).
     The one-shot log weight also evens out BLAS's row groups inside a
     slice (``wkb._BLAS_ROWS``).
     """

@@ -29,6 +29,28 @@ def canned_runs(parent, change, correct=True):
             for p, c in zip(parent, change)]
 
 
+def canned_record(sd, later_sd=5.0):
+    """A perfbench record, read back from JSON: the fit, then two price calls."""
+    def call(key, wall, **fields):
+        return {"call": key, "key": key, "phase": "timed", "wall_s": wall, **fields,
+                "problems": []}
+
+    price = {"value": 351.2, "m": 20000, "ess": float("nan"), "max_weight": 1.03}
+    return json.loads(json.dumps({"env": {"seed": 7}, "calls": [
+        call("fit", 0.5, thresholds=[0.009, 0.0], objectives=[0.05, 0.004]),
+        call("price", 0.3, sd=sd, **price),
+        call("price", 0.2, sd=later_sd, **price),
+    ]}))
+
+
+def test_outputs_compare_each_kinds_first_call(ab):
+    # equal first calls are the same outputs, NaN ESS included, whatever
+    # the later calls returned; an sd one ulp away is not
+    parent = canned_record(1.7575461953041291)
+    assert ab.same_outputs(parent, canned_record(1.7575461953041291, later_sd=6.0))
+    assert not ab.same_outputs(parent, canned_record(np.nextafter(1.7575461953041291, 2.0)))
+
+
 def test_last_json_line_is_read_as_is(ab):
     out = "perfbench euro-t1: ...\n  price_s = 0.2 s\n" + line(price_s=0.2) + "\n\n"
     assert ab.last_json(out)["metrics"]["price_s"]["value"] == 0.2

@@ -304,6 +304,16 @@ class TestPolicyObject:
         assert np.array_equal(rows[:, 1], pol.thresholds)
 
 
+def past_head(seed, rows, n):
+    """Batch 0's pseudo-random normals source with its (rows, n) head block drawn.
+
+    The legs it then hands blocks to read the batch's STREAM_CONT cell.
+    """
+    source = est._Normals(seed, 0)
+    source.block(range(rows), n)
+    return source
+
+
 def run_rule(cfg, thresholds, rows):
     """Exercise rule from the first date on a batch of flat curves.
 
@@ -314,9 +324,8 @@ def run_rule(cfg, thresholds, rows):
         dates=cfg.exercise_dates,
         thresholds=thresholds,
     )
-    rng = mc.rng_for(0, 0, mc.STREAM_CONT)
     legs = brm._legs(cfg, pol.exercise_indices, 1)
-    (pay,), stop, _, _ = brm._run_policy(cfg, pol, [rows], rng, legs)
+    (pay,), stop, _, _ = brm._run_policy(cfg, pol, [rows], past_head(0, 2, cfg.n), legs)
     return pay, stop
 
 
@@ -740,17 +749,21 @@ class TestRunningRowsTableau:
         steps = np.round(np.diff(pol.dates) / cfg.dt_berm).astype(np.int64)
         width = cfg.n - np.array(pol.exercise_indices[1:]) + 1
         for level in ("lgn", 0, 1, "euler"):
-            rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
+            # the log-Euler legs read the generator they are handed, the
+            # proxy legs the STREAM_CONT blocks of a one-shot head's source
+            euler = level == "euler"
+            source = mc.rng_for(seed, 0, mc.STREAM_CONT) if euler else past_head(seed, m, cfg.n)
             legs = brm._legs(cfg, pol.exercise_indices, level)
-            _, stop, _, _ = brm._run_policy(cfg, pol, [states], rng, legs)
-            blocks = steps if level == "euler" else np.ones_like(steps)
+            _, stop, _, _ = brm._run_policy(cfg, pol, [states], source, legs)
+            blocks = steps if euler else np.ones_like(steps)
             running = np.array([np.count_nonzero((stop < 0) | (stop >= k))
                                 for k in range(1, len(pol.dates))])
             drawn = int((blocks * width) @ running)
             assert 0 < drawn < m * int(blocks @ width)
             fresh = mc.rng_for(seed, 0, mc.STREAM_CONT)
             fresh.standard_normal(drawn)
-            assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+            after = source.standard_normal(8) if euler else source.block(range(8), 1).ravel()
+            assert np.array_equal(after, fresh.standard_normal(8))
 
     def test_law_matches_every_row_reference(self):
         cfg, pol = case_cfg(), case_policy()
@@ -791,8 +804,8 @@ class TestLegs:
                  for x in est._bumped(cfg.l0, 18, 3e-4)]
         copies = [g.copy() for g in zetas]
         group = list(zetas)
-        rng = mc.rng_for(7, 0, mc.STREAM_CONT)
-        brm._run_policy(cfg, pol, group, rng, brm._legs(cfg, pol.exercise_indices, level))
+        source = mc.rng_for(7, 0, mc.STREAM_CONT) if level == "euler" else past_head(7, 2048, cfg.n)
+        brm._run_policy(cfg, pol, group, source, brm._legs(cfg, pol.exercise_indices, level))
         assert len(group) == 2 and all(g is zeta for g, zeta in zip(group, zetas))
         assert all(np.array_equal(g, c) for g, c in zip(group, copies))
 
@@ -803,13 +816,13 @@ def rebuilt_stops(cfg, policy, level, anchors, m, seed):
     A path weight is the head's importance weight times the exponential
     of the summed transition log weights up to the row's stop.
     """
-    z = mc.rng_for(seed, 0, mc.STREAM_XI).standard_normal((m, cfg.n))
+    source = est._Normals(seed, 0)
+    z = source.block(range(m), cfg.n)
     pairs = [est.anchored_libor_pair(cfg, cfg.t1, level, x) for x in anchors]
     zetas = [pair.draw(z) for pair in pairs]
     heads = [np.exp(pair.log_weight(zeta)) for pair, zeta in zip(pairs, zetas)]
-    rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
     legs = brm._legs(cfg, policy.exercise_indices, level)
-    _, stop, differ, log_w = brm._run_policy(cfg, policy, zetas, rng, legs, audit=True)
+    _, stop, differ, log_w = brm._run_policy(cfg, policy, zetas, source, legs, audit=True)
     return [h * np.exp(lw) for h, lw in zip(heads, log_w)], stop, differ
 
 
@@ -908,10 +921,10 @@ class TestStopAudit:
         legs = brm._legs(cfg, pol.exercise_indices, 1)
         runs = []
         for audit in (False, True):
-            rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            pays, stop, differ, log_w = brm._run_policy(cfg, pol, list(zetas), rng, legs,
+            source = past_head(seed, m, cfg.n)
+            pays, stop, differ, log_w = brm._run_policy(cfg, pol, list(zetas), source, legs,
                                                         audit=audit)
-            runs.append((pays, stop, differ, log_w, rng.standard_normal(8)))
+            runs.append((pays, stop, differ, log_w, source.block(range(8), 1)))
         (pays, stop, differ, log_w, after), (pays_a, stop_a, differ_a, log_w_a, after_a) = runs
         assert differ is None
         assert differ_a.dtype == bool and differ_a.any()
@@ -974,9 +987,9 @@ class TestPrunedTrigger:
         for trigger in (TRIGGER, unpruned_trigger):
             monkeypatch.setattr(brm, "_trigger", trigger)
             priced.append(0)
-            rng = mc.rng_for(seed, 0, mc.STREAM_CONT)
-            runs.append((*brm._run_policy(cfg, pol, list(zetas), rng, legs, audit=True),
-                         rng.standard_normal(8)))
+            source = past_head(seed, m, cfg.n)
+            runs.append((*brm._run_policy(cfg, pol, list(zetas), source, legs, audit=True),
+                         source.block(range(8), 1)))
         (pays, stop, differ, log_w, after), (pays_u, stop_u, differ_u, log_w_u, after_u) = runs
         assert np.array_equal(stop, stop_u)
         assert all(np.array_equal(a, b) for a, b in zip(pays, pays_u))

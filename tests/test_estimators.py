@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -113,11 +115,27 @@ class TestAnchoredPair:
         z = np.random.default_rng(13).standard_normal((rows, cfg.n - first))
         leg = est._proxy_transition(cfg, first, dt)
         start = np.broadcast_to(cfg.l0, (rows, cfg.n))
-        (moved,), (lw,) = leg([start], np.random.default_rng(13))
+        (moved,), (lw,) = leg([start], np.arange(rows), SimpleNamespace(block=lambda r, w: z))
         want = head.draw(z)
         assert np.array_equal(moved[:, :first], start[:, :first])
         assert_allclose(moved[:, first:], want, rtol=1e-13, atol=0.0)
         assert_allclose(np.exp(lw), np.exp(head.log_weight(want)), rtol=1e-13, atol=0.0)
+
+    def test_a_lone_row_moves_as_in_its_block(self):
+        # a leg moving one row alone gives it the bits it gets among the
+        # other rows of its block, the last running row of a batch
+        # included: the mover moves a lone row as two copies of it
+        cfg = case_cfg()
+        rng = np.random.default_rng(15)
+        starts = cfg.l0 * np.exp(0.1 * rng.standard_normal((96, cfg.n)))
+        z = rng.standard_normal((96, cfg.n - 3))
+        leg = est._proxy_transition(cfg, 3, 0.75)
+        source = SimpleNamespace(block=lambda rows, w: z[rows])
+        (whole,), (lw,) = leg([starts], np.arange(96), source)
+        for r in range(96):
+            (one,), (lw_one,) = leg([starts[r:r + 1]], np.array([r]), source)
+            assert np.array_equal(one, whole[r:r + 1]), r
+            assert np.array_equal(lw_one, lw[r:r + 1]), r
 
 
 class TestPrice:
@@ -206,7 +224,9 @@ class TestOneShot:
         inp = est.european_inputs(cfg, 1, m=1000, seed=0)
         pair = inp.anchored(cfg.l0)
         z = np.random.default_rng(8).standard_normal((mc.BATCH - 3, cfg.n))
-        zeta, w, wf = est._one_shot(pair, z, inp.payoff)
+        (zeta,), (lw,), (f,) = est._move(lambda k, x: pair, [cfg.l0], z, inp.payoff)
+        w = np.exp(lw)
+        wf = w * f
         whole = pair.draw(z)
         w_whole = np.exp(wkb.log_weight_y(
             pair.kernel, pair.proxy.dt, lmm.to_y(cfg.vs, whole), pair.kappa,
@@ -215,7 +235,7 @@ class TestOneShot:
         assert_allclose(zeta, whole, rtol=1e-12)
         assert_allclose(w, w_whole, rtol=1e-12)
         assert_allclose(wf, w_whole * inp.payoff(whole), rtol=1e-12, atol=0.0)
-        assert est._one_shot(pair, z)[2] is None
+        assert est._move(lambda k, x: pair, [cfg.l0], z)[2] is None
 
     def test_repeats_bit_for_bit_past_one_batch(self):
         cfg = case_cfg()

@@ -11,12 +11,17 @@ as is.  A run that is not ``correct`` stops the comparison: it is named
 (workload, pair, side) and the exit status is 1.  For every end-to-end
 metric (all are lower-is-better seconds) it prints, per round, how many
 pairs the change won, and over all pairs the median of change / parent
-with a percentile bootstrap interval.  With ``--tag NAME`` it also runs
+with a percentile bootstrap interval.  It also reads the record each run
+writes (``.perfbench_out/<workload>-seed<seed>-trace0.json``) and prints
+whether, in every pair, the first call of each kind returned the same
+result fields on both sides (value, sd, m, ess and max_weight, or the
+fit's thresholds and objectives).  With ``--tag NAME`` it also runs
 Tier-1 once in this checkout and writes ``BENCH_NAME.json`` at its root:
 per workload, side and metric the median, quartiles and count; each
-side's correct-run count; the environment from perfbench's own record;
-both commits; Tier-1's wall time, summary line and five slowest tests;
-and the known defects of perfbench as notes.
+side's correct-run count; ``outputs_identical`` per workload; the
+environment from perfbench's own record; both commits; Tier-1's wall
+time, summary line and five slowest tests; and the known defects of
+perfbench as notes.
 """
 from __future__ import annotations
 
@@ -40,6 +45,8 @@ WORKLOADS = ("euro-t1", "euro-t10", "bermudan-t1")
 SIDES = ("parent", "change")
 BOOTSTRAP = 4000
 LEVEL = 0.95
+#: The result fields of a perfbench call that the output comparison reads.
+OUTPUT_FIELDS = ("value", "sd", "m", "ess", "max_weight", "thresholds", "objectives")
 
 #: Defects of perfbench that bear on these numbers; they stay until
 #: perfbench itself is changed.
@@ -63,6 +70,22 @@ def last_json(stdout: str) -> dict:
     if not lines:
         raise ValueError("perfbench printed nothing")
     return json.loads(lines[-1])
+
+
+def first_outputs(record: dict) -> dict:
+    """The result fields of the first call of each kind in a perfbench record, as JSON text.
+
+    Text compares NaN (the ESS of an unweighted call) equal to itself.
+    """
+    first = {}
+    for call in record.get("calls", []):
+        first.setdefault(call["key"], json.dumps({k: call[k] for k in OUTPUT_FIELDS if k in call}))
+    return first
+
+
+def same_outputs(parent: dict, change: dict) -> bool:
+    """Whether both records' first calls of each kind have equal result fields."""
+    return first_outputs(parent) == first_outputs(change)
 
 
 def summary(values) -> dict:
@@ -122,6 +145,7 @@ def print_report(workload: str, rep: dict) -> None:
         print(f"  {name:12s} parent {m['parent']['median']:.4g}  change "
               f"{m['change']['median']:.4g}  ratio {m['median_ratio']:.3f} "
               f"[{lo:.3f}, {hi:.3f}]  wins {wins}")
+    print(f"  outputs_identical {rep['outputs_identical']}")
 
 
 #: One line of pytest's ``--durations`` table: seconds, phase, test id.
@@ -164,12 +188,12 @@ def export_commit(sha: str, dest: Path) -> None:
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One fresh perfbench process in ``root``: its JSON line and its environment."""
+    """One fresh perfbench process in ``root``: its JSON line and the record it wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     record = root / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
-    return last_json(proc.stdout), json.loads(record.read_text())["env"]
+    return last_json(proc.stdout), json.loads(record.read_text())
 
 
 def main(argv=None) -> int:
@@ -195,23 +219,23 @@ def main(argv=None) -> int:
            "env": None, "workloads": {}, "notes": list(NOTES)}
     try:
         for wl in workloads:
-            runs = []
+            runs, same = [], []
             for k in range(args.pairs * args.rounds):
-                pair = {}
+                pair, records = {}, {}
                 for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                    pair[side], env = run_side(roots[side], wl, args.seed, args.seconds)
+                    pair[side], records[side] = run_side(roots[side], wl, args.seed, args.seconds)
                     if not pair[side]["correct"]:
                         print(f"ab: {wl} pair {k + 1}: the {side} run is not correct "
                               f"({pair[side]['failed']} of {pair[side]['attempted']} calls "
                               "failed); see its .perfbench_out record", file=sys.stderr)
                         return 1
-                    if side == "change":
-                        out["env"] = env
+                out["env"] = records["change"].get("env")
                 runs.append(pair)
+                same.append(same_outputs(records["parent"], records["change"]))
                 print(f"{wl} pair {k + 1}: " + ", ".join(
                     f"{s} price_s_1bp {pair[s]['metrics']['price_s_1bp']['value']:.4g}"
-                    for s in SIDES), flush=True)
-            out["workloads"][wl] = report(runs, args.pairs)
+                    for s in SIDES) + f", same outputs {same[-1]}", flush=True)
+            out["workloads"][wl] = {**report(runs, args.pairs), "outputs_identical": all(same)}
             print_report(wl, out["workloads"][wl])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
